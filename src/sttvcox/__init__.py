@@ -64,7 +64,6 @@ from .simulation import (
     MetricReport,
     Scenario,
     StudyResult,
-    calibrate_baseline_hazard,
     draw_covariates,
     draw_event_time,
     generate,
@@ -113,7 +112,6 @@ __all__ = [
     "VARIANTS",
     "assign_folds",
     "build_summary",
-    "calibrate_baseline_hazard",
     "coverage_profile",
     "cross_validate",
     "curve_variance",

@@ -15,6 +15,7 @@ import numpy as np
 
 from .dataset import SurvivalDataset
 from .errors import ConvergenceError, SeparationError, ValidationError
+from .likelihood import _risk_set_totals
 
 logger = logging.getLogger(__name__)
 
@@ -49,23 +50,14 @@ def _loglik_parts(ds: SurvivalDataset, beta: np.ndarray, order: int):
     Z = ds.covariates
     events = ds.event_rows
     eta = Z @ beta
-    value = 0.0
-    grad = np.zeros(ds.p) if order >= 1 else None
-    hess = np.zeros((ds.p, ds.p)) if order >= 2 else None
-    for e in events:
-        r = ds.risk_start(int(e))
-        seg = eta[r:]
-        mx = seg.max()
-        w = np.exp(seg - mx)
-        s0 = w.sum()
-        value += eta[e] - (mx + np.log(s0))
-        if order >= 1:
-            Zr = Z[r:]
-            ebar = (w @ Zr) / s0
-            grad += Z[e] - ebar
-            if order >= 2:
-                s2 = Zr.T @ (w[:, None] * Zr)
-                hess -= s2 / s0 - np.outer(ebar, ebar)
+    G = np.broadcast_to(eta, (events.shape[0], ds.n))
+    logS0, Ebar, V = _risk_set_totals(G, ds.risk_start(events), Z, order)
+    # event terms are added one after another, not in the pairwise order of
+    # np.sum: the sttv thresholds scale the warm start, and a one-ulp change
+    # of a threshold can move a fitted curve by 0.1
+    value = np.add.accumulate(eta[events] - logS0)[-1]
+    grad = np.add.accumulate(Z[events] - Ebar)[-1] if order >= 1 else None
+    hess = -np.add.accumulate(V)[-1] if order >= 2 else None
     return value, grad, hess
 
 

@@ -57,9 +57,12 @@ class SurvivalDataset:
         """Storage-order indices of the event observations."""
         return np.flatnonzero(self.event)
 
-    def risk_start(self, i: int) -> int:
-        """First storage index of the risk set of observation ``i``."""
-        return int(np.searchsorted(self.time, self.time[i], side="left"))
+    def risk_start(self, i):
+        """First storage index of the risk set of observation(s) ``i``.
+
+        Tied times share one risk set, which starts at the first tie.
+        """
+        return np.searchsorted(self.time, self.time[i], side="left")
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -82,9 +85,9 @@ def make_dataset(
     """
     time = np.asarray(time, dtype=float).ravel()
     event = np.asarray(event)
-    covariates = np.atleast_2d(np.asarray(covariates, dtype=float))
-    if covariates.shape[0] != time.shape[0] and covariates.shape[1] == time.shape[0]:
-        covariates = covariates.T
+    covariates = np.asarray(covariates, dtype=float)
+    if covariates.ndim < 2:
+        covariates = covariates.reshape(-1, 1)
     n = time.shape[0]
     if n == 0:
         raise ValidationError("dataset needs at least one observation")
@@ -97,9 +100,9 @@ def make_dataset(
         raise ValidationError("covariates must be a (n, p) matrix with p >= 1")
     if not np.isfinite(time).all():
         raise ValidationError("times must be finite")
-    if (time < 0).any():
-        bad = int(np.flatnonzero(time < 0)[0])
-        raise ValidationError(f"negative time at observation {bad}")
+    if (time <= 0).any():
+        bad = int(np.flatnonzero(time <= 0)[0])
+        raise ValidationError(f"nonpositive time at observation {bad}")
     if not np.isfinite(covariates).all():
         raise ValidationError("covariates must be finite")
     ev = np.asarray(event, dtype=float).ravel()
@@ -181,8 +184,8 @@ def load_csv(
                     ) from None
 
             t = cell(time_col)
-            if t < 0:
-                raise ValidationError(f"{path} row {rownum}: negative time {t}")
+            if t <= 0:
+                raise ValidationError(f"{path} row {rownum}: nonpositive time {t}")
             e = cell(event_col)
             if e not in (0.0, 1.0):
                 raise ValidationError(

@@ -117,14 +117,13 @@ def make_workspace(ds: SurvivalDataset, basis: SplineBasis, rho: float) -> Likel
         )
     B = eval_basis_grid(basis, ds.time)
     events = ds.event_rows
-    starts = np.searchsorted(ds.time, ds.time[events], side="left")
     return LikelihoodWorkspace(
         basis=basis,
         rho=rho,
         basis_at_times=B,
         penalty_gram=B.T @ B,
         event_rows=events,
-        risk_starts=starts.astype(np.intp),
+        risk_starts=ds.risk_start(events),
     )
 
 
@@ -164,6 +163,62 @@ def linear_predictor(cb: CoefficientBlock, z, Bt) -> float:
     return float(z @ h)
 
 
+def _risk_set_totals(G: np.ndarray, starts: np.ndarray, Z: np.ndarray, order: int):
+    """Breslow risk-set totals of each event, visited in event order.
+
+    Row e of G holds the linear predictors of all n subjects at event e,
+    whose risk set is the suffix ``starts[e]:`` of the time-sorted rows.
+    Returns logS0 (m,), the log-sum-exp of the risk-set predictors, and
+    for order >= 1 the weighted mean Ebar (m, p) of Z, for order >= 2 the
+    weighted covariance V (m, p, p).  Each event subtracts its own
+    risk-set maximum before exponentiating.
+    """
+    m, p = G.shape[0], Z.shape[1]
+    logS0 = np.zeros(m)
+    Ebar = np.zeros((m, p)) if order >= 1 else None
+    V = np.zeros((m, p, p)) if order >= 2 else None
+    for e in range(m):
+        r = starts[e]
+        gr = G[e, r:]
+        mx = gr.max()
+        w = np.exp(gr - mx)
+        s0 = w.sum()
+        logS0[e] = mx + np.log(s0)
+        if order >= 1:
+            Zr = Z[r:]
+            eb = (w @ Zr) / s0
+            Ebar[e] = eb
+            if order >= 2:
+                s2 = Zr.T @ (w[:, None] * Zr)
+                V[e] = s2 / s0 - np.outer(eb, eb)
+    return logS0, Ebar, V
+
+
+def _event_totals(H: np.ndarray, Z: np.ndarray, events: np.ndarray, starts: np.ndarray,
+                  order: int):
+    """Own predictors and risk-set totals for per-event effect rows H (m, p).
+
+    The predictors H @ Z.T are built in chunks of events so the matrix
+    stays within _CHUNK_BUDGET floats.  Returns own_g (m,) and the
+    ``_risk_set_totals`` triple.
+    """
+    chunk = max(1, _CHUNK_BUDGET // max(Z.shape[0], 1))
+    parts = []
+    # without events one empty chunk still runs and gives the output shapes
+    for s in range(0, max(H.shape[0], 1), chunk):
+        rows = slice(s, s + chunk)
+        G = H[rows] @ Z.T                           # (c, n) predictors at event times
+        if not np.isfinite(G).all():
+            bad = np.argwhere(~np.isfinite(G))[0]
+            raise NumericError(
+                f"non-finite linear predictor at observation {int(bad[1])} "
+                f"(event {int(s + bad[0])})"
+            )
+        own_g = G[np.arange(G.shape[0]), events[rows]]
+        parts.append((own_g, *_risk_set_totals(G, starts[rows], Z, order)))
+    return [None if part[0] is None else np.concatenate(part) for part in zip(*parts)]
+
+
 def _scan(cb: CoefficientBlock, ds: SurvivalDataset, ws: LikelihoodWorkspace, order: int):
     """One pass over events: per-event risk totals up to the given order.
 
@@ -174,45 +229,11 @@ def _scan(cb: CoefficientBlock, ds: SurvivalDataset, ws: LikelihoodWorkspace, or
     if cb.thresholds is not None and order >= 1 and cb.eta == 0.0:
         raise ValidationError("derivatives need eta > 0 (exact operator is kinked)")
 
-    Z = ds.covariates
-    n = ds.n
-    events = ws.event_rows
-    m = events.shape[0]
-    B_ev = ws.basis_at_times[events]
+    B_ev = ws.basis_at_times[ws.event_rows]
     theta = B_ev @ cb.gamma.T                       # (m, p)
     h, h1, h2 = _surrogate(cb, theta, order)
-
-    own_g = np.zeros(m)
-    logS0 = np.zeros(m)
-    Ebar = np.zeros((m, cb.p)) if order >= 1 else None
-    V = np.zeros((m, cb.p, cb.p)) if order >= 2 else None
-
-    chunk = max(1, _CHUNK_BUDGET // max(n, 1))
-    for s in range(0, m, chunk):
-        e_end = min(s + chunk, m)
-        G = h[s:e_end] @ Z.T                        # (c, n) predictors at event times
-        if not np.isfinite(G).all():
-            bad = np.argwhere(~np.isfinite(G))[0]
-            raise NumericError(
-                f"non-finite linear predictor at observation {int(bad[1])} "
-                f"(event {int(s + bad[0])})"
-            )
-        for e in range(s, e_end):
-            row = G[e - s]
-            r = ws.risk_starts[e]
-            own_g[e] = row[events[e]]
-            gr = row[r:]
-            mx = gr.max()
-            w = np.exp(gr - mx)
-            s0 = w.sum()
-            logS0[e] = mx + np.log(s0)
-            if order >= 1:
-                Zr = Z[r:]
-                eb = (w @ Zr) / s0
-                Ebar[e] = eb
-                if order >= 2:
-                    s2 = Zr.T @ (w[:, None] * Zr)
-                    V[e] = s2 / s0 - np.outer(eb, eb)
+    own_g, logS0, Ebar, V = _event_totals(h, ds.covariates, ws.event_rows,
+                                          ws.risk_starts, order)
     return own_g, logS0, Ebar, h1, V, h2, B_ev
 
 
@@ -220,39 +241,46 @@ def _penalty(cb: CoefficientBlock, ws: LikelihoodWorkspace) -> float:
     return float(np.einsum("ja,ab,jb->", cb.gamma, ws.penalty_gram, cb.gamma))
 
 
-def penalized_loglik(cb: CoefficientBlock, ds: SurvivalDataset, ws: LikelihoodWorkspace) -> float:
-    """Value of the smoothed penalized log partial likelihood."""
-    own_g, logS0, *_ = _scan(cb, ds, ws, order=0)
-    return float(own_g.sum() - logS0.sum() - ws.rho * _penalty(cb, ws))
-
-
-def gradient(cb: CoefficientBlock, ds: SurvivalDataset, ws: LikelihoodWorkspace) -> np.ndarray:
-    """Exact gradient, stacked (p*q,), block j at entries j*q .. (j+1)*q - 1."""
-    _, _, Ebar, h1, _, _, B_ev = _scan(cb, ds, ws, order=1)
-    Z_ev = ds.covariates[ws.event_rows]
-    C = (Z_ev - Ebar) * h1                          # (m, p)
-    blocks = C.T @ B_ev - 2.0 * ws.rho * (cb.gamma @ ws.penalty_gram)
-    return blocks.reshape(-1)
-
-
 def _einsum_blocks(M: np.ndarray, B_ev: np.ndarray, p: int, q: int) -> np.ndarray:
     """sum_e M[e, j, k] * B_e B_e' assembled into a (p q, p q) matrix."""
+    if B_ev.shape[0] == 0:
+        return np.zeros((p * q, p * q))
     out = np.einsum("ejk,ea,eb->jakb", M, B_ev, B_ev, optimize=True)
     return out.reshape(p * q, p * q)
 
 
+def _evaluate(cb: CoefficientBlock, ds: SurvivalDataset, ws: LikelihoodWorkspace, order: int):
+    """(value, gradient or None, Hessian or None) from one scan of the given order."""
+    own_g, logS0, Ebar, h1, V, h2, B_ev = _scan(cb, ds, ws, order)
+    p, q = cb.p, cb.q
+    value = float(own_g.sum() - logS0.sum() - ws.rho * _penalty(cb, ws))
+    if order == 0:
+        return value, None, None
+    Z_ev = ds.covariates[ws.event_rows]
+    C = (Z_ev - Ebar) * h1                          # (m, p)
+    grad = (C.T @ B_ev - 2.0 * ws.rho * (cb.gamma @ ws.penalty_gram)).reshape(-1)
+    if order == 1:
+        return value, grad, None
+    M = -V * h1[:, :, None] * h1[:, None, :]
+    M[:, np.arange(p), np.arange(p)] += (Z_ev - Ebar) * h2
+    H = _einsum_blocks(M, B_ev, p, q)
+    H -= 2.0 * ws.rho * np.kron(np.eye(p), ws.penalty_gram)
+    return value, grad, H
+
+
+def penalized_loglik(cb: CoefficientBlock, ds: SurvivalDataset, ws: LikelihoodWorkspace) -> float:
+    """Value of the smoothed penalized log partial likelihood."""
+    return _evaluate(cb, ds, ws, order=0)[0]
+
+
+def gradient(cb: CoefficientBlock, ds: SurvivalDataset, ws: LikelihoodWorkspace) -> np.ndarray:
+    """Exact gradient, stacked (p*q,), block j at entries j*q .. (j+1)*q - 1."""
+    return _evaluate(cb, ds, ws, order=1)[1]
+
+
 def hessian(cb: CoefficientBlock, ds: SurvivalDataset, ws: LikelihoodWorkspace) -> np.ndarray:
     """Exact Hessian, (p*q, p*q), symmetric."""
-    _, _, Ebar, h1, V, h2, B_ev = _scan(cb, ds, ws, order=2)
-    p, q = cb.p, cb.q
-    m = ws.event_rows.shape[0]
-    Z_ev = ds.covariates[ws.event_rows]
-    M = -V * h1[:, :, None] * h1[:, None, :]
-    diag = (Z_ev - Ebar) * h2
-    M[:, np.arange(p), np.arange(p)] += diag
-    H = _einsum_blocks(M, B_ev, p, q) if m else np.zeros((p * q, p * q))
-    H -= 2.0 * ws.rho * np.kron(np.eye(p), ws.penalty_gram)
-    return H
+    return _evaluate(cb, ds, ws, order=2)[2]
 
 
 def score_covariance(cb: CoefficientBlock, ds: SurvivalDataset, ws: LikelihoodWorkspace) -> np.ndarray:
@@ -263,28 +291,10 @@ def score_covariance(cb: CoefficientBlock, ds: SurvivalDataset, ws: LikelihoodWo
     consumes this raw sum directly.
     """
     _, _, _, h1, V, _, B_ev = _scan(cb, ds, ws, order=2)
-    p, q = cb.p, cb.q
-    if ws.event_rows.shape[0] == 0:
-        return np.zeros((p * q, p * q))
     S = V * h1[:, :, None] * h1[:, None, :]
-    return _einsum_blocks(S, B_ev, p, q)
+    return _einsum_blocks(S, B_ev, cb.p, cb.q)
 
 
 def value_and_derivatives(cb: CoefficientBlock, ds: SurvivalDataset, ws: LikelihoodWorkspace):
     """(value, gradient, hessian) sharing a single event scan."""
-    own_g, logS0, Ebar, h1, V, h2, B_ev = _scan(cb, ds, ws, order=2)
-    p, q = cb.p, cb.q
-    m = ws.event_rows.shape[0]
-    value = float(own_g.sum() - logS0.sum() - ws.rho * _penalty(cb, ws))
-    Z_ev = ds.covariates[ws.event_rows]
-    C = (Z_ev - Ebar) * h1 if m else np.zeros((0, p))
-    grad = (C.T @ B_ev if m else np.zeros((p, q)))
-    grad = (grad - 2.0 * ws.rho * (cb.gamma @ ws.penalty_gram)).reshape(-1)
-    if m:
-        M = -V * h1[:, :, None] * h1[:, None, :]
-        M[:, np.arange(p), np.arange(p)] += (Z_ev - Ebar) * h2
-        H = _einsum_blocks(M, B_ev, p, q)
-    else:
-        H = np.zeros((p * q, p * q))
-    H -= 2.0 * ws.rho * np.kron(np.eye(p), ws.penalty_gram)
-    return value, grad, H
+    return _evaluate(cb, ds, ws, order=2)

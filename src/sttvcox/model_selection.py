@@ -17,6 +17,7 @@ import numpy as np
 
 from .dataset import SurvivalDataset, make_dataset
 from .errors import ConvergenceError, StratificationError, SttvError, ValidationError
+from .likelihood import _event_totals
 from .optimizer import FitConfig, FittedModel, fit
 from .splines import eval_basis_grid
 from .threshold import soft_threshold
@@ -74,15 +75,9 @@ def _heldout_error(model: FittedModel, held: SurvivalDataset) -> float:
         beta = soft_threshold(theta, model.alphas)
     else:
         beta = theta
-    value = 0.0
-    Z = held.covariates
-    for e_idx, e in enumerate(events):
-        r = held.risk_start(int(e))
-        g = Z[r:] @ beta[e_idx]
-        own = float(Z[e] @ beta[e_idx])
-        mx = g.max()
-        value += own - (mx + np.log(np.exp(g - mx).sum()))
-    return -value
+    own, logS0, _, _ = _event_totals(beta, held.covariates, events,
+                                     held.risk_start(events), order=0)
+    return -float(own.sum() - logS0.sum())
 
 
 def _subset(ds: SurvivalDataset, rows: np.ndarray) -> SurvivalDataset:

@@ -26,7 +26,7 @@ import numpy as np
 from .coxph import CoxFit, fit_coxph, initial_gamma
 from .dataset import SurvivalDataset
 from .errors import ConvergenceError, NumericError, SeparationError, ValidationError
-from .inference import CurveEstimate, sparse_ci, wald_ci
+from .inference import CurveEstimate, curve_variance, sparse_ci, wald_ci
 from .likelihood import (
     CoefficientBlock,
     LikelihoodWorkspace,
@@ -244,7 +244,8 @@ def fit(ds: SurvivalDataset, cfg: FitConfig) -> FittedModel:
         try:
             warm = fit_coxph(ds)
             gamma0 = initial_gamma(warm, basis.q)
-        except (SeparationError, ConvergenceError):
+        except (SeparationError, ConvergenceError) as exc:
+            logger.warning("warm start failed (%s); starting from zero coefficients", exc)
             warm = None
             gamma0 = np.zeros((ds.p, basis.q))
 
@@ -321,16 +322,7 @@ def estimate_curves(model: FittedModel, grid, level: float = 0.95) -> CurveEstim
         raise ValidationError("empty evaluation grid")
     Bg = eval_basis_grid(model.basis, grid)    # validates the range
     theta = model.gamma_hat @ Bg.T             # (p, G)
-    q = model.basis.q
-    var = np.empty_like(theta)
-    for j in range(model.p):
-        block = model.sandwich[j * q:(j + 1) * q, j * q:(j + 1) * q]
-        var[j] = np.einsum("ga,ab,gb->g", Bg, block, Bg)
-    if not np.isfinite(var).all() or (var <= 0).any():
-        raise NumericError(
-            "degenerate curve variance on the grid; larger rho or smaller K may help"
-        )
-    sig = np.sqrt(var)
+    sig = np.sqrt([curve_variance(model, j, grid) for j in range(model.p)])
     xi = 1.0 - level
 
     if model.alphas is not None:

@@ -47,9 +47,9 @@ logger = logging.getLogger(__name__)
 
 SQRT3 = float(np.sqrt(3.0))
 
-# Frozen after a Monte Carlo scan: censoring proportion ~0.137 at n = 40000,
-# with enough events near the horizon for stable tail estimates (see
-# calibrate_baseline_hazard for the scan tool).
+# Frozen after a Monte Carlo scan that bisected lambda0 on the censoring
+# proportion of generated data (n = 40000, seed 2024): censoring ~0.137,
+# with enough events near the horizon for stable tail estimates.
 DEFAULT_BASELINE_HAZARD = 1.7
 
 COVARIANCES = ("ind", "ar1", "cs")
@@ -222,39 +222,6 @@ def generate(sc: Scenario) -> SurvivalDataset:
     event = t_event <= t_cens
     names = tuple(f"z{j + 1}" for j in range(sc.p))
     return make_dataset(time, event, Z, tau=sc.admin_censor, covariate_names=names)
-
-
-def calibrate_baseline_hazard(
-    target_censoring: float = 0.12,
-    n: int = 40_000,
-    seed: int = 2024,
-    covariance: str = "ind",
-    tol: float = 5e-4,
-    max_iter: int = 40,
-) -> float:
-    """Bisection on lambda0 for a requested censoring proportion.
-
-    Censoring decreases monotonically in lambda0 (a larger baseline hazard
-    means earlier events) but has a floor near 0.19 as lambda0 approaches 1
-    from below, so targets under that floor require lambda0 above 1.  Used
-    once to scan candidates for DEFAULT_BASELINE_HAZARD.
-    """
-    def censor_rate(lam0: float) -> float:
-        sc = Scenario(n=n, covariance=covariance, seed=seed, baseline_hazard=lam0)
-        ds = generate(sc)
-        return 1.0 - ds.n_events / ds.n
-
-    lo, hi = 0.005, 8.0
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        rate = censor_rate(mid)
-        if abs(rate - target_censoring) < tol:
-            return mid
-        if rate > target_censoring:
-            lo = mid   # too much censoring: raise the hazard
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
 
 @dataclass(frozen=True)

@@ -45,9 +45,11 @@ class TestLoadCsv:
             sx.load_csv(p, covariate_cols=["z1"])
 
     def test_negative_time_rejected(self, tmp_path):
-        p = write_csv(tmp_path / "d.csv", "time,event,z1\n-1,1,0.0\n")
-        with pytest.raises(sx.ValidationError):
-            sx.load_csv(p, covariate_cols=["z1"])
+        # zero is rejected too: the README asks for positive times
+        for t in ("-1", "0"):
+            p = write_csv(tmp_path / "d.csv", f"time,event,z1\n{t},1,0.0\n")
+            with pytest.raises(sx.ValidationError, match="row 1: nonpositive time"):
+                sx.load_csv(p, covariate_cols=["z1"])
 
     def test_non_numeric_cell(self, tmp_path):
         p = write_csv(tmp_path / "d.csv", "time,event,z1\noops,1,0.0\n")
@@ -75,6 +77,18 @@ class TestMakeDataset:
             sx.make_dataset([1.0, np.nan], [True, False], [[0.0], [1.0]])
         with pytest.raises(sx.ValidationError):
             sx.make_dataset([1.0, 2.0], [True, False], [[0.0], [np.inf]])
+
+    def test_requires_positive_times(self):
+        for t in (-1.0, 0.0):
+            with pytest.raises(sx.ValidationError, match="nonpositive time at observation 1"):
+                sx.make_dataset([1.0, t], [True, False], [[0.0], [1.0]])
+
+    def test_covariates_are_rows_per_observation(self):
+        # a (p, n) matrix is an error, not silently transposed
+        with pytest.raises(sx.ValidationError, match="length mismatch"):
+            sx.make_dataset([1.0, 2.0, 3.0], [1, 0, 1], [[1.0, 2.0, 3.0], [0.0, 0.0, 1.0]])
+        ds = sx.make_dataset([1.0, 2.0, 3.0], [1, 0, 1], [5.0, 6.0, 7.0])
+        assert ds.covariates.shape == (3, 1)
 
     def test_tau_positive(self):
         with pytest.raises(sx.ValidationError):

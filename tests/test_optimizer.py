@@ -36,6 +36,13 @@ class TestFit:
         with pytest.raises(sx.ValidationError):
             sx.fit(ds, sx.FitConfig(K=2, variant="sttv"))
 
+    def test_regtv_warns_when_warm_start_separates(self, caplog):
+        ds = sx.make_dataset([1.0, 2.0], [True, False], [[1.0], [0.0]])
+        with caplog.at_level("WARNING", logger="sttvcox.optimizer"):
+            m = sx.fit(ds, sx.FitConfig(K=1, d=1, variant="regtv"))
+        assert m.warm_start is None
+        assert any("warm start failed" in r.getMessage() for r in caplog.records)
+
     def test_permutation_invariance(self):
         rng = np.random.default_rng(12)
         sc = sx.Scenario(n=80, covariance="ind", seed=12)

@@ -1,0 +1,144 @@
+"""The shared Breslow risk-set kernel, checked through each of its callers.
+
+Hypothesis draws small datasets with heavy ties (few distinct times, so
+events and censorings share times), a single event, and covariates up to
+1e3 in magnitude, and compares the penalized likelihood, the warm-start
+partial likelihood and the held-out CV error with the loop references in
+``oracles.py``.
+"""
+
+import math
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import sttvcox as sx
+from oracles import (
+    coxph_loglik_ref,
+    penalized_loglik_ref,
+    risk_set_ref,
+    scipy_basis_matrix,
+    soft_threshold_ref,
+)
+from sttvcox.coxph import _loglik_parts
+from sttvcox.model_selection import _heldout_error
+
+K, D = 2, 2
+Q = K + D
+
+bounded = settings(max_examples=50, deadline=None)
+
+
+@st.composite
+def cases(draw, need_event=True):
+    """(dataset, gamma (p, Q), thresholds (p,)) with ties and wide covariates."""
+    n = draw(st.integers(1, 24))
+    p = draw(st.integers(1, 3))
+    distinct = draw(st.integers(1, n))
+    time = 0.5 * np.array(draw(st.lists(st.integers(1, distinct), min_size=n, max_size=n)))
+    event = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    if need_event and not event.any():
+        event[draw(st.integers(0, n - 1))] = True
+    unit = st.floats(-1.0, 1.0, allow_nan=False)
+    scale = draw(st.sampled_from([1.0, 1e3]))
+    Z = scale * np.array(draw(st.lists(unit, min_size=n * p, max_size=n * p))).reshape(n, p)
+    gamma = 2.0 * np.array(draw(st.lists(unit, min_size=p * Q, max_size=p * Q))).reshape(p, Q)
+    alphas = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=p, max_size=p)))
+    return sx.make_dataset(time, event, Z), gamma, alphas
+
+
+# one event, tied with a censored time, between covariates of magnitude 1e3
+SINGLE_EVENT = (
+    sx.make_dataset([1.0, 1.0, 2.0], [False, True, False], [[1e3], [-1e3], [5.0]]),
+    np.array([[0.4, -0.3, 1.2, 0.1]]),
+    np.array([0.2]),
+)
+
+
+def tolerance(ds, gamma):
+    """Absolute slack for sums of predictors as large as |Z| |gamma| p."""
+    size = 1.0 + ds.p * np.abs(ds.covariates).max() * (1.0 + np.abs(gamma).max())
+    return 1e-12 * ds.n * size
+
+
+def loglik_parts_loop(ds, beta):
+    """Per-event Breslow sums added in event order: the warm-start arithmetic."""
+    Z = ds.covariates
+    eta = Z @ beta
+    value, grad, hess = 0.0, np.zeros(ds.p), np.zeros((ds.p, ds.p))
+    for e in ds.event_rows:
+        r = ds.risk_start(e)
+        seg = eta[r:]
+        mx = seg.max()
+        w = np.exp(seg - mx)
+        s0 = w.sum()
+        value += eta[e] - (mx + np.log(s0))
+        ebar = (w @ Z[r:]) / s0
+        grad += Z[e] - ebar
+        hess -= Z[r:].T @ (w[:, None] * Z[r:]) / s0 - np.outer(ebar, ebar)
+    return value, grad, hess
+
+
+class TestKernelCallers:
+    @bounded
+    @given(case=cases())
+    @example(case=SINGLE_EVENT)
+    def test_penalized_loglik_matches_reference(self, case):
+        ds, gamma, alphas = case
+        basis = sx.make_basis(K, D, ds.tau)
+        ws = sx.make_workspace(ds, basis, 0.5)
+        cb = sx.CoefficientBlock(gamma=gamma, thresholds=alphas, eta=0.01)
+        B = sx.eval_basis_grid(basis, ds.time)
+        want = penalized_loglik_ref(gamma, alphas, 0.01, ds, 0.5, B)
+        got = sx.penalized_loglik(cb, ds, ws)
+        assert got == pytest.approx(want, rel=1e-10, abs=tolerance(ds, gamma))
+
+    @bounded
+    @given(case=cases())
+    @example(case=SINGLE_EVENT)
+    def test_warm_start_loglik_matches_reference(self, case):
+        ds, gamma, _ = case
+        beta = gamma[:, 0]
+        value, grad, hess = _loglik_parts(ds, beta, order=2)
+        assert value == pytest.approx(
+            coxph_loglik_ref(beta, ds), rel=1e-10, abs=tolerance(ds, gamma)
+        )
+        want_value, want_grad, want_hess = loglik_parts_loop(ds, beta)
+        assert value == want_value
+        np.testing.assert_array_equal(grad, want_grad)
+        np.testing.assert_array_equal(hess, want_hess)
+
+    @bounded
+    @given(case=cases(need_event=False), thresholded=st.booleans())
+    @example(case=SINGLE_EVENT, thresholded=True)
+    @example(
+        case=(sx.make_dataset([1.0, 2.0], [False, False], [[1.0], [2.0]]),
+              np.ones((1, Q)), np.array([0.5])),
+        thresholded=True,
+    )
+    def test_heldout_error_matches_direct_sum(self, case, thresholded):
+        ds, gamma, alphas = case
+        model = SimpleNamespace(
+            basis=sx.make_basis(K, D, ds.tau),
+            gamma_hat=gamma,
+            alphas=alphas if thresholded else None,
+        )
+        got = _heldout_error(model, ds)
+        if ds.n_events == 0:
+            assert got == 0.0
+            return
+        B = scipy_basis_matrix(ds.time, K, D, ds.tau)
+        want = 0.0
+        for i in ds.event_rows:
+            theta = gamma @ B[i]
+            beta = theta
+            if thresholded:
+                beta = [soft_threshold_ref(t, a) for t, a in zip(theta, alphas)]
+            terms = [float(ds.covariates[l] @ beta) for l in risk_set_ref(ds.time, i)]
+            m = max(terms)
+            own = float(ds.covariates[i] @ beta)
+            want -= own - (m + math.log(sum(math.exp(v - m) for v in terms)))
+        assert got == pytest.approx(want, rel=1e-10, abs=tolerance(ds, gamma))
