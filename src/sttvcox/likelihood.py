@@ -171,26 +171,28 @@ def _risk_set_totals(G: np.ndarray, starts: np.ndarray, Z: np.ndarray, order: in
     Returns logS0 (m,), the log-sum-exp of the risk-set predictors, and
     for order >= 1 the weighted mean Ebar (m, p) of Z, for order >= 2 the
     weighted covariance V (m, p, p).  Each event subtracts its own
-    risk-set maximum before exponentiating.
+    risk-set maximum before exponentiating.  The loop keeps only the sums
+    over each suffix; the normalizations run once over all events.
     """
     m, p = G.shape[0], Z.shape[1]
-    logS0 = np.zeros(m)
-    Ebar = np.zeros((m, p)) if order >= 1 else None
-    V = np.zeros((m, p, p)) if order >= 2 else None
+    mx = np.zeros(m)
+    s0 = np.zeros(m)
+    S1 = np.zeros((m, p)) if order >= 1 else None
+    S2 = np.zeros((m, p, p)) if order >= 2 else None
     for e in range(m):
         r = starts[e]
         gr = G[e, r:]
-        mx = gr.max()
-        w = np.exp(gr - mx)
-        s0 = w.sum()
-        logS0[e] = mx + np.log(s0)
+        mx[e] = top = gr.max()
+        w = np.exp(gr - top)
+        s0[e] = w.sum()
         if order >= 1:
             Zr = Z[r:]
-            eb = (w @ Zr) / s0
-            Ebar[e] = eb
+            S1[e] = w @ Zr
             if order >= 2:
-                s2 = Zr.T @ (w[:, None] * Zr)
-                V[e] = s2 / s0 - np.outer(eb, eb)
+                S2[e] = Zr.T @ (w[:, None] * Zr)
+    logS0 = mx + np.log(s0)
+    Ebar = S1 / s0[:, None] if order >= 1 else None
+    V = S2 / s0[:, None, None] - Ebar[:, :, None] * Ebar[:, None, :] if order >= 2 else None
     return logS0, Ebar, V
 
 

@@ -9,11 +9,17 @@ ridge-penalized spline likelihood, which is the standard penalized spline
 Cox model.
 
 Newton directions come from the negative Hessian with a Levenberg-style
-diagonal shift (lambda doubling from 1e-6 whenever the factorization fails),
-followed by Armijo backtracking.  Iteration stops when the gradient
-max-norm drops below tol_grad, or when the objective stalls (relative
-change below 1e-10 on three consecutive iterations); only the gradient
-criterion sets ``converged``.
+diagonal shift (lambda growing tenfold from 1e-6 whenever the
+factorization fails), followed by Armijo backtracking.  Trial points of
+the line search are scored by the objective value alone (an order-0 event
+scan); the gradient and Hessian are formed once per accepted iterate.  The
+value of that scan is the same float the derivative scan gives, so scoring
+trials this way leaves the iterates unchanged.  Iteration stops when the
+gradient max-norm drops below tol_grad, or when the objective stalls
+(relative change below 1e-10 on three consecutive iterations); only the
+gradient criterion sets ``converged``.  Each accepted iteration logs one
+DEBUG line: objective, gradient max-norm, damping lambda, step scale,
+halvings and trial evaluations.
 """
 
 from __future__ import annotations
@@ -31,6 +37,7 @@ from .likelihood import (
     CoefficientBlock,
     LikelihoodWorkspace,
     make_workspace,
+    penalized_loglik,
     score_covariance,
     value_and_derivatives,
 )
@@ -137,13 +144,13 @@ def _newton(cb0: CoefficientBlock, ds: SurvivalDataset, ws: LikelihoodWorkspace,
     gamma = cb0.gamma.copy()
     cb = replace(cb0, gamma=gamma)
     value, grad, hess = value_and_derivatives(cb, ds, ws)
+    gnorm = float(np.max(np.abs(grad)))
     path = [value]
     eye = np.eye(p * q)
     stall = 0
     stop_reason = "max_iter"
     n_iter = 0
     for _ in range(cfg.max_iter):
-        gnorm = float(np.max(np.abs(grad)))
         if gnorm < cfg.tol_grad:
             stop_reason = "gradient"
             break
@@ -153,6 +160,7 @@ def _newton(cb0: CoefficientBlock, ds: SurvivalDataset, ws: LikelihoodWorkspace,
 
         lam = 0.0
         accepted = False
+        trials = 0
         for _ in range(_MAX_DAMPING_ATTEMPTS):
             A = -hess + lam * eye if lam else -hess
             try:
@@ -166,11 +174,12 @@ def _newton(cb0: CoefficientBlock, ds: SurvivalDataset, ws: LikelihoodWorkspace,
                 lam = max(10.0 * lam, _LAM_MIN)
                 continue
             scale = 1.0
-            for _ in range(_MAX_HALVINGS + 1):
+            for halvings in range(_MAX_HALVINGS + 1):
                 trial = gamma + scale * delta.reshape(p, q)
                 cb_trial = replace(cb, gamma=trial)
+                trials += 1
                 try:
-                    new_value, new_grad, new_hess = value_and_derivatives(cb_trial, ds, ws)
+                    new_value = penalized_loglik(cb_trial, ds, ws)
                 except NumericError:
                     new_value = -np.inf
                 if new_value >= value + _ARMIJO * scale * slope:
@@ -188,11 +197,16 @@ def _newton(cb0: CoefficientBlock, ds: SurvivalDataset, ws: LikelihoodWorkspace,
         rel = abs(new_value - value) / (abs(value) + 1.0)
         stall = stall + 1 if rel < _STALL_REL else 0
         gamma, cb = trial, cb_trial
-        value, grad, hess = new_value, new_grad, new_hess
+        value, grad, hess = value_and_derivatives(cb, ds, ws)
+        gnorm = float(np.max(np.abs(grad)))
         path.append(value)
         n_iter += 1
+        logger.debug(
+            "newton iter %d: objective %.12g, gradient max-norm %.3e, lambda %.1e, "
+            "step scale %.6g, halvings %d, trial evaluations %d",
+            n_iter, value, gnorm, lam, scale, halvings, trials,
+        )
     else:
-        gnorm = float(np.max(np.abs(grad)))
         if gnorm < cfg.tol_grad:
             stop_reason = "gradient"
         else:
@@ -203,7 +217,6 @@ def _newton(cb0: CoefficientBlock, ds: SurvivalDataset, ws: LikelihoodWorkspace,
                 path=path,
             )
 
-    gnorm = float(np.max(np.abs(grad)))
     return gamma, hess, value, grad, np.array(path), n_iter, gnorm, stop_reason
 
 

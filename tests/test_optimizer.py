@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import sttvcox as sx
+from sttvcox import optimizer
 from conftest import make_random_dataset
 
 
@@ -110,6 +111,37 @@ class TestFit:
         v1 = sx.fit(dataset_200, cfg1).loglik_path[-1]
         v3 = sx.fit(dataset_200, cfg3).loglik_path[-1]
         assert v3 >= v1 - 1e-9
+
+    def test_derivatives_once_per_accepted_iterate(self, dataset_200, monkeypatch):
+        calls = {"value_and_derivatives": 0, "penalized_loglik": 0}
+
+        def counted(name):
+            fn = getattr(optimizer, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(optimizer, name, wrapper)
+
+        counted("value_and_derivatives")
+        counted("penalized_loglik")
+        m = sx.fit(dataset_200, sx.FitConfig(K=2, variant="sttv", seed=5, multistart=1))
+        assert m.n_iter > 0
+        assert calls["value_and_derivatives"] == m.n_iter + 1
+        assert calls["penalized_loglik"] >= m.n_iter
+
+    def test_debug_line_per_accepted_iteration(self, dataset_200, caplog):
+        with caplog.at_level("DEBUG", logger="sttvcox.optimizer"):
+            m = sx.fit(dataset_200, sx.FitConfig(K=2, variant="sttv", seed=5))
+        lines = [r.getMessage() for r in caplog.records
+                 if r.levelname == "DEBUG" and r.getMessage().startswith("newton iter")]
+        assert len(lines) == m.n_iter
+        assert lines[-1].startswith(f"newton iter {m.n_iter}:")
+        assert f"objective {m.loglik_path[-1]:.12g}," in lines[-1]
+        assert f"gradient max-norm {m.final_grad_norm:.3e}," in lines[-1]
+        for field in ("lambda ", "step scale ", "halvings ", "trial evaluations "):
+            assert all(field in line for line in lines)
 
     def test_config_validation(self):
         with pytest.raises(sx.ValidationError):
