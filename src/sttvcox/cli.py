@@ -32,12 +32,12 @@ from . import __version__
 from .coxph import fit_coxph
 from .dataset import load_csv, make_dataset
 from .errors import ConvergenceError, NumericError, ValidationError
-from .inference import CurveEstimate, normal_quantile
+from .inference import CurveEstimate, wald_ci
 from .model_selection import DEFAULT_CANDIDATES, cross_validate
 from .optimizer import VARIANTS, FitConfig, estimate_curves, fit
 from .reporting import (
-    CURVE_COLUMNS,
     build_summary,
+    curves_csv_text,
     metric_rows,
     metrics_header,
     read_curve_table,
@@ -50,6 +50,10 @@ logger = logging.getLogger(__name__)
 
 _DEFAULT_K = 5
 _DEFAULT_GRID_POINTS = 200
+
+# Scenario settings a config may give; simulate and score read them alike
+_SCENARIO_FLOATS = ("baseline_hazard", "censor_upper", "admin_censor")
+_SCENARIO_KEYS = ("n", "covariance", "seed") + _SCENARIO_FLOATS
 
 
 def _setup_logging() -> None:
@@ -146,31 +150,16 @@ def _write_manifest(outdir: str, command: str, args, seed: int) -> None:
     _write_json(os.path.join(outdir, "manifest.json"), doc)
 
 
-def _curves_csv_text(curves: CurveEstimate, names, scales=None) -> str:
-    """Long-format curve table; dividing by a positive scale when given."""
-    lines = [",".join(CURVE_COLUMNS)]
-    for j, name in enumerate(names):
-        s = 1.0 if scales is None else float(scales[j])
-        for g in range(curves.grid.size):
-            lines.append(
-                ",".join(
-                    (
-                        name,
-                        repr(float(curves.grid[g])),
-                        repr(float(curves.theta_hat[j, g]) / s),
-                        repr(float(curves.beta_hat[j, g]) / s),
-                        repr(float(curves.sigma_hat[j, g]) / s),
-                        repr(float(curves.ci_lower[j, g]) / s),
-                        repr(float(curves.ci_upper[j, g]) / s),
-                        "true" if curves.zero_flags[j, g] else "false",
-                    )
-                )
-            )
-    return "\n".join(lines) + "\n"
+def _load_input(args, config: dict):
+    """The survival CSV named by --input, truncated at --tau when given."""
+    input_path = _require(_merged(args, config, "input", None), "--input")
+    tau = _merged(args, config, "tau", None)
+    return load_csv(input_path, tau=None if tau is None else float(tau))
 
 
-def _fit_grid(tau: float, points: int) -> np.ndarray:
-    """Midpoints of `points` equal subintervals of [0, tau]."""
+def _fit_grid(args, config: dict, tau: float) -> np.ndarray:
+    """Midpoints of --grid-points equal subintervals of [0, tau]."""
+    points = int(_merged(args, config, "grid_points", _DEFAULT_GRID_POINTS))
     if points < 1:
         raise ValidationError(f"grid points must be >= 1, got {points}")
     return (np.arange(points) + 0.5) * (tau / points)
@@ -183,9 +172,8 @@ def _standardized(ds):
     scales = Z.std(axis=0)
     flat = np.flatnonzero(scales == 0)
     if flat.size:
-        names = ds.covariate_names or tuple(f"z{k + 1}" for k in range(ds.p))
         raise ValidationError(
-            f"cannot standardize constant covariate {names[flat[0]]!r}"
+            f"cannot standardize constant covariate {ds.covariate_names[flat[0]]!r}"
         )
     std = make_dataset(
         ds.time,
@@ -267,14 +255,14 @@ def _constant_curves(fitres, names, grid: np.ndarray, level: float = 0.95) -> Cu
     se = np.sqrt(np.diag(fitres.covariance))
     theta = np.repeat(fitres.beta[:, None], G, axis=1)
     sig = np.repeat(se[:, None], G, axis=1)
-    z = normal_quantile(1.0 - (1.0 - level) / 2.0)
+    lower, upper = wald_ci(theta, sig, 1.0 - level)
     return CurveEstimate(
         grid=grid,
         theta_hat=theta,
         beta_hat=theta,
         sigma_hat=sig,
-        ci_lower=theta - z * sig,
-        ci_upper=theta + z * sig,
+        ci_lower=lower,
+        ci_upper=upper,
         zero_flags=np.zeros((p, G), dtype=bool),
         level=level,
         fallback=np.zeros((p, G), dtype=bool),
@@ -282,21 +270,23 @@ def _constant_curves(fitres, names, grid: np.ndarray, level: float = 0.95) -> Cu
     )
 
 
-def _names(ds) -> tuple:
-    return ds.covariate_names or tuple(f"z{k + 1}" for k in range(ds.p))
+def _write_fit_outputs(outdir: str, doc: dict, curves: CurveEstimate, scales=None) -> None:
+    """model.json and curves.csv, shared by fit and cv --refit."""
+    _write_json(os.path.join(outdir, "model.json"), doc)
+    _atomic_write(os.path.join(outdir, "curves.csv"), curves_csv_text(curves, scales))
+
+
+def _write_csv(path: str, header, rows) -> None:
+    _atomic_write(path, "\n".join(",".join(r) for r in [header, *rows]) + "\n")
 
 
 def cmd_fit(args) -> int:
     config = _load_config(args.config)
-    input_path = _require(_merged(args, config, "input", None), "--input")
+    ds = _load_input(args, config)
     seed = int(_merged(args, config, "seed", 0))
     variant = _merged(args, config, "variant", "sttv")
-    tau = _merged(args, config, "tau", None)
-    points = int(_merged(args, config, "grid_points", _DEFAULT_GRID_POINTS))
     standardize = bool(getattr(args, "standardize", False) or config.get("standardize", False))
 
-    ds = load_csv(input_path, tau=None if tau is None else float(tau))
-    names = _names(ds)
     means = scales = None
     ds_fit = ds
     if standardize:
@@ -304,14 +294,14 @@ def cmd_fit(args) -> int:
     standardize_doc = (
         None if scales is None else {"means": means, "scales": scales}
     )
-    grid = _fit_grid(ds.tau, points)
+    grid = _fit_grid(args, config, ds.tau)
 
     outdir = _prepare_outdir(args, config)
     _write_manifest(outdir, "fit", args, seed)
 
     if variant == "coxph":
         fitres = fit_coxph(ds_fit)
-        curves = _constant_curves(fitres, names, grid)
+        curves = _constant_curves(fitres, ds.covariate_names, grid)
         doc = {
             "variant": "coxph",
             "beta": fitres.beta,
@@ -320,7 +310,7 @@ def cmd_fit(args) -> int:
             "iterations": fitres.iterations,
             "converged": fitres.converged,
             "zero_information": fitres.zero_information,
-            "covariate_names": names,
+            "covariate_names": ds.covariate_names,
             "n": ds.n,
             "p": ds.p,
             "tau": ds.tau,
@@ -337,20 +327,15 @@ def cmd_fit(args) -> int:
             f"variant must be one of {VARIANTS + ('coxph',)}, got {variant!r}"
         )
 
-    _write_json(os.path.join(outdir, "model.json"), doc)
-    _atomic_write(
-        os.path.join(outdir, "curves.csv"), _curves_csv_text(curves, names, scales)
-    )
+    _write_fit_outputs(outdir, doc, curves, scales)
     return 0
 
 
 def cmd_cv(args) -> int:
     config = _load_config(args.config)
-    input_path = _require(_merged(args, config, "input", None), "--input")
     seed = int(_merged(args, config, "seed", 0))
     folds = int(_merged(args, config, "folds", 10))
     variant = _merged(args, config, "variant", "sttv")
-    tau = _merged(args, config, "tau", None)
     candidates = _merged(args, config, "candidates", DEFAULT_CANDIDATES)
     candidates = tuple(int(k) for k in candidates)
     if variant not in VARIANTS:
@@ -358,7 +343,7 @@ def cmd_cv(args) -> int:
             f"cross-validation supports variants {VARIANTS}, got {variant!r}"
         )
 
-    ds = load_csv(input_path, tau=None if tau is None else float(tau))
+    ds = _load_input(args, config)
     cfg = _fit_config(args, config, ds.p, seed, variant)
     cfg = replace(cfg, K=candidates[0])
 
@@ -382,36 +367,37 @@ def cmd_cv(args) -> int:
     )
 
     if getattr(args, "refit", False) or config.get("refit", False):
-        points = int(_merged(args, config, "grid_points", _DEFAULT_GRID_POINTS))
         model = fit(ds, replace(cfg, K=result.chosen_K))
-        curves = estimate_curves(model, _fit_grid(ds.tau, points))
-        _write_json(os.path.join(outdir, "model.json"), _model_doc(model, None))
-        _atomic_write(
-            os.path.join(outdir, "curves.csv"),
-            _curves_csv_text(curves, _names(ds)),
-        )
+        curves = estimate_curves(model, _fit_grid(args, config, ds.tau))
+        _write_fit_outputs(outdir, _model_doc(model, None), curves)
     return 0
+
+
+def _scenario(doc: dict, seed_flag) -> Scenario:
+    """Validated scenario from a config's scenario keys; a --seed flag wins."""
+    if "n" not in doc:
+        raise ValidationError("scenario.n is required")
+    try:
+        kwargs = {
+            "n": int(doc["n"]),
+            "covariance": str(doc.get("covariance", "ind")).lower(),
+            "seed": int(seed_flag if seed_flag is not None else doc.get("seed", 0)),
+        }
+        for key in _SCENARIO_FLOATS:
+            if key in doc:
+                kwargs[key] = float(doc[key])
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"bad scenario setting: {exc}") from exc
+    scenario = Scenario(**kwargs)
+    scenario.validate()
+    return scenario
 
 
 def _study_pieces(args, config: dict):
     scenario_doc = config.get("scenario")
     if not isinstance(scenario_doc, dict):
         raise ValidationError('simulate config needs a "scenario" object')
-    if "n" not in scenario_doc:
-        raise ValidationError("scenario.n is required")
-    covariance = str(scenario_doc.get("covariance", "ind")).lower()
-    seed = int(
-        args.seed if args.seed is not None else scenario_doc.get("seed", 0)
-    )
-    scenario_kwargs = {
-        "n": int(scenario_doc["n"]),
-        "covariance": covariance,
-        "seed": seed,
-    }
-    for key in ("baseline_hazard", "censor_upper", "admin_censor"):
-        if key in scenario_doc:
-            scenario_kwargs[key] = float(scenario_doc[key])
-    scenario = Scenario(**scenario_kwargs)
+    scenario = _scenario(scenario_doc, args.seed)
 
     if args.variant is not None:
         variants = [args.variant]
@@ -430,7 +416,8 @@ def _study_pieces(args, config: dict):
     if not isinstance(fit_doc, dict):
         raise ValidationError('"fit" must be an object of fit settings')
     configs = [
-        _fit_config(args, fit_doc, scenario.p, seed, variant) for variant in variants
+        _fit_config(args, fit_doc, scenario.p, scenario.seed, variant)
+        for variant in variants
     ]
 
     if "reps" not in config:
@@ -454,12 +441,8 @@ def cmd_simulate(args) -> int:
     result = replicate(
         scenario, configs, reps, level=level, jobs=jobs, keep_curves=dump
     )
-    header, rows = metric_rows(result)
     metrics_path = os.path.join(outdir, "metrics.csv")
-    _atomic_write(
-        metrics_path,
-        "\n".join([",".join(header)] + [",".join(r) for r in rows]) + "\n",
-    )
+    _write_csv(metrics_path, *metric_rows(result))
 
     summary = build_summary([metrics_path])
     cells = [
@@ -485,14 +468,7 @@ def cmd_simulate(args) -> int:
                 "grid": result.grid,
                 **{v: result.coverage_mean[v] for v in result.variants},
             },
-            "scenario": {
-                "n": scenario.n,
-                "covariance": scenario.covariance,
-                "seed": scenario.seed,
-                "baseline_hazard": scenario.baseline_hazard,
-                "censor_upper": scenario.censor_upper,
-                "admin_censor": scenario.admin_censor,
-            },
+            "scenario": {key: getattr(scenario, key) for key in _SCENARIO_KEYS},
             "reps": reps,
             "level": level,
             "variants": result.variants,
@@ -502,11 +478,10 @@ def cmd_simulate(args) -> int:
     _atomic_write(os.path.join(outdir, "summary.md"), render_markdown(summary))
 
     if dump and result.curves is not None:
-        names = tuple(f"z{j + 1}" for j in range(scenario.p))
         for variant in result.variants:
             for rep, curves in sorted(result.curves[variant].items()):
                 path = os.path.join(outdir, f"curves_rep{rep:04d}_{variant}.csv")
-                _atomic_write(path, _curves_csv_text(curves, names))
+                _atomic_write(path, curves_csv_text(curves))
     return 0
 
 
@@ -515,40 +490,17 @@ def cmd_score(args) -> int:
     input_path = _require(_merged(args, config, "input", None), "--input")
     if "covariance" not in config or "n" not in config:
         raise ValidationError('score config needs "covariance" and "n"')
-    covariance = str(config["covariance"]).lower()
-    n = int(config["n"])
+    scenario = _scenario(config, args.seed)
     variant = str(config.get("variant", "external"))
     rep = int(config.get("rep", 0))
-    seed = int(config.get("seed", 0))
-    scenario_kwargs = {"n": n, "covariance": covariance, "seed": seed}
-    if "baseline_hazard" in config:
-        scenario_kwargs["baseline_hazard"] = float(config["baseline_hazard"])
-    scenario = Scenario(**scenario_kwargs)
 
-    table = read_curve_table(input_path)
-    p = len(table["names"])
-    curves = CurveEstimate(
-        grid=table["grid"],
-        theta_hat=table["theta_hat"],
-        beta_hat=table["beta_hat"],
-        sigma_hat=table["sigma_hat"],
-        ci_lower=table["ci_lower"],
-        ci_upper=table["ci_upper"],
-        zero_flags=table["zero_flags"],
-        level=float(config.get("level", 0.95)),
-        fallback=np.zeros(table["beta_hat"].shape, dtype=bool),
-        covariate_names=table["names"],
-    )
+    curves = read_curve_table(input_path, level=float(config.get("level", 0.95)))
     report = score(curves, scenario)
 
     outdir = _prepare_outdir(args, config)
-    _write_manifest(outdir, "score", args, seed)
-    header = metrics_header(p)
-    row = report_row(report, covariance, n, variant, rep)
-    _atomic_write(
-        os.path.join(outdir, "metrics.csv"),
-        ",".join(header) + "\n" + ",".join(row) + "\n",
-    )
+    _write_manifest(outdir, "score", args, scenario.seed)
+    row = report_row(report, scenario.covariance, scenario.n, variant, rep)
+    _write_csv(os.path.join(outdir, "metrics.csv"), metrics_header(scenario.p), [row])
     return 0
 
 

@@ -5,6 +5,10 @@ row per replication per model variant) plus, optionally, per-rep curve
 CSVs carrying confidence-interval columns.  Output is a StudySummary with
 grouped mean/sd cells and renderings as Markdown or CSV.
 
+The curve CSV is both written (``curves_csv_text``) and read
+(``read_curve_table``) here; the reader returns a ``CurveEstimate``, so a
+written table reads back as the curve set it came from.
+
 Display conventions: squared-error cells (ISE, AISE) are multiplied by
 100; detection ratios and coverage stay on [0, 1].  Spreads are sample
 standard deviations (ddof=1), reported as 0 when a group has a single
@@ -16,7 +20,7 @@ Metrics CSV schema (p coefficients):
     covariance,n,variant,rep,aise,ise_1..ise_p,etpr_1..etpr_p,
     etnr_1..etnr_p,itpr_1..itpr_p,itnr_1..itnr_p
 
-Curve CSV schema (shared with the fit command):
+Curve CSV schema (written by the fit, cv and simulate commands):
 
     covariate,t,theta_hat,beta_hat,sigma_hat,ci_lower,ci_upper,is_zero
 """
@@ -29,6 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SchemaError, ValidationError
+from .inference import CurveEstimate
 from .simulation import Scenario, StudyResult
 
 _BASE_COLUMNS = ("covariance", "n", "variant", "rep")
@@ -193,8 +198,42 @@ def build_summary(metrics_paths, curve_paths=(), scenario: Scenario | None = Non
     )
 
 
-def read_curve_table(path) -> dict:
-    """One curve CSV as arrays keyed by column, shaped (p, grid)."""
+def curves_csv_text(curves: CurveEstimate, scales=None) -> str:
+    """Long-format curve table; value columns divided by a positive scale when given.
+
+    Covariate names come from ``curves.covariate_names`` (``z1..zp`` when
+    the curve set carries none).  Floats are written with ``repr`` so
+    ``read_curve_table`` reproduces them exactly.
+    """
+    p = curves.beta_hat.shape[0]
+    names = curves.covariate_names or tuple(f"z{j + 1}" for j in range(p))
+    lines = [",".join(CURVE_COLUMNS)]
+    for j, name in enumerate(names):
+        s = 1.0 if scales is None else float(scales[j])
+        for g in range(curves.grid.size):
+            lines.append(
+                ",".join(
+                    (
+                        name,
+                        repr(float(curves.grid[g])),
+                        repr(float(curves.theta_hat[j, g]) / s),
+                        repr(float(curves.beta_hat[j, g]) / s),
+                        repr(float(curves.sigma_hat[j, g]) / s),
+                        repr(float(curves.ci_lower[j, g]) / s),
+                        repr(float(curves.ci_upper[j, g]) / s),
+                        "true" if curves.zero_flags[j, g] else "false",
+                    )
+                )
+            )
+    return "\n".join(lines) + "\n"
+
+
+def read_curve_table(path, level: float = 0.95) -> CurveEstimate:
+    """One curve CSV as a curve set, arrays shaped (p, grid).
+
+    The table carries no fallback column, so ``fallback`` is all False;
+    ``level`` is recorded as given.
+    """
     path = str(path)
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
@@ -234,16 +273,19 @@ def read_curve_table(path) -> dict:
     grids = column("t", float)
     if not np.all(grids == grids[0]):
         raise ValidationError(f"{path}: covariates evaluated on different grids")
-    return {
-        "names": tuple(names),
-        "grid": grids[0],
-        "theta_hat": column("theta_hat", float),
-        "beta_hat": column("beta_hat", float),
-        "sigma_hat": column("sigma_hat", float),
-        "ci_lower": column("ci_lower", float),
-        "ci_upper": column("ci_upper", float),
-        "zero_flags": column("is_zero", parse_flag).astype(bool),
-    }
+    beta_hat = column("beta_hat", float)
+    return CurveEstimate(
+        grid=grids[0],
+        theta_hat=column("theta_hat", float),
+        beta_hat=beta_hat,
+        sigma_hat=column("sigma_hat", float),
+        ci_lower=column("ci_lower", float),
+        ci_upper=column("ci_upper", float),
+        zero_flags=column("is_zero", parse_flag).astype(bool),
+        level=float(level),
+        fallback=np.zeros(beta_hat.shape, dtype=bool),
+        covariate_names=tuple(names),
+    )
 
 
 def coverage_profile(curve_paths, scenario: Scenario) -> dict:
@@ -258,29 +300,25 @@ def coverage_profile(curve_paths, scenario: Scenario) -> dict:
     tables = [read_curve_table(p) for p in curve_paths]
     first = tables[0]
     for path, table in zip(curve_paths[1:], tables[1:]):
-        if table["grid"].shape != first["grid"].shape or not np.array_equal(
-            table["grid"], first["grid"]
+        if table.grid.shape != first.grid.shape or not np.array_equal(
+            table.grid, first.grid
         ):
             raise ValidationError(f"{path}: grid differs across curve files")
-        if table["names"] != first["names"]:
+        if table.covariate_names != first.covariate_names:
             raise ValidationError(f"{path}: covariate set differs across curve files")
-    p = len(first["names"])
+    p = len(first.covariate_names)
     if p != scenario.p:
         raise ValidationError(
             f"curve files carry {p} covariates, scenario defines {scenario.p}"
         )
-    grid = first["grid"]
-    truth = np.vstack([np.asarray(f(grid), dtype=float) for f in scenario.beta_functions])
+    truth = scenario.true_curves(first.grid)
     stack = np.array(
-        [
-            (t["ci_lower"] <= truth) & (truth <= t["ci_upper"])
-            for t in tables
-        ],
+        [(t.ci_lower <= truth) & (truth <= t.ci_upper) for t in tables],
         dtype=float,
     )
     return {
-        "names": first["names"],
-        "grid": grid,
+        "names": first.covariate_names,
+        "grid": first.grid,
         "coverage": stack.mean(axis=0),
         "n_reps": len(tables),
     }

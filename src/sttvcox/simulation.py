@@ -129,6 +129,10 @@ class Scenario:
     def p(self) -> int:
         return len(self.beta_functions)
 
+    def true_curves(self, t) -> np.ndarray:
+        """(p, len(t)) values of the effect curves at the times t."""
+        return np.vstack([np.asarray(f(t), dtype=float) for f in self.beta_functions])
+
 
 def metric_grid(scenario: Scenario | None = None) -> np.ndarray:
     upper = scenario.admin_censor if scenario is not None else 3.0
@@ -164,13 +168,6 @@ def draw_covariates(n: int, structure: str, seed: int, p: int = 3) -> np.ndarray
     return eps @ L.T
 
 
-def _hazard_grid(sc: Scenario) -> tuple[np.ndarray, np.ndarray]:
-    """(time grid, per-coefficient curve values) for cumulative hazards."""
-    t = np.linspace(0.0, _T_MAX, int(round(_T_MAX / _T_STEP)) + 1)
-    curves = np.vstack([np.asarray(f(t), dtype=float) for f in sc.beta_functions])
-    return t, curves
-
-
 def _invert_cumhaz(Z: np.ndarray, targets: np.ndarray, sc: Scenario) -> np.ndarray:
     """Solve Lambda(T | z) = target per subject on the trapezoid grid.
 
@@ -179,7 +176,8 @@ def _invert_cumhaz(Z: np.ndarray, targets: np.ndarray, sc: Scenario) -> np.ndarr
     Lambda(t_max) return t_max (such subjects are always censored because
     t_max is far past the administrative cap).
     """
-    t_grid, curves = _hazard_grid(sc)
+    t_grid = np.linspace(0.0, _T_MAX, int(round(_T_MAX / _T_STEP)) + 1)
+    curves = sc.true_curves(t_grid)
     out = np.empty(Z.shape[0])
     log_lam0 = np.log(sc.baseline_hazard)
     for s in range(0, Z.shape[0], _SUBJECT_CHUNK):
@@ -260,7 +258,7 @@ def score(curves, sc: Scenario, level: float = 0.95) -> MetricReport:
         raise ValidationError(
             f"{curves.beta_hat.shape[0]} fitted curves for {p} true curves"
         )
-    truth = np.vstack([np.asarray(f(grid), dtype=float) for f in sc.beta_functions])
+    truth = sc.true_curves(grid)
     truth_zero = truth == 0.0
 
     contains0 = (curves.ci_lower <= 0.0) & (0.0 <= curves.ci_upper)

@@ -249,7 +249,7 @@ class TestBenchmarkStudy:
         paths = []
         for i, cv in sorted(acceptance_study.curves["sttv"].items()):
             path = tmp_path / f"curves_rep{i:04d}_sttv.csv"
-            path.write_text(cli._curves_csv_text(cv, cv.covariate_names))
+            path.write_text(reporting.curves_csv_text(cv))
             paths.append(path)
         prof = reporting.coverage_profile(paths, acceptance_study.scenario)
         np.testing.assert_allclose(

@@ -66,14 +66,14 @@ class TestFit:
         assert run("fit", "--input", data20, "--output", out, "--K", 2,
                    "--variant", "regtv", "--grid-points", 40) == 0
         table = read_curve_table(out / "curves.csv")
-        assert not table["zero_flags"].any()
+        assert not table.zero_flags.any()
 
     def test_coxph_constant_curves(self, data20, tmp_path):
         out = tmp_path / "out"
         assert run("fit", "--input", data20, "--output", out,
                    "--variant", "coxph", "--grid-points", 30) == 0
         table = read_curve_table(out / "curves.csv")
-        assert np.all(table["beta_hat"] == table["beta_hat"][:, :1])
+        assert np.all(table.beta_hat == table.beta_hat[:, :1])
         doc = json.loads((out / "model.json").read_text())
         assert len(doc["beta"]) == 3
 
@@ -92,7 +92,7 @@ class TestFit:
                        "--variant", "regtv", "--grid-points", 60,
                        "--seed", 3, *flags) == 0
             tables.append(read_curve_table(out / "curves.csv"))
-        diff = np.max(np.abs(tables[0]["beta_hat"] - tables[1]["beta_hat"]))
+        diff = np.max(np.abs(tables[0].beta_hat - tables[1].beta_hat))
         assert diff < 1e-2
 
     def test_missing_input_is_validation_error(self, tmp_path):
@@ -248,10 +248,15 @@ class TestScore:
                    "--output", tmp_path / "out") == 2
         assert "ci_upper" in capsys.readouterr().err
 
-    def test_rescore_matches_simulate_row(self, tmp_path):
+    # the score config repeats the study's scenario block, so a curve grid
+    # on a shortened horizon has to be read the same way by both commands
+    @pytest.mark.parametrize("extra", [{}, {"admin_censor": 2.5}],
+                             ids=["default", "admin_censor"])
+    def test_rescore_matches_simulate_row(self, tmp_path, extra):
+        scenario = {"n": 80, "covariance": "ind", "seed": 5, **extra}
         study = write_study(
             tmp_path / "study.json",
-            scenario={"n": 80, "covariance": "ind", "seed": 5},
+            scenario=scenario,
             reps=1,
             variants=["sttv"],
             dump_curves=True,
@@ -261,12 +266,31 @@ class TestScore:
         sim_rows = read_rows(sim_out / "metrics.csv")
 
         config = tmp_path / "score.json"
-        config.write_text(json.dumps({
-            "covariance": "ind", "n": 80, "variant": "sttv", "rep": 0,
-        }))
+        config.write_text(json.dumps({**scenario, "variant": "sttv", "rep": 0}))
         score_out = tmp_path / "score"
         assert run("score", "--config", config,
                    "--input", sim_out / "curves_rep0000_sttv.csv",
                    "--output", score_out) == 0
         score_rows = read_rows(score_out / "metrics.csv")
         assert score_rows == sim_rows
+
+    @pytest.mark.parametrize(
+        "bad", [{"covariance": "bogus"}, {"n": -5}, {"n": "many"}],
+        ids=["covariance", "n", "n_text"])
+    def test_invalid_scenario_rejected(self, tmp_path, bad):
+        curves = self.write_truth_curves(tmp_path / "curves.csv")
+        config = tmp_path / "score.json"
+        config.write_text(json.dumps({"covariance": "ind", "n": 100, **bad}))
+        out = tmp_path / "out"
+        assert run("score", "--config", config, "--input", curves,
+                   "--output", out) == 2
+        assert not (out / "metrics.csv").exists()
+
+    def test_seed_flag_reaches_manifest(self, tmp_path):
+        curves = self.write_truth_curves(tmp_path / "curves.csv")
+        config = tmp_path / "score.json"
+        config.write_text(json.dumps({"covariance": "ind", "n": 100, "seed": 4}))
+        out = tmp_path / "out"
+        assert run("score", "--config", config, "--input", curves,
+                   "--output", out, "--seed", 11) == 0
+        assert json.loads((out / "manifest.json").read_text())["seed"] == 11

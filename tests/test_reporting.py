@@ -10,6 +10,7 @@ from sttvcox.reporting import (
     CURVE_COLUMNS,
     build_summary,
     coverage_profile,
+    curves_csv_text,
     metric_rows,
     metrics_header,
     read_curve_table,
@@ -232,15 +233,42 @@ class TestReadCurveTable:
         with pytest.raises(sx.ValidationError):
             read_curve_table(path)
 
-    def test_round_trip_arrays(self, tmp_path):
+    def test_round_trip_arrays(self, tmp_path, fitted_sttv_200):
         grid = np.linspace(0.0, 3.0, 7)
         truth = step_two(grid)
         path = write_curves(tmp_path / "c.csv", grid,
                             truth - 0.25, truth + 0.25)
         table = read_curve_table(path)
-        assert table["names"] == ("z1",)
-        np.testing.assert_allclose(table["grid"], grid, rtol=0, atol=0)
-        np.testing.assert_allclose(table["ci_upper"] - table["ci_lower"], 0.5)
+        assert table.covariate_names == ("z1",)
+        np.testing.assert_allclose(table.grid, grid, rtol=0, atol=0)
+        np.testing.assert_allclose(table.ci_upper - table.ci_lower, 0.5)
+
+        # a fitted sttv curve set with zero flags and pinched [0, 0]
+        # intervals survives the writer and the reader bit for bit
+        curves = sx.estimate_curves(fitted_sttv_200, sx.metric_grid())
+        assert curves.zero_flags.any()
+        assert ((curves.ci_lower == 0.0) & (curves.ci_upper == 0.0)).any()
+        path = tmp_path / "fitted.csv"
+        path.write_text(curves_csv_text(curves))
+        back = read_curve_table(path, level=curves.level)
+        assert back.covariate_names == curves.covariate_names
+        assert back.level == curves.level
+        for field in ("grid", "theta_hat", "beta_hat", "sigma_hat",
+                      "ci_lower", "ci_upper", "zero_flags"):
+            a, b = getattr(back, field), getattr(curves, field)
+            assert a.dtype == b.dtype and a.shape == b.shape, field
+            assert a.tobytes() == b.tobytes(), field
+
+        # with scales, every value column reads back divided by its scale
+        scales = np.array([0.5, 3.0, 7.0])
+        path.write_text(curves_csv_text(curves, scales))
+        back = read_curve_table(path)
+        for field in ("theta_hat", "beta_hat", "sigma_hat", "ci_lower",
+                      "ci_upper"):
+            want = getattr(curves, field) / scales[:, None]
+            assert getattr(back, field).tobytes() == want.tobytes(), field
+        assert back.grid.tobytes() == curves.grid.tobytes()
+        assert np.array_equal(back.zero_flags, curves.zero_flags)
 
 
 class TestRenderers:
