@@ -90,6 +90,20 @@ def _merged(args, config: dict, key: str, default):
     return default if value is None else value
 
 
+def _cast(kind, value, key: str):
+    """kind(value) for one setting; a value it cannot convert is a ValidationError."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"bad {key} setting {value!r}: {exc}") from exc
+
+
+def _setting(args, config: dict, key: str, default, kind):
+    """``_merged`` converted by kind; None stays None."""
+    value = _merged(args, config, key, default)
+    return None if value is None else _cast(kind, value, key)
+
+
 def _require(value, what: str):
     if value is None:
         raise ValidationError(f"{what} is required")
@@ -153,13 +167,12 @@ def _write_manifest(outdir: str, command: str, args, seed: int) -> None:
 def _load_input(args, config: dict):
     """The survival CSV named by --input, truncated at --tau when given."""
     input_path = _require(_merged(args, config, "input", None), "--input")
-    tau = _merged(args, config, "tau", None)
-    return load_csv(input_path, tau=None if tau is None else float(tau))
+    return load_csv(input_path, tau=_setting(args, config, "tau", None, float))
 
 
 def _fit_grid(args, config: dict, tau: float) -> np.ndarray:
     """Midpoints of --grid-points equal subintervals of [0, tau]."""
-    points = int(_merged(args, config, "grid_points", _DEFAULT_GRID_POINTS))
+    points = _setting(args, config, "grid_points", _DEFAULT_GRID_POINTS, int)
     if points < 1:
         raise ValidationError(f"grid points must be >= 1, got {points}")
     return (np.arange(points) + 0.5) * (tau / points)
@@ -186,21 +199,20 @@ def _standardized(ds):
 
 
 def _fit_config(args, config: dict, p: int, seed: int, variant: str) -> FitConfig:
-    override = _merged(args, config, "alpha_override", None)
+    override = _setting(args, config, "alpha_override", None,
+                        lambda v: np.asarray(v, dtype=float).ravel())
     if override is not None:
-        override = np.asarray(override, dtype=float).ravel()
         if override.size == 1:
             override = np.repeat(override, p)
         override = tuple(float(a) for a in override)
-    rho = _merged(args, config, "rho", None)
     return FitConfig(
-        K=int(_merged(args, config, "K", _DEFAULT_K)),
-        eta=float(_merged(args, config, "eta", 1e-3)),
-        rho=None if rho is None else float(rho),
-        alpha_scale=float(_merged(args, config, "alpha_scale", 0.5)),
+        K=_setting(args, config, "K", _DEFAULT_K, int),
+        eta=_setting(args, config, "eta", 1e-3, float),
+        rho=_setting(args, config, "rho", None, float),
+        alpha_scale=_setting(args, config, "alpha_scale", 0.5, float),
         alpha_override=override,
         variant=variant,
-        multistart=int(_merged(args, config, "multistart", 1)),
+        multistart=_setting(args, config, "multistart", 1, int),
         seed=seed,
     )
 
@@ -283,8 +295,13 @@ def _write_csv(path: str, header, rows) -> None:
 def cmd_fit(args) -> int:
     config = _load_config(args.config)
     ds = _load_input(args, config)
-    seed = int(_merged(args, config, "seed", 0))
+    seed = _setting(args, config, "seed", 0, int)
     variant = _merged(args, config, "variant", "sttv")
+    if variant not in VARIANTS + ("coxph",):
+        raise ValidationError(
+            f"variant must be one of {VARIANTS + ('coxph',)}, got {variant!r}"
+        )
+    cfg = None if variant == "coxph" else _fit_config(args, config, ds.p, seed, variant)
     standardize = bool(getattr(args, "standardize", False) or config.get("standardize", False))
 
     means = scales = None
@@ -299,7 +316,7 @@ def cmd_fit(args) -> int:
     outdir = _prepare_outdir(args, config)
     _write_manifest(outdir, "fit", args, seed)
 
-    if variant == "coxph":
+    if cfg is None:
         fitres = fit_coxph(ds_fit)
         curves = _constant_curves(fitres, ds.covariate_names, grid)
         doc = {
@@ -317,15 +334,10 @@ def cmd_fit(args) -> int:
             "standardize": standardize_doc,
             "version": __version__,
         }
-    elif variant in VARIANTS:
-        cfg = _fit_config(args, config, ds.p, seed, variant)
+    else:
         model = fit(ds_fit, cfg)
         curves = estimate_curves(model, grid)
         doc = _model_doc(model, standardize_doc)
-    else:
-        raise ValidationError(
-            f"variant must be one of {VARIANTS + ('coxph',)}, got {variant!r}"
-        )
 
     _write_fit_outputs(outdir, doc, curves, scales)
     return 0
@@ -333,11 +345,13 @@ def cmd_fit(args) -> int:
 
 def cmd_cv(args) -> int:
     config = _load_config(args.config)
-    seed = int(_merged(args, config, "seed", 0))
-    folds = int(_merged(args, config, "folds", 10))
+    seed = _setting(args, config, "seed", 0, int)
+    folds = _setting(args, config, "folds", 10, int)
     variant = _merged(args, config, "variant", "sttv")
-    candidates = _merged(args, config, "candidates", DEFAULT_CANDIDATES)
-    candidates = tuple(int(k) for k in candidates)
+    candidates = _setting(args, config, "candidates", DEFAULT_CANDIDATES,
+                          lambda ks: tuple(int(k) for k in ks))
+    if not candidates:
+        raise ValidationError("no candidate K values")
     if variant not in VARIANTS:
         raise ValidationError(
             f"cross-validation supports variants {VARIANTS}, got {variant!r}"
@@ -346,6 +360,8 @@ def cmd_cv(args) -> int:
     ds = _load_input(args, config)
     cfg = _fit_config(args, config, ds.p, seed, variant)
     cfg = replace(cfg, K=candidates[0])
+    refit = getattr(args, "refit", False) or config.get("refit", False)
+    grid = _fit_grid(args, config, ds.tau) if refit else None
 
     outdir = _prepare_outdir(args, config)
     _write_manifest(outdir, "cv", args, seed)
@@ -366,9 +382,9 @@ def cmd_cv(args) -> int:
         },
     )
 
-    if getattr(args, "refit", False) or config.get("refit", False):
+    if refit:
         model = fit(ds, replace(cfg, K=result.chosen_K))
-        curves = estimate_curves(model, _fit_grid(args, config, ds.tau))
+        curves = estimate_curves(model, grid)
         _write_fit_outputs(outdir, _model_doc(model, None), curves)
     return 0
 
@@ -377,17 +393,14 @@ def _scenario(doc: dict, seed_flag) -> Scenario:
     """Validated scenario from a config's scenario keys; a --seed flag wins."""
     if "n" not in doc:
         raise ValidationError("scenario.n is required")
-    try:
-        kwargs = {
-            "n": int(doc["n"]),
-            "covariance": str(doc.get("covariance", "ind")).lower(),
-            "seed": int(seed_flag if seed_flag is not None else doc.get("seed", 0)),
-        }
-        for key in _SCENARIO_FLOATS:
-            if key in doc:
-                kwargs[key] = float(doc[key])
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"bad scenario setting: {exc}") from exc
+    kwargs = {
+        "n": _cast(int, doc["n"], "n"),
+        "covariance": str(doc.get("covariance", "ind")).lower(),
+        "seed": _cast(int, seed_flag if seed_flag is not None else doc.get("seed", 0), "seed"),
+    }
+    for key in _SCENARIO_FLOATS:
+        if key in doc:
+            kwargs[key] = _cast(float, doc[key], key)
     scenario = Scenario(**kwargs)
     scenario.validate()
     return scenario
@@ -402,7 +415,7 @@ def _study_pieces(args, config: dict):
     if args.variant is not None:
         variants = [args.variant]
     else:
-        variants = list(config.get("variants", list(VARIANTS)))
+        variants = _cast(list, config.get("variants", VARIANTS), "variants")
     bad = [v for v in variants if v not in VARIANTS]
     if bad:
         raise ValidationError(
@@ -422,9 +435,9 @@ def _study_pieces(args, config: dict):
 
     if "reps" not in config:
         raise ValidationError('simulate config needs "reps"')
-    reps = int(config["reps"])
-    level = float(config.get("level", 0.95))
-    jobs = int(args.jobs if args.jobs is not None else config.get("jobs", 1))
+    reps = _cast(int, config["reps"], "reps")
+    level = _setting(args, config, "level", 0.95, float)
+    jobs = _setting(args, config, "jobs", 1, int)
     if jobs < 1:
         raise ValidationError(f"jobs must be >= 1, got {jobs}")
     dump = bool(config.get("dump_curves", False))
@@ -492,9 +505,9 @@ def cmd_score(args) -> int:
         raise ValidationError('score config needs "covariance" and "n"')
     scenario = _scenario(config, args.seed)
     variant = str(config.get("variant", "external"))
-    rep = int(config.get("rep", 0))
+    rep = _setting(args, config, "rep", 0, int)
 
-    curves = read_curve_table(input_path, level=float(config.get("level", 0.95)))
+    curves = read_curve_table(input_path, level=_setting(args, config, "level", 0.95, float))
     report = score(curves, scenario)
 
     outdir = _prepare_outdir(args, config)

@@ -49,6 +49,8 @@ logger = logging.getLogger(__name__)
 
 # cap on the event-block x subject matrix built per chunk (float64 count)
 _CHUNK_BUDGET = 4_000_000
+# events per block of the risk-set kernel, which holds one block x (n + 1) matrix
+_BLOCK_EVENTS = 64
 
 
 @dataclass(frozen=True)
@@ -164,32 +166,55 @@ def linear_predictor(cb: CoefficientBlock, z, Bt) -> float:
 
 
 def _risk_set_totals(G: np.ndarray, starts: np.ndarray, Z: np.ndarray, order: int):
-    """Breslow risk-set totals of each event, visited in event order.
+    """Breslow risk-set totals of each event, in blocks of _BLOCK_EVENTS events.
 
     Row e of G holds the linear predictors of all n subjects at event e,
     whose risk set is the suffix ``starts[e]:`` of the time-sorted rows.
     Returns logS0 (m,), the log-sum-exp of the risk-set predictors, and
     for order >= 1 the weighted mean Ebar (m, p) of Z, for order >= 2 the
     weighted covariance V (m, p, p).  Each event subtracts its own
-    risk-set maximum before exponentiating.  The loop keeps only the sums
-    over each suffix; the normalizations run once over all events.
+    risk-set maximum before exponentiating.
+
+    Every float equals that of a loop over single events.  A block of k
+    events whose first risk-set start is r0 copies G[block, r0:] into a
+    (k, n - r0 + 1) matrix behind one leading column, and masks each row
+    left of its own start with -inf.  The row max and W = exp(row - max)
+    are elementwise, and masked entries become exp(-inf) = 0.
+    ``np.add.reduceat`` over [a, b) gives x[a] + pairwise(x[a+1:b]) where
+    ``ndarray.sum`` gives pairwise(x), so each row's segment starts on the
+    masked zero just before its suffix (hence the leading column); zero
+    padding at the row end, or one dense (m, n) matrix, would change the
+    pairwise split.  BLAS gemv and gemm are not invariant to zero padding
+    either, so the weighted sums of Z stay one product per event, on views
+    of W.  The normalizations run once over all events.
     """
-    m, p = G.shape[0], Z.shape[1]
+    m, n, p = G.shape[0], G.shape[1], Z.shape[1]
     mx = np.zeros(m)
     s0 = np.zeros(m)
     S1 = np.zeros((m, p)) if order >= 1 else None
     S2 = np.zeros((m, p, p)) if order >= 2 else None
-    for e in range(m):
-        r = starts[e]
-        gr = G[e, r:]
-        mx[e] = top = gr.max()
-        w = np.exp(gr - top)
-        s0[e] = w.sum()
-        if order >= 1:
-            Zr = Z[r:]
-            S1[e] = w @ Zr
+    for b0 in range(0, m, _BLOCK_EVENTS):
+        rs = starts[b0:b0 + _BLOCK_EVENTS]
+        k, r0 = rs.shape[0], int(rs.min())
+        block = slice(b0, b0 + k)
+        width = n - r0 + 1
+        rel = rs - r0                         # column of the zero before each suffix
+        W = np.full((k, width), -np.inf)
+        np.copyto(W[:, 1:], G[block, r0:], where=np.arange(r0, n) >= rs[:, None])
+        mx[block] = top = W.max(axis=1)
+        W -= top[:, None]
+        np.exp(W, out=W)
+        # segment starts interleaved with row starts; the odd segments,
+        # masked prefixes of the next row, are dropped
+        row = np.arange(k) * width
+        idx = np.stack([row + rel, row + width], axis=1).ravel()[:-1]
+        s0[block] = np.add.reduceat(W.ravel(), idx)[0::2]
+        for i in range(k if order >= 1 else 0):
+            w = W[i, rel[i] + 1:]
+            Zr = Z[rs[i]:]
+            S1[b0 + i] = w @ Zr
             if order >= 2:
-                S2[e] = Zr.T @ (w[:, None] * Zr)
+                S2[b0 + i] = Zr.T @ (w[:, None] * Zr)
     logS0 = mx + np.log(s0)
     Ebar = S1 / s0[:, None] if order >= 1 else None
     V = S2 / s0[:, None, None] - Ebar[:, :, None] * Ebar[:, None, :] if order >= 2 else None

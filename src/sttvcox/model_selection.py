@@ -1,11 +1,12 @@
 """Choose the spline dimension by cross-validation.
 
-For each candidate segment count K the data are split into event-stratified
-folds; the model is fitted on the complement of each fold and the held-out
-fold is scored with the negative unpenalized log partial likelihood,
-evaluated at the exact thresholded curves and with risk sets formed inside
-the held-out fold only.  The chosen K minimizes the mean held-out error
-(ties go to the smallest K).
+The data are split into event-stratified folds.  For each candidate
+segment count K the model is fitted on the complement of each fold, from
+the constant Cox warm start of that complement, which all candidates
+share.  The held-out fold is scored with the negative unpenalized log
+partial likelihood, evaluated at the exact thresholded curves and with
+risk sets formed inside the held-out fold only.  The chosen K minimizes
+the mean held-out error (ties go to the smallest K).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 from .dataset import SurvivalDataset, make_dataset
 from .errors import ConvergenceError, StratificationError, SttvError, ValidationError
 from .likelihood import _event_totals
-from .optimizer import FitConfig, FittedModel, fit
+from .optimizer import FitConfig, FittedModel, _warm_start, fit
 from .splines import eval_basis_grid
 from .threshold import soft_threshold
 
@@ -126,18 +127,32 @@ def cross_validate(
 
     per_fold = np.full((len(cand), folds), np.nan)
     failed = []
-    for ci, K in enumerate(cand):
-        cfg_k = replace(cfg, K=K)
+
+    def exclude(ci: int, exc: SttvError) -> None:
+        failed.append(cand[ci])
+        per_fold[ci, :] = np.nan
+        logger.warning("candidate K=%d failed and is excluded: %s", cand[ci], exc)
+
+    # folds run outside the candidates: each fold's datasets and warm start
+    # are built once and serve every candidate that has not failed yet
+    for r in range(folds):
+        live = [ci for ci, K in enumerate(cand) if K not in failed]
+        if not live:
+            break
         try:
-            for r in range(folds):
-                train = _subset(ds, np.flatnonzero(assignment != r))
-                held = _subset(ds, np.flatnonzero(assignment == r))
-                model = fit(train, cfg_k)
-                per_fold[ci, r] = _heldout_error(model, held)
+            train = _subset(ds, np.flatnonzero(assignment != r))
+            held = _subset(ds, np.flatnonzero(assignment == r))
+            warm = _warm_start(train, replace(cfg, K=cand[0]))
         except SttvError as exc:
-            failed.append(K)
-            per_fold[ci, :] = np.nan
-            logger.warning("candidate K=%d failed and is excluded: %s", K, exc)
+            for ci in live:
+                exclude(ci, exc)
+            continue
+        for ci in live:
+            try:
+                model = fit(train, replace(cfg, K=cand[ci]), _warm=warm)
+                per_fold[ci, r] = _heldout_error(model, held)
+            except SttvError as exc:
+                exclude(ci, exc)
 
     cv_error = per_fold.mean(axis=1)
     usable = [i for i, K in enumerate(cand) if K not in failed]
@@ -150,5 +165,5 @@ def cross_validate(
         per_fold=per_fold,
         chosen_K=cand[best],
         fold_assignments=assignment,
-        failed=tuple(failed),
+        failed=tuple(sorted(failed)),
     )

@@ -220,20 +220,18 @@ def _newton(cb0: CoefficientBlock, ds: SurvivalDataset, ws: LikelihoodWorkspace,
     return gamma, hess, value, grad, np.array(path), n_iter, gnorm, stop_reason
 
 
-def fit(ds: SurvivalDataset, cfg: FitConfig) -> FittedModel:
-    """Fit one variant on one dataset; see the module docstring for the recipe."""
+def _warm_start(ds: SurvivalDataset, cfg: FitConfig) -> CoxFit | None:
+    """Checked config and the constant Cox warm start; None starts from zeros.
+
+    Nothing here depends on ``cfg.K``, so cross-validation computes it once
+    per fold and hands it to ``fit`` for every candidate.
+    """
     cfg.validate()
     if ds.n_events == 0:
         raise ValidationError("cannot fit a dataset with zero events")
-    rho = cfg.rho if cfg.rho is not None else 1.0 / ds.n**2
-    basis = make_basis(cfg.K, cfg.d, ds.tau)
-    ws = make_workspace(ds, basis, rho)
-
-    warm: CoxFit | None = None
-    alphas: np.ndarray | None = None
     if cfg.variant == "sttv":
         try:
-            warm = fit_coxph(ds)
+            return fit_coxph(ds)
         except SeparationError:
             if cfg.alpha_override is None:
                 raise
@@ -241,26 +239,38 @@ def fit(ds: SurvivalDataset, cfg: FitConfig) -> FittedModel:
                 "warm start hit separation; starting from zero coefficients "
                 "with the explicit threshold override"
             )
-            gamma0 = np.zeros((ds.p, basis.q))
+            return None
+    try:
+        return fit_coxph(ds)
+    except (SeparationError, ConvergenceError) as exc:
+        logger.warning("warm start failed (%s); starting from zero coefficients", exc)
+        return None
+
+
+_COMPUTE = object()   # fit computes its own warm start
+
+
+def fit(ds: SurvivalDataset, cfg: FitConfig, *, _warm=_COMPUTE) -> FittedModel:
+    """Fit one variant on one dataset; see the module docstring for the recipe.
+
+    ``_warm`` is internal to cross-validation: the ``_warm_start`` result of
+    ds under a config that differs from cfg at most in K.
+    """
+    warm = _warm_start(ds, cfg) if _warm is _COMPUTE else _warm
+    rho = cfg.rho if cfg.rho is not None else 1.0 / ds.n**2
+    basis = make_basis(cfg.K, cfg.d, ds.tau)
+    ws = make_workspace(ds, basis, rho)
+    gamma0 = np.zeros((ds.p, basis.q)) if warm is None else initial_gamma(warm, basis.q)
+    alphas: np.ndarray | None = None
+    if cfg.variant == "sttv":
+        if cfg.alpha_override is not None:
             alphas = np.asarray(cfg.alpha_override, dtype=float).ravel()
         else:
-            gamma0 = initial_gamma(warm, basis.q)
-            if cfg.alpha_override is not None:
-                alphas = np.asarray(cfg.alpha_override, dtype=float).ravel()
-            else:
-                alphas = np.maximum(cfg.alpha_scale * np.abs(warm.beta), _ALPHA_FLOOR)
+            alphas = np.maximum(cfg.alpha_scale * np.abs(warm.beta), _ALPHA_FLOOR)
         if alphas.shape[0] != ds.p:
             raise ValidationError(
                 f"{alphas.shape[0]} thresholds for {ds.p} covariates"
             )
-    else:
-        try:
-            warm = fit_coxph(ds)
-            gamma0 = initial_gamma(warm, basis.q)
-        except (SeparationError, ConvergenceError) as exc:
-            logger.warning("warm start failed (%s); starting from zero coefficients", exc)
-            warm = None
-            gamma0 = np.zeros((ds.p, basis.q))
 
     starts = [gamma0]
     if cfg.multistart > 1:

@@ -110,6 +110,15 @@ class TestFit:
         assert run("fit", "--input", data20, "--output", tmp_path / "out",
                    "--K", 9) == 3
 
+    @pytest.mark.parametrize("bad", [{"K": "abc"}, {"rho": [1, 2]}, {"K": 1e400}],
+                             ids=["K_text", "rho_list", "K_inf"])
+    def test_non_numeric_setting_rejected_before_output(self, data20, tmp_path, bad):
+        config = tmp_path / "fit.json"
+        config.write_text(json.dumps(bad))
+        out = tmp_path / "out"
+        assert run("fit", "--config", config, "--input", data20, "--output", out) == 2
+        assert not out.exists()
+
     def test_alpha_override_recorded(self, data20, tmp_path):
         out = tmp_path / "out"
         assert run("fit", "--input", data20, "--output", out, "--K", 2,
@@ -143,6 +152,14 @@ class TestCv:
             run("cv", "--input", data60, "--output", tmp_path / "out",
                 "--candidates", "")
         assert err.value.code == 2
+
+    def test_non_numeric_setting_rejected_before_output(self, data60, tmp_path):
+        config = tmp_path / "cv.json"
+        config.write_text(json.dumps({"grid_points": "many", "refit": True}))
+        out = tmp_path / "out"
+        assert run("cv", "--config", config, "--input", data60, "--output", out,
+                   "--candidates", "2,3", "--folds", 2) == 2
+        assert not out.exists()
 
     def test_refit_writes_model_at_chosen_K(self, data60, tmp_path):
         out = tmp_path / "out"
@@ -199,6 +216,12 @@ class TestSimulate:
                    "--jobs", 2) == 0
         assert (serial / "metrics.csv").read_bytes() == \
             (parallel / "metrics.csv").read_bytes()
+
+    def test_non_numeric_reps_rejected_before_output(self, tmp_path):
+        study = write_study(tmp_path / "study.json", reps="two")
+        out = tmp_path / "out"
+        assert run("simulate", "--config", study, "--output", out) == 2
+        assert not out.exists()
 
     def test_missing_reps_rejected(self, tmp_path):
         study = tmp_path / "study.json"
@@ -285,6 +308,15 @@ class TestScore:
         assert run("score", "--config", config, "--input", curves,
                    "--output", out) == 2
         assert not (out / "metrics.csv").exists()
+
+    def test_non_numeric_rep_rejected_before_output(self, tmp_path):
+        curves = self.write_truth_curves(tmp_path / "curves.csv")
+        config = tmp_path / "score.json"
+        config.write_text(json.dumps({"covariance": "ind", "n": 100, "rep": "x"}))
+        out = tmp_path / "out"
+        assert run("score", "--config", config, "--input", curves,
+                   "--output", out) == 2
+        assert not out.exists()
 
     def test_seed_flag_reaches_manifest(self, tmp_path):
         curves = self.write_truth_curves(tmp_path / "curves.csv")

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import sttvcox as sx
+from sttvcox.model_selection import _heldout_error, _subset
 
 
 @pytest.fixture(scope="module")
@@ -96,3 +97,59 @@ class TestCrossValidate:
                                    seed=seed)
             assert cv.chosen_K == 5
             assert cv.cv_error[0] > cv.cv_error[1]
+
+
+class TestFoldSharing:
+    """Each fold's datasets and warm start serve every candidate K."""
+
+    def test_one_warm_start_per_fold(self, ds60, monkeypatch):
+        import sttvcox.optimizer as opt
+
+        calls = []
+        real = opt.fit_coxph
+        monkeypatch.setattr(opt, "fit_coxph", lambda ds: calls.append(ds.n) or real(ds))
+        cfg = sx.FitConfig(K=3, variant="sttv", seed=19)
+        sx.cross_validate(ds60, cfg, candidates=[3, 5], folds=4, seed=19)
+        assert len(calls) == 4
+
+    def test_errors_match_separate_fits(self, ds60):
+        cfg = sx.FitConfig(K=3, variant="sttv", seed=19)
+        cv = sx.cross_validate(ds60, cfg, candidates=[2, 3], folds=3, seed=5)
+        for ci, K in enumerate(cv.candidates):
+            for r in range(3):
+                train = _subset(ds60, np.flatnonzero(cv.fold_assignments != r))
+                held = _subset(ds60, np.flatnonzero(cv.fold_assignments == r))
+                model = sx.fit(train, sx.FitConfig(K=K, variant="sttv", seed=19))
+                assert cv.per_fold[ci, r] == _heldout_error(model, held)
+
+    def test_failing_candidate_is_excluded(self, ds60, monkeypatch):
+        import sttvcox.model_selection as ms
+
+        real = ms.fit
+        seen = []
+
+        def flaky(train, cfg, **kwargs):
+            seen.append(cfg.K)
+            if cfg.K == 5 and seen.count(5) == 2:
+                raise sx.ConvergenceError("injected")
+            return real(train, cfg, **kwargs)
+
+        monkeypatch.setattr(ms, "fit", flaky)
+        cfg = sx.FitConfig(K=3, variant="sttv", seed=19)
+        cv = sx.cross_validate(ds60, cfg, candidates=[3, 5], folds=4, seed=19)
+        assert cv.failed == (5,)
+        assert np.isnan(cv.per_fold[1]).all() and np.isnan(cv.cv_error[1])
+        assert np.isfinite(cv.per_fold[0]).all()
+        assert cv.chosen_K == 3
+        assert seen == [3, 5, 3, 5, 3, 3]            # no fit of K=5 after its failure
+
+    def test_failed_warm_start_excludes_every_candidate(self, ds60, monkeypatch):
+        import sttvcox.optimizer as opt
+
+        def separated(ds):
+            raise sx.SeparationError("injected")
+
+        monkeypatch.setattr(opt, "fit_coxph", separated)
+        cfg = sx.FitConfig(K=3, variant="sttv", seed=19)
+        with pytest.raises(sx.ConvergenceError, match="every candidate"):
+            sx.cross_validate(ds60, cfg, candidates=[3, 5], folds=4, seed=19)

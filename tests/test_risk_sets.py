@@ -5,8 +5,9 @@ events and censorings share times), a single event, and covariates up to
 1e3 in magnitude, and compares the penalized likelihood, the warm-start
 partial likelihood and the held-out CV error with the loop references in
 ``oracles.py``.  The kernel itself is checked bit for bit against the
-per-event loop it replaced, and the value of an order-0 scan against the
-value of the order-2 scan, which the Newton line search relies on.
+per-event loop it replaced, also on seeded cases up to n = 20000, and the
+value of an order-0 scan against the value of the order-2 scan, which the
+Newton line search relies on.
 """
 
 import math
@@ -108,7 +109,67 @@ def risk_set_totals_loop(G, starts, Z, order):
     return logS0, Ebar, V
 
 
+# Seeded sizes beyond the Hypothesis cases: n around numpy's 8-wide unrolled
+# sum, its 128-element pairwise recursion and its 8192-element reduction
+# buffer; m over several 64-event kernel blocks with a partial last block.
+# (n, m, p, starts): "spread" draws sorted starts, "tied" gives every event
+# the whole sample, "censored_tail" keeps the last tenth of rows out of
+# every start, as when the longest times are all censored.
+SCALE_CASES = [
+    (7, 5, 1, "spread"),
+    (9, 9, 2, "tied"),
+    (129, 70, 3, "spread"),
+    (1000, 200, 5, "spread"),
+    (8193, 130, 2, "tied"),
+    (20000, 65, 3, "censored_tail"),
+    (300, 0, 2, "spread"),
+]
+
+
+def scale_case(n, m, p, starts, seed):
+    rng = np.random.default_rng(seed)
+    Z = rng.choice([1.0, 1e3]) * rng.uniform(-1.0, 1.0, (n, p))
+    G = rng.normal(0.0, rng.choice([0.1, 3.0, 50.0]), (m, n))
+    if starts == "tied":
+        r = np.zeros(m, dtype=np.intp)
+    else:
+        top = n - n // 10 if starts == "censored_tail" else n
+        r = np.sort(rng.integers(0, top, m))
+    return G, r, Z
+
+
+def assert_totals_match_loop(G, starts, Z):
+    """The kernel equals the per-event loop bit for bit at orders 0, 1 and 2."""
+    for order in (0, 1, 2):
+        got = _risk_set_totals(G, starts, Z, order)
+        want = risk_set_totals_loop(G, starts, Z, order)
+        for g, w in zip(got, want):
+            if w is None:
+                assert g is None
+            else:
+                assert g.shape == w.shape and g.tobytes() == w.tobytes()
+
+
 class TestKernel:
+    @pytest.mark.parametrize("n, m, p, starts", SCALE_CASES)
+    def test_risk_set_totals_match_per_event_loop_at_scale(self, n, m, p, starts):
+        assert_totals_match_loop(*scale_case(n, m, p, starts, seed=n + m))
+
+    def test_warm_start_loglik_matches_per_event_loop_at_scale(self):
+        # _loglik_parts hands the kernel one broadcast row of predictors
+        rng = np.random.default_rng(3)
+        n = 9000
+        time = rng.integers(1, 400, n) * 0.25          # heavy ties
+        event = rng.random(n) < 0.03
+        event[time > 90] = False                        # censored tail
+        ds = sx.make_dataset(time, event, 1e3 * rng.uniform(-1.0, 1.0, (n, 2)))
+        beta = np.array([4e-4, -7e-4])
+        got = _loglik_parts(ds, beta, order=2)
+        want = loglik_parts_loop(ds, beta)
+        assert got[0] == want[0]
+        for g, w in zip(got[1:], want[1:]):
+            assert g.tobytes() == w.tobytes()
+
     @bounded
     @given(case=cases())
     @example(case=SINGLE_EVENT)
@@ -116,15 +177,7 @@ class TestKernel:
         ds, gamma, alphas = case
         B_ev = sx.eval_basis_grid(sx.make_basis(K, D, ds.tau), ds.time[ds.event_rows])
         G = sx.smooth_threshold(B_ev @ gamma.T, alphas, 0.01) @ ds.covariates.T
-        starts = ds.risk_start(ds.event_rows)
-        for order in (0, 1, 2):
-            got = _risk_set_totals(G, starts, ds.covariates, order)
-            want = risk_set_totals_loop(G, starts, ds.covariates, order)
-            for g, w in zip(got, want):
-                if w is None:
-                    assert g is None
-                else:
-                    assert g.shape == w.shape and g.tobytes() == w.tobytes()
+        assert_totals_match_loop(G, ds.risk_start(ds.event_rows), ds.covariates)
 
     @bounded
     @given(case=cases(), thresholded=st.booleans())
