@@ -2,11 +2,14 @@
 """Full replication study over every benchmark setting.
 
 Runs the complete grid (3 covariance structures x 3 sample sizes x 200
-replications, STTV and RegTV variants) and writes one metrics CSV per
-setting plus combined summary tables.  With per-replication
-cross-validation this takes several hours on a 4-core desktop; pass
-``--select fixed --K 3`` for a much faster fixed-dimension run, or trim
-``--reps``, ``--sizes``, and ``--covariances`` for smoke tests.
+replications, STTV and RegTV variants) through ``sttvcox.replicate``, one
+call per setting, and writes one metrics CSV per setting plus combined
+summary tables.  With ``--select cv`` every replication chooses K by
+cross-validation on its own data; this takes several hours on a 4-core
+desktop.  Pass ``--select fixed --K 3`` for a much faster fixed-dimension
+run, or trim ``--reps``, ``--sizes``, and ``--covariances`` for smoke
+tests.  Every setting is checked before anything is written; a bad one
+stops the run with a one-line error and exit code 2.
 
 Output layout (schemas shared with the reporting module):
 
@@ -22,82 +25,11 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
 from pathlib import Path
 
-from sttvcox import (
-    DEFAULT_CANDIDATES,
-    FitConfig,
-    Scenario,
-    SttvError,
-    cross_validate,
-    estimate_curves,
-    fit,
-    generate,
-    metric_grid,
-    rep_seed,
-    score,
-)
-from sttvcox.reporting import (
-    build_summary,
-    metrics_header,
-    render_csv,
-    render_markdown,
-    report_row,
-)
-
-VARIANTS = ("sttv", "regtv")
-
-
-def run_one_rep(task):
-    """Worker: one replication of one setting, all variants.
-
-    Returns (rep, metric rows, chosen-K rows, failure rows) with plain
-    tuples so the process pool can ship results back.
-    """
-    scenario, rep, select, candidates, folds, level = task
-    sc_r = replace(scenario, seed=rep_seed(scenario.seed, rep))
-    ds = generate(sc_r)
-    grid = metric_grid(sc_r)
-    rows, chosen, failures = [], [], []
-    for variant in VARIANTS:
-        cfg = FitConfig(K=3, variant=variant, seed=sc_r.seed)
-        try:
-            if select == "cv":
-                cv = cross_validate(ds, cfg, candidates=candidates,
-                                    folds=folds, seed=sc_r.seed)
-                cfg = replace(cfg, K=cv.chosen_K)
-            else:
-                cfg = replace(cfg, K=candidates[0])
-            model = fit(ds, cfg)
-            report = score(estimate_curves(model, grid, level=level), sc_r)
-        except SttvError as exc:
-            failures.append((scenario.covariance, scenario.n, variant, rep,
-                             str(exc)))
-            continue
-        chosen.append((scenario.covariance, scenario.n, variant, rep, cfg.K))
-        rows.append(report_row(report, scenario.covariance, scenario.n,
-                               variant, rep))
-    return rep, rows, chosen, failures
-
-
-def run_setting(scenario, args, pool):
-    tasks = [
-        (scenario, rep, args.select, tuple(args.candidates), args.folds, 0.95)
-        for rep in range(args.reps)
-    ]
-    if pool is None:
-        results = [run_one_rep(t) for t in tasks]
-    else:
-        results = list(pool.map(run_one_rep, tasks))
-    results.sort(key=lambda r: r[0])
-    rows, chosen, failures = [], [], []
-    for _, r, c, f in results:
-        rows.extend(r)
-        chosen.extend(c)
-        failures.extend(f)
-    return rows, chosen, failures
+from sttvcox import DEFAULT_CANDIDATES, VARIANTS, FitConfig, Scenario, SttvError, replicate
+from sttvcox.reporting import build_summary, metric_rows, render_csv, render_markdown
+from sttvcox.simulation import validate_study
 
 
 def write_csv(path, header, rows):
@@ -129,31 +61,37 @@ def parse_args(argv=None):
     return parser.parse_args(argv)
 
 
-def main(argv=None) -> int:
-    args = parse_args(argv)
-    if args.select == "fixed":
-        args.candidates = [args.K]
+def run(args) -> int:
+    configs = [FitConfig(K=args.K, variant=v, seed=args.seed) for v in VARIANTS]
+    selection = {
+        "candidates": tuple(args.candidates) if args.select == "cv" else None,
+        "folds": args.folds,
+    }
+    scenarios = [Scenario(n=n, covariance=covariance, seed=args.seed)
+                 for covariance in args.covariances for n in args.sizes]
+    for scenario in scenarios:
+        validate_study(scenario, configs, args.reps, args.jobs, **selection)
     outdir = Path(args.output)
     outdir.mkdir(parents=True, exist_ok=True)
 
-    metrics_paths = []
-    all_chosen, all_failures = [], []
-    pool = ProcessPoolExecutor(max_workers=args.jobs) if args.jobs > 1 else None
-    try:
-        for covariance in args.covariances:
-            for n in args.sizes:
-                scenario = Scenario(n=n, covariance=covariance, seed=args.seed)
-                print(f"running {covariance} n={n} reps={args.reps} "
-                      f"select={args.select}", flush=True)
-                rows, chosen, failures = run_setting(scenario, args, pool)
-                path = outdir / f"metrics_{covariance}_{n}.csv"
-                write_csv(path, metrics_header(scenario.p), rows)
-                metrics_paths.append(path)
-                all_chosen.extend(chosen)
-                all_failures.extend(failures)
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    metrics_paths, all_chosen, all_failures = [], [], []
+    for scenario in scenarios:
+        covariance, n = scenario.covariance, scenario.n
+        print(f"running {covariance} n={n} reps={args.reps} "
+              f"select={args.select}", flush=True)
+        result = replicate(scenario, configs, args.reps, jobs=args.jobs, **selection)
+        path = outdir / f"metrics_{covariance}_{n}.csv"
+        write_csv(path, *metric_rows(result))
+        metrics_paths.append(path)
+        all_chosen.extend(
+            (covariance, n, variant, rep, K)
+            for variant in result.variants
+            for rep, K in sorted(result.chosen_K[variant].items())
+        )
+        all_failures.extend(
+            (covariance, n, variant, rep, message)
+            for rep, variant, message in result.failures
+        )
 
     write_csv(outdir / "chosen_K.csv",
               ("covariance", "n", "variant", "rep", "K"), all_chosen)
@@ -166,6 +104,14 @@ def main(argv=None) -> int:
     print(f"{len(metrics_paths)} settings, {len(all_failures)} failed fits; "
           f"summaries in {outdir}")
     return 0
+
+
+def main(argv=None) -> int:
+    try:
+        return run(parse_args(argv))
+    except SttvError as exc:
+        print(f"error [{type(exc).__name__}] {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

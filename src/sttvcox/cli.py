@@ -33,7 +33,7 @@ from .coxph import fit_coxph
 from .dataset import load_csv, make_dataset
 from .errors import ConvergenceError, NumericError, ValidationError
 from .inference import CurveEstimate, wald_ci
-from .model_selection import DEFAULT_CANDIDATES, cross_validate
+from .model_selection import DEFAULT_CANDIDATES, cross_validate, cv_candidates
 from .optimizer import VARIANTS, FitConfig, estimate_curves, fit
 from .reporting import (
     build_summary,
@@ -44,7 +44,7 @@ from .reporting import (
     render_markdown,
     report_row,
 )
-from .simulation import Scenario, replicate, score
+from .simulation import Scenario, replicate, score, validate_study
 
 logger = logging.getLogger(__name__)
 
@@ -350,16 +350,14 @@ def cmd_cv(args) -> int:
     variant = _merged(args, config, "variant", "sttv")
     candidates = _setting(args, config, "candidates", DEFAULT_CANDIDATES,
                           lambda ks: tuple(int(k) for k in ks))
-    if not candidates:
-        raise ValidationError("no candidate K values")
     if variant not in VARIANTS:
         raise ValidationError(
             f"cross-validation supports variants {VARIANTS}, got {variant!r}"
         )
 
     ds = _load_input(args, config)
-    cfg = _fit_config(args, config, ds.p, seed, variant)
-    cfg = replace(cfg, K=candidates[0])
+    candidates = cv_candidates(candidates, folds, ds.n)
+    cfg = replace(_fit_config(args, config, ds.p, seed, variant), K=candidates[0])
     refit = getattr(args, "refit", False) or config.get("refit", False)
     grid = _fit_grid(args, config, ds.tau) if refit else None
 
@@ -422,8 +420,6 @@ def _study_pieces(args, config: dict):
             f"simulation studies support variants {VARIANTS}; got {bad} "
             "(the constant-effect model has no curve metrics)"
         )
-    if len(set(variants)) != len(variants):
-        raise ValidationError(f"duplicate variants: {variants}")
 
     fit_doc = config.get("fit", {})
     if not isinstance(fit_doc, dict):
@@ -438,8 +434,7 @@ def _study_pieces(args, config: dict):
     reps = _cast(int, config["reps"], "reps")
     level = _setting(args, config, "level", 0.95, float)
     jobs = _setting(args, config, "jobs", 1, int)
-    if jobs < 1:
-        raise ValidationError(f"jobs must be >= 1, got {jobs}")
+    validate_study(scenario, configs, reps, jobs)
     dump = bool(config.get("dump_curves", False))
     return scenario, configs, reps, level, jobs, dump
 

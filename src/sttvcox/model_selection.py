@@ -88,6 +88,24 @@ def _subset(ds: SurvivalDataset, rows: np.ndarray) -> SurvivalDataset:
     )
 
 
+def cv_candidates(candidates, folds: int, n: int) -> tuple:
+    """Sorted distinct candidate K values, once folds and candidates are checked.
+
+    The only check of a cross-validation setting on n rows; ``cross_validate``,
+    the ``cv`` command and ``replicate`` call it before any work or output.
+    """
+    if folds < 2:
+        raise ValidationError(f"folds must be >= 2, got {folds}")
+    if folds > n:
+        raise ValidationError(f"folds={folds} exceeds n={n}")
+    cand = tuple(sorted({int(k) for k in candidates}))
+    if not cand:
+        raise ValidationError("no candidate K values")
+    if any(k < 1 for k in cand):
+        raise ValidationError(f"candidates must be >= 1, got {cand}")
+    return cand
+
+
 def cross_validate(
     ds: SurvivalDataset,
     cfg: FitConfig,
@@ -96,17 +114,9 @@ def cross_validate(
     seed: int = 0,
 ) -> CvResult:
     """Mean held-out error per candidate K; deterministic given the seed."""
-    if folds < 2:
-        raise ValidationError(f"folds must be >= 2, got {folds}")
-    if folds > ds.n:
-        raise ValidationError(f"folds={folds} exceeds n={ds.n}")
-    if candidates is None:
-        candidates = DEFAULT_CANDIDATES
-    cand = tuple(sorted({int(k) for k in candidates}))
-    if not cand:
-        raise ValidationError("no candidate K values")
-    if any(k < 1 for k in cand):
-        raise ValidationError(f"candidates must be >= 1, got {cand}")
+    cand = cv_candidates(
+        DEFAULT_CANDIDATES if candidates is None else candidates, folds, ds.n
+    )
 
     assignment = None
     # with more folds than events some folds must stay eventless (e.g.

@@ -41,6 +41,7 @@ import numpy as np
 from .dataset import SurvivalDataset, make_dataset
 from .errors import SttvError, ValidationError
 from .inference import CurveEstimate, normal_quantile
+from .model_selection import cross_validate, cv_candidates
 from .optimizer import FitConfig, FittedModel, estimate_curves, fit
 
 logger = logging.getLogger(__name__)
@@ -285,12 +286,18 @@ def score(curves, sc: Scenario, level: float = 0.95) -> MetricReport:
 
 @dataclass(frozen=True)
 class StudyResult:
-    """Per-rep metric reports plus aggregates for one replication study."""
+    """Per-rep metric reports plus aggregates for one replication study.
+
+    ``chosen_K`` holds the segment count each report was fitted at: the
+    config's K, or the K that cross-validation chose in that replication
+    when the study ran with candidates.  Its reps are those of ``reports``.
+    """
 
     scenario: Scenario
     reps: int
     variants: tuple
     reports: dict          # variant -> {rep index -> MetricReport}
+    chosen_K: dict         # variant -> {rep index -> K}
     aggregates: dict       # variant -> {metric name -> (mean, sd)} arrays
     coverage_mean: dict    # variant -> (p, grid) mean coverage
     failures: tuple        # (rep, variant, message)
@@ -305,22 +312,23 @@ def rep_seed(base_seed: int, rep: int) -> int:
 
 
 def _run_one_rep(args):
-    scenario, configs, rep, level, grid, keep_curves = args
+    """One replication, every config: (rep, variant -> (report, K, curves), failures)."""
+    scenario, configs, rep, level, grid, keep_curves, candidates, folds = args
     sc_r = replace(scenario, seed=rep_seed(scenario.seed, rep))
     ds = generate(sc_r)
     out = {}
-    kept = {}
     errors = []
     for cfg in configs:
         try:
+            if candidates is not None:
+                cv = cross_validate(ds, cfg, candidates, folds, seed=sc_r.seed)
+                cfg = replace(cfg, K=cv.chosen_K)
             model = fit(ds, cfg)
             curves = estimate_curves(model, grid, level=level)
-            out[cfg.variant] = score(curves, sc_r)
-            if keep_curves:
-                kept[cfg.variant] = curves
+            out[cfg.variant] = (score(curves, sc_r), cfg.K, curves if keep_curves else None)
         except SttvError as exc:
             errors.append((rep, cfg.variant, str(exc)))
-    return rep, out, kept, errors
+    return rep, out, errors
 
 
 def _aggregate(values: list) -> tuple:
@@ -330,6 +338,26 @@ def _aggregate(values: list) -> tuple:
     return mean, sd
 
 
+def validate_study(
+    scenario: Scenario, configs, reps: int, jobs: int = 1, *,
+    candidates=None, folds: int = 10,
+) -> None:
+    """Raise ValidationError for any setting ``replicate`` would reject.
+
+    Callers that write files check a study with this before creating them.
+    """
+    scenario.validate()
+    if reps < 1:
+        raise ValidationError(f"reps must be >= 1, got {reps}")
+    if jobs < 1:
+        raise ValidationError(f"jobs must be >= 1, got {jobs}")
+    variants = tuple(cfg.variant for cfg in configs)
+    if len(set(variants)) != len(variants):
+        raise ValidationError(f"duplicate variant names in configs: {variants}")
+    if candidates is not None:
+        cv_candidates(candidates, folds, scenario.n)
+
+
 def replicate(
     scenario: Scenario,
     configs,
@@ -337,24 +365,30 @@ def replicate(
     level: float = 0.95,
     jobs: int = 1,
     keep_curves: bool = False,
+    *,
+    candidates=None,
+    folds: int = 10,
 ) -> StudyResult:
     """Run seeded replications of (generate, fit, score) and aggregate.
 
-    Each config must carry a distinct variant name.  Failed reps are
-    recorded and excluded from aggregates.  Results are identical for any
-    jobs value because every rep derives its own seed.
+    Each config must carry a distinct variant name and is fitted at its own
+    K, unless ``candidates`` is given: then each replication chooses every
+    config's K by ``folds``-fold ``cross_validate`` over the candidates,
+    with the replication's seed as the fold seed, and ``StudyResult.chosen_K``
+    records the choice.  Every setting is checked before the first rep.
+    Failed reps, in cross-validation or in the fit, are recorded and
+    excluded from aggregates.  Results are identical for any jobs value
+    because every rep derives its own seed.
     """
-    scenario.validate()
-    if reps < 1:
-        raise ValidationError(f"reps must be >= 1, got {reps}")
     configs = list(configs)
+    validate_study(scenario, configs, reps, jobs, candidates=candidates, folds=folds)
     variants = tuple(cfg.variant for cfg in configs)
-    if len(set(variants)) != len(variants):
-        raise ValidationError(f"duplicate variant names in configs: {variants}")
     grid = metric_grid(scenario)
 
-    tasks = [(scenario, configs, r, level, grid, keep_curves) for r in range(reps)]
-    results = []
+    tasks = [
+        (scenario, configs, r, level, grid, keep_curves, candidates, folds)
+        for r in range(reps)
+    ]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_run_one_rep, tasks))
@@ -363,14 +397,15 @@ def replicate(
     results.sort(key=lambda r: r[0])
 
     reports: dict = {v: {} for v in variants}
+    chosen_K: dict = {v: {} for v in variants}
     curve_store: dict = {v: {} for v in variants} if keep_curves else None
     failures: list = []
-    for rep, out, kept, errors in results:
+    for rep, out, errors in results:
         failures.extend(errors)
-        for variant, report in out.items():
+        for variant, (report, K, curves) in out.items():
             reports[variant][rep] = report
-        if keep_curves:
-            for variant, curves in kept.items():
+            chosen_K[variant][rep] = K
+            if keep_curves:
                 curve_store[variant][rep] = curves
 
     aggregates = {}
@@ -395,6 +430,7 @@ def replicate(
         reps=reps,
         variants=variants,
         reports=reports,
+        chosen_K=chosen_K,
         aggregates=aggregates,
         coverage_mean=coverage_mean,
         failures=tuple(failures),

@@ -161,6 +161,19 @@ class TestCv:
                    "--candidates", "2,3", "--folds", 2) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags, config", [
+        (["--folds", 1], {}),
+        (["--folds", 61], {}),
+        (["--folds", 2], {"candidates": [0, 3]}),
+    ], ids=["one_fold", "folds_above_n", "zero_candidate"])
+    def test_bad_cv_setting_rejected_before_output(self, data60, tmp_path, flags, config):
+        path = tmp_path / "cv.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        assert run("cv", "--config", path, "--input", data60, "--output", out,
+                   *flags) == 2
+        assert not out.exists()
+
     def test_refit_writes_model_at_chosen_K(self, data60, tmp_path):
         out = tmp_path / "out"
         assert run("cv", "--input", data60, "--output", out,
@@ -219,6 +232,12 @@ class TestSimulate:
 
     def test_non_numeric_reps_rejected_before_output(self, tmp_path):
         study = write_study(tmp_path / "study.json", reps="two")
+        out = tmp_path / "out"
+        assert run("simulate", "--config", study, "--output", out) == 2
+        assert not out.exists()
+
+    def test_zero_reps_rejected_before_output(self, tmp_path):
+        study = write_study(tmp_path / "study.json", reps=0)
         out = tmp_path / "out"
         assert run("simulate", "--config", study, "--output", out) == 2
         assert not out.exists()

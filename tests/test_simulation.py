@@ -1,5 +1,7 @@
 """Data generation for the benchmark scenarios and metric scoring."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -284,3 +286,64 @@ class TestReplicate:
         seeds = [sx.rep_seed(0, r) for r in range(20)]
         assert len(set(seeds)) == 20
         assert sx.rep_seed(0, 3) == sx.rep_seed(0, 3)
+
+
+def assert_reports_equal(a, b):
+    for name in ("ise", "aise", "etpr", "etnr", "itpr", "itnr", "coverage", "grid"):
+        np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+
+
+class TestReplicateWithCv:
+    """replicate(..., candidates=...) chooses K by CV in every replication."""
+
+    SCENARIO = sx.Scenario(n=60, covariance="ind", seed=17)
+    CONFIGS = [sx.FitConfig(K=3, variant=v, seed=17) for v in ("sttv", "regtv")]
+
+    @pytest.fixture(scope="class")
+    def serial(self):
+        return sx.replicate(self.SCENARIO, self.CONFIGS, reps=2,
+                            candidates=(2, 3), folds=2)
+
+    def test_chosen_K_and_reports_match_direct_calls(self, serial):
+        assert serial.failures == ()
+        for rep in range(2):
+            sc_r = replace(self.SCENARIO, seed=sx.rep_seed(17, rep))
+            ds = sx.generate(sc_r)
+            for cfg in self.CONFIGS:
+                cv = sx.cross_validate(ds, cfg, (2, 3), 2, seed=sc_r.seed)
+                assert serial.chosen_K[cfg.variant][rep] == cv.chosen_K
+                model = sx.fit(ds, replace(cfg, K=cv.chosen_K))
+                assert_reports_equal(serial.reports[cfg.variant][rep],
+                                     sx.score(model, sc_r))
+
+    def test_jobs_do_not_change_results(self, serial):
+        parallel = sx.replicate(self.SCENARIO, self.CONFIGS, reps=2, jobs=2,
+                                candidates=(2, 3), folds=2)
+        assert parallel.chosen_K == serial.chosen_K
+        assert parallel.failures == serial.failures
+        for variant in serial.variants:
+            for rep in range(2):
+                assert_reports_equal(parallel.reports[variant][rep],
+                                     serial.reports[variant][rep])
+
+    def test_without_candidates_chosen_K_is_the_config_K(self):
+        res = sx.replicate(self.SCENARIO, [sx.FitConfig(K=2, variant="sttv")], reps=2)
+        assert res.chosen_K == {"sttv": {0: 2, 1: 2}}
+
+    @pytest.mark.parametrize("setting", [
+        {"candidates": (2, 3), "folds": 1},
+        {"candidates": (2, 3), "folds": 61},
+        {"candidates": (0, 3), "folds": 2},
+        {"candidates": (), "folds": 2},
+    ], ids=["one_fold", "folds_above_n", "zero_candidate", "no_candidates"])
+    def test_bad_cv_setting_fails_before_any_replication(self, setting, monkeypatch):
+        def no_generate(sc):
+            raise AssertionError("a replication started")
+
+        monkeypatch.setattr(sim, "generate", no_generate)
+        with pytest.raises(sx.ValidationError):
+            sx.replicate(self.SCENARIO, self.CONFIGS, reps=2, **setting)
+
+    def test_jobs_below_one_rejected(self):
+        with pytest.raises(sx.ValidationError, match="jobs must be >= 1"):
+            sx.replicate(self.SCENARIO, self.CONFIGS, reps=1, jobs=0)
