@@ -9,7 +9,9 @@ cross-validation on its own data; this takes several hours on a 4-core
 desktop.  Pass ``--select fixed --K 3`` for a much faster fixed-dimension
 run, or trim ``--reps``, ``--sizes``, and ``--covariances`` for smoke
 tests.  Every setting is checked before anything is written; a bad one
-stops the run with a one-line error and exit code 2.
+stops the run with a one-line error and exit code 2.  A run in which every
+replication of every setting failed writes ``failures.csv`` and then stops
+with exit code 3.
 
 Output layout (schemas shared with the reporting module):
 
@@ -27,7 +29,8 @@ import csv
 import sys
 from pathlib import Path
 
-from sttvcox import DEFAULT_CANDIDATES, VARIANTS, FitConfig, Scenario, SttvError, replicate
+from sttvcox import (DEFAULT_CANDIDATES, VARIANTS, FitConfig, NumericError, Scenario,
+                     SttvError, replicate)
 from sttvcox.reporting import build_summary, metric_rows, render_csv, render_markdown
 from sttvcox.simulation import validate_study
 
@@ -75,13 +78,16 @@ def run(args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
 
     metrics_paths, all_chosen, all_failures = [], [], []
+    produced = 0
     for scenario in scenarios:
         covariance, n = scenario.covariance, scenario.n
         print(f"running {covariance} n={n} reps={args.reps} "
               f"select={args.select}", flush=True)
         result = replicate(scenario, configs, args.reps, jobs=args.jobs, **selection)
         path = outdir / f"metrics_{covariance}_{n}.csv"
-        write_csv(path, *metric_rows(result))
+        header, rows = metric_rows(result)
+        write_csv(path, header, rows)
+        produced += len(rows)
         metrics_paths.append(path)
         all_chosen.extend(
             (covariance, n, variant, rep, K)
@@ -97,6 +103,8 @@ def run(args) -> int:
               ("covariance", "n", "variant", "rep", "K"), all_chosen)
     write_csv(outdir / "failures.csv",
               ("covariance", "n", "variant", "rep", "error"), all_failures)
+    if not produced:
+        raise NumericError(f"every replication failed ({len(all_failures)} failures)")
 
     summary = build_summary(metrics_paths)
     (outdir / "summary.csv").write_text(render_csv(summary))
@@ -111,7 +119,7 @@ def main(argv=None) -> int:
         return run(parse_args(argv))
     except SttvError as exc:
         print(f"error [{type(exc).__name__}] {exc}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(exc, NumericError) else 2
 
 
 if __name__ == "__main__":

@@ -6,10 +6,11 @@ seeded replication study, and ``score`` computes the metric battery for
 an externally produced curve file.
 
 Settings come from an optional JSON config file plus flags; flags win.
-Every command writes ``manifest.json`` into the output directory before
-any result file, and all files are written atomically (temp file plus
-rename).  Outputs are deterministic given inputs and seed, except for the
-manifest timestamp.
+Every command first builds all of its settings, so a bad one exits 2
+before anything is written; then it creates the output directory and
+writes ``manifest.json`` before any result file.  All files are written
+atomically (temp file plus rename).  Outputs are deterministic given
+inputs and seed, except for the manifest timestamp.
 
 Exit codes: 0 success, 2 validation problems, 3 numeric failure, 4
 non-convergence.  The environment variable STTV_LOG sets the log level.
@@ -54,6 +55,8 @@ _DEFAULT_GRID_POINTS = 200
 # Scenario settings a config may give; simulate and score read them alike
 _SCENARIO_FLOATS = ("baseline_hazard", "censor_upper", "admin_censor")
 _SCENARIO_KEYS = ("n", "covariance", "seed") + _SCENARIO_FLOATS
+# keys of one summary.json cell, in the order of StudySummary.rows
+_CELL_KEYS = ("covariance", "n", "variant", "metric", "coefficient", "mean", "sd", "reps")
 
 
 def _setup_logging() -> None:
@@ -88,6 +91,14 @@ def _merged(args, config: dict, key: str, default):
         return flag
     value = config.get(key)
     return default if value is None else value
+
+
+def _int(value) -> int:
+    """int(value), refusing a float with a fractional part."""
+    out = int(value)
+    if isinstance(value, float) and out != value:
+        raise ValueError("not a whole number")
+    return out
 
 
 def _cast(kind, value, key: str):
@@ -145,16 +156,16 @@ def _write_json(path: str, doc) -> None:
     _atomic_write(path, json.dumps(_jsonable(doc), indent=2, sort_keys=True) + "\n")
 
 
-def _prepare_outdir(args, config: dict) -> str:
+def _open_output(args, config: dict, seed: int) -> str:
+    """Create the output directory and write its manifest; returns the directory.
+
+    Each command calls this once, after building every setting it reads.
+    """
     outdir = _require(_merged(args, config, "output", None), "--output")
     os.makedirs(outdir, exist_ok=True)
-    return outdir
-
-
-def _write_manifest(outdir: str, command: str, args, seed: int) -> None:
     doc = {
-        "command": command,
-        "config_path": getattr(args, "config", None),
+        "command": args.command,
+        "config_path": args.config,
         "input_path": getattr(args, "input", None),
         "output_dir": outdir,
         "seed": int(seed),
@@ -162,17 +173,22 @@ def _write_manifest(outdir: str, command: str, args, seed: int) -> None:
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
     _write_json(os.path.join(outdir, "manifest.json"), doc)
+    return outdir
 
 
 def _load_input(args, config: dict):
-    """The survival CSV named by --input, truncated at --tau when given."""
+    """The survival CSV named by --input, truncated at --tau when given; fit
+    and cv read it, and both need at least one event."""
     input_path = _require(_merged(args, config, "input", None), "--input")
-    return load_csv(input_path, tau=_setting(args, config, "tau", None, float))
+    ds = load_csv(input_path, tau=_setting(args, config, "tau", None, float))
+    if ds.n_events == 0:
+        raise ValidationError(f"{input_path}: no events to fit")
+    return ds
 
 
 def _fit_grid(args, config: dict, tau: float) -> np.ndarray:
     """Midpoints of --grid-points equal subintervals of [0, tau]."""
-    points = _setting(args, config, "grid_points", _DEFAULT_GRID_POINTS, int)
+    points = _setting(args, config, "grid_points", _DEFAULT_GRID_POINTS, _int)
     if points < 1:
         raise ValidationError(f"grid points must be >= 1, got {points}")
     return (np.arange(points) + 0.5) * (tau / points)
@@ -202,17 +218,21 @@ def _fit_config(args, config: dict, p: int, seed: int, variant: str) -> FitConfi
     override = _setting(args, config, "alpha_override", None,
                         lambda v: np.asarray(v, dtype=float).ravel())
     if override is not None:
+        if override.size not in (1, p):
+            raise ValidationError(
+                f"alpha_override needs 1 or {p} values, got {override.size}"
+            )
         if override.size == 1:
             override = np.repeat(override, p)
         override = tuple(float(a) for a in override)
     return FitConfig(
-        K=_setting(args, config, "K", _DEFAULT_K, int),
+        K=_setting(args, config, "K", _DEFAULT_K, _int),
         eta=_setting(args, config, "eta", 1e-3, float),
         rho=_setting(args, config, "rho", None, float),
         alpha_scale=_setting(args, config, "alpha_scale", 0.5, float),
         alpha_override=override,
         variant=variant,
-        multistart=_setting(args, config, "multistart", 1, int),
+        multistart=_setting(args, config, "multistart", 1, _int),
         seed=seed,
     )
 
@@ -292,29 +312,22 @@ def _write_csv(path: str, header, rows) -> None:
     _atomic_write(path, "\n".join(",".join(r) for r in [header, *rows]) + "\n")
 
 
-def cmd_fit(args) -> int:
-    config = _load_config(args.config)
+def cmd_fit(args, config: dict) -> int:
     ds = _load_input(args, config)
-    seed = _setting(args, config, "seed", 0, int)
+    seed = _setting(args, config, "seed", 0, _int)
     variant = _merged(args, config, "variant", "sttv")
     if variant not in VARIANTS + ("coxph",):
         raise ValidationError(
             f"variant must be one of {VARIANTS + ('coxph',)}, got {variant!r}"
         )
     cfg = None if variant == "coxph" else _fit_config(args, config, ds.p, seed, variant)
-    standardize = bool(getattr(args, "standardize", False) or config.get("standardize", False))
-
-    means = scales = None
-    ds_fit = ds
-    if standardize:
+    ds_fit, standardize_doc, scales = ds, None, None
+    if args.standardize or config.get("standardize", False):
         ds_fit, means, scales = _standardized(ds)
-    standardize_doc = (
-        None if scales is None else {"means": means, "scales": scales}
-    )
+        standardize_doc = {"means": means, "scales": scales}
     grid = _fit_grid(args, config, ds.tau)
 
-    outdir = _prepare_outdir(args, config)
-    _write_manifest(outdir, "fit", args, seed)
+    outdir = _open_output(args, config, seed)
 
     if cfg is None:
         fitres = fit_coxph(ds_fit)
@@ -343,13 +356,12 @@ def cmd_fit(args) -> int:
     return 0
 
 
-def cmd_cv(args) -> int:
-    config = _load_config(args.config)
-    seed = _setting(args, config, "seed", 0, int)
-    folds = _setting(args, config, "folds", 10, int)
+def cmd_cv(args, config: dict) -> int:
+    seed = _setting(args, config, "seed", 0, _int)
+    folds = _setting(args, config, "folds", 10, _int)
     variant = _merged(args, config, "variant", "sttv")
     candidates = _setting(args, config, "candidates", DEFAULT_CANDIDATES,
-                          lambda ks: tuple(int(k) for k in ks))
+                          lambda ks: tuple(_int(k) for k in ks))
     if variant not in VARIANTS:
         raise ValidationError(
             f"cross-validation supports variants {VARIANTS}, got {variant!r}"
@@ -358,11 +370,10 @@ def cmd_cv(args) -> int:
     ds = _load_input(args, config)
     candidates = cv_candidates(candidates, folds, ds.n)
     cfg = replace(_fit_config(args, config, ds.p, seed, variant), K=candidates[0])
-    refit = getattr(args, "refit", False) or config.get("refit", False)
+    refit = args.refit or config.get("refit", False)
     grid = _fit_grid(args, config, ds.tau) if refit else None
 
-    outdir = _prepare_outdir(args, config)
-    _write_manifest(outdir, "cv", args, seed)
+    outdir = _open_output(args, config, seed)
 
     result = cross_validate(ds, cfg, candidates=candidates, folds=folds, seed=seed)
     _write_json(
@@ -388,20 +399,18 @@ def cmd_cv(args) -> int:
 
 
 def _scenario(doc: dict, seed_flag) -> Scenario:
-    """Validated scenario from a config's scenario keys; a --seed flag wins."""
+    """Scenario from a config's scenario keys; a --seed flag wins."""
     if "n" not in doc:
         raise ValidationError("scenario.n is required")
     kwargs = {
-        "n": _cast(int, doc["n"], "n"),
+        "n": _cast(_int, doc["n"], "n"),
         "covariance": str(doc.get("covariance", "ind")).lower(),
-        "seed": _cast(int, seed_flag if seed_flag is not None else doc.get("seed", 0), "seed"),
+        "seed": _cast(_int, seed_flag if seed_flag is not None else doc.get("seed", 0), "seed"),
     }
     for key in _SCENARIO_FLOATS:
         if key in doc:
             kwargs[key] = _cast(float, doc[key], key)
-    scenario = Scenario(**kwargs)
-    scenario.validate()
-    return scenario
+    return Scenario(**kwargs)
 
 
 def _study_pieces(args, config: dict):
@@ -431,46 +440,33 @@ def _study_pieces(args, config: dict):
 
     if "reps" not in config:
         raise ValidationError('simulate config needs "reps"')
-    reps = _cast(int, config["reps"], "reps")
+    reps = _cast(_int, config["reps"], "reps")
     level = _setting(args, config, "level", 0.95, float)
-    jobs = _setting(args, config, "jobs", 1, int)
-    validate_study(scenario, configs, reps, jobs)
+    jobs = _setting(args, config, "jobs", 1, _int)
+    validate_study(scenario, configs, reps, jobs, level=level)
     dump = bool(config.get("dump_curves", False))
     return scenario, configs, reps, level, jobs, dump
 
 
-def cmd_simulate(args) -> int:
-    config = _load_config(_require(args.config, "--config"))
+def cmd_simulate(args, config: dict) -> int:
     scenario, configs, reps, level, jobs, dump = _study_pieces(args, config)
-
-    outdir = _prepare_outdir(args, config)
-    _write_manifest(outdir, "simulate", args, scenario.seed)
+    outdir = _open_output(args, config, scenario.seed)
 
     result = replicate(
         scenario, configs, reps, level=level, jobs=jobs, keep_curves=dump
     )
     metrics_path = os.path.join(outdir, "metrics.csv")
-    _write_csv(metrics_path, *metric_rows(result))
+    header, rows = metric_rows(result)
+    _write_csv(metrics_path, header, rows)
 
-    summary = build_summary([metrics_path])
-    cells = [
-        {
-            "covariance": cov,
-            "n": n,
-            "variant": variant,
-            "metric": metric,
-            "coefficient": coef,
-            "mean": mean,
-            "sd": sd,
-            "reps": used,
-        }
-        for cov, n, variant, metric, coef, mean, sd, used in summary.rows
-    ]
+    # a study in which every replication failed keeps only its failure record
+    summary = build_summary([metrics_path]) if rows else None
+    cells = [dict(zip(_CELL_KEYS, row)) for row in summary.rows] if summary else []
     _write_json(
         os.path.join(outdir, "summary.json"),
         {
             "cells": cells,
-            "footnotes": summary.footnotes,
+            "footnotes": summary.footnotes if summary else (),
             "failed_reps": [list(f) for f in result.failures],
             "coverage": {
                 "grid": result.grid,
@@ -483,6 +479,8 @@ def cmd_simulate(args) -> int:
             "version": __version__,
         },
     )
+    if summary is None:
+        raise NumericError(f"every replication failed ({len(result.failures)} failures)")
     _atomic_write(os.path.join(outdir, "summary.md"), render_markdown(summary))
 
     if dump and result.curves is not None:
@@ -493,20 +491,18 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def cmd_score(args) -> int:
-    config = _load_config(_require(args.config, "--config"))
+def cmd_score(args, config: dict) -> int:
     input_path = _require(_merged(args, config, "input", None), "--input")
     if "covariance" not in config or "n" not in config:
         raise ValidationError('score config needs "covariance" and "n"')
     scenario = _scenario(config, args.seed)
     variant = str(config.get("variant", "external"))
-    rep = _setting(args, config, "rep", 0, int)
+    rep = _setting(args, config, "rep", 0, _int)
 
     curves = read_curve_table(input_path, level=_setting(args, config, "level", 0.95, float))
     report = score(curves, scenario)
 
-    outdir = _prepare_outdir(args, config)
-    _write_manifest(outdir, "score", args, scenario.seed)
+    outdir = _open_output(args, config, scenario.seed)
     row = report_row(report, scenario.covariance, scenario.n, variant, rep)
     _write_csv(os.path.join(outdir, "metrics.csv"), metrics_header(scenario.p), [row])
     return 0
@@ -517,16 +513,15 @@ def _parse_candidates(text: str):
     if not items:
         raise argparse.ArgumentTypeError("candidate list is empty")
     try:
-        values = tuple(int(s) for s in items)
+        return tuple(int(s) for s in items)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
-    if any(v < 1 for v in values):
-        raise argparse.ArgumentTypeError("candidates must be positive integers")
-    return values
 
 
 def _add_common(sp, *, data: bool, fitting: bool) -> None:
-    sp.add_argument("--config", help="JSON config file; flags override its values")
+    # commands without a data CSV (simulate, score) are driven by a config
+    sp.add_argument("--config", required=not data,
+                    help="JSON config file; flags override its values")
     sp.add_argument("--output", help="output directory (created if missing)")
     sp.add_argument("--seed", type=int, help="base random seed")
     if data:
@@ -597,10 +592,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     _setup_logging()
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(args, _load_config(args.config))
     except ConvergenceError as exc:
         return _report_failure(exc, 4)
     except NumericError as exc:

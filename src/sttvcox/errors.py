@@ -1,4 +1,5 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and two argument checks
+that raise it."""
 
 
 class SttvError(Exception):
@@ -36,3 +37,25 @@ class ConvergenceError(SttvError):
 
 class SeparationError(ConvergenceError):
     """Monotone likelihood: a coefficient diverges without bound."""
+
+
+def check_count(value, name: str, least: int = 1) -> None:
+    """Raise ValidationError unless value is a whole number >= least."""
+    try:
+        whole = int(value) == value
+    except (TypeError, ValueError, OverflowError):
+        whole = False
+    if not whole:
+        raise ValidationError(f"{name} must be a whole number, got {value}")
+    if value < least:
+        raise ValidationError(f"{name} must be >= {least}, got {value}")
+
+
+def check_positive(value, name: str) -> None:
+    """Raise ValidationError unless value is a positive finite number."""
+    try:
+        ok = 0 < value < float("inf")
+    except (TypeError, ValueError):
+        ok = False
+    if not ok:
+        raise ValidationError(f"{name} must be positive and finite, got {value}")

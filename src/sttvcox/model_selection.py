@@ -17,7 +17,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dataset import SurvivalDataset, make_dataset
-from .errors import ConvergenceError, StratificationError, SttvError, ValidationError
+from .errors import (
+    ConvergenceError,
+    StratificationError,
+    SttvError,
+    ValidationError,
+    check_count,
+)
 from .likelihood import _event_totals
 from .optimizer import FitConfig, FittedModel, _warm_start, fit
 from .splines import eval_basis_grid
@@ -94,16 +100,15 @@ def cv_candidates(candidates, folds: int, n: int) -> tuple:
     The only check of a cross-validation setting on n rows; ``cross_validate``,
     the ``cv`` command and ``replicate`` call it before any work or output.
     """
-    if folds < 2:
-        raise ValidationError(f"folds must be >= 2, got {folds}")
+    check_count(folds, "folds", least=2)
     if folds > n:
         raise ValidationError(f"folds={folds} exceeds n={n}")
-    cand = tuple(sorted({int(k) for k in candidates}))
+    cand = tuple(candidates)
     if not cand:
         raise ValidationError("no candidate K values")
-    if any(k < 1 for k in cand):
-        raise ValidationError(f"candidates must be >= 1, got {cand}")
-    return cand
+    for K in cand:
+        check_count(K, "candidate K")
+    return tuple(sorted({int(K) for K in cand}))
 
 
 def cross_validate(
@@ -117,6 +122,8 @@ def cross_validate(
     cand = cv_candidates(
         DEFAULT_CANDIDATES if candidates is None else candidates, folds, ds.n
     )
+    if ds.n_events == 0:
+        raise ValidationError("cannot cross-validate a dataset with zero events")
 
     assignment = None
     # with more folds than events some folds must stay eventless (e.g.

@@ -31,7 +31,14 @@ import numpy as np
 
 from .coxph import CoxFit, fit_coxph, initial_gamma
 from .dataset import SurvivalDataset
-from .errors import ConvergenceError, NumericError, SeparationError, ValidationError
+from .errors import (
+    ConvergenceError,
+    NumericError,
+    SeparationError,
+    ValidationError,
+    check_count,
+    check_positive,
+)
 from .inference import CurveEstimate, curve_variance, sparse_ci, wald_ci
 from .likelihood import (
     CoefficientBlock,
@@ -66,10 +73,12 @@ _MAX_DAMPING_ATTEMPTS = 40
 class FitConfig:
     """Tuning scalars for one fit.
 
-    ``rho=None`` resolves to 1/n^2 at fit time.  ``alpha_override`` values
-    are used verbatim (no floor); the floor applies only to thresholds
-    derived from the warm start.  ``multistart`` > 1 adds jittered warm
-    starts and keeps the best objective.
+    Every field is checked when a config is built, by ``replace`` too, so a
+    bad value raises ValidationError there.  ``rho=None`` resolves to 1/n^2
+    at fit time.  ``alpha_override`` values are used verbatim (no floor);
+    the floor applies only to thresholds derived from the warm start.
+    ``multistart`` > 1 adds jittered warm starts and keeps the best
+    objective.
     """
 
     K: int
@@ -84,23 +93,24 @@ class FitConfig:
     multistart: int = 1
     seed: int = 0
 
-    def validate(self) -> None:
-        if int(self.K) != self.K or self.K < 1:
-            raise ValidationError(f"K must be an integer >= 1, got {self.K}")
-        if int(self.d) != self.d or self.d < 1:
-            raise ValidationError(f"d must be an integer >= 1, got {self.d}")
-        if not self.eta > 0:
-            raise ValidationError(f"eta must be positive, got {self.eta}")
-        if self.rho is not None and not self.rho > 0:
-            raise ValidationError(f"rho must be positive, got {self.rho}")
-        if not self.tol_grad > 0:
-            raise ValidationError(f"tol_grad must be positive, got {self.tol_grad}")
+    def __post_init__(self) -> None:
+        check_count(self.K, "K")
+        check_count(self.d, "d")
+        check_positive(self.eta, "eta")
+        if self.rho is not None:
+            check_positive(self.rho, "rho")
+        check_positive(self.alpha_scale, "alpha_scale")
+        if self.alpha_override is not None:
+            for alpha in np.ravel(self.alpha_override):
+                check_positive(alpha, "alpha_override entry")
+        check_positive(self.tol_grad, "tol_grad")
+        check_count(self.max_iter, "max_iter")
         if self.variant not in VARIANTS:
             raise ValidationError(
                 f"variant must be one of {VARIANTS}, got {self.variant!r}"
             )
-        if self.multistart < 1:
-            raise ValidationError(f"multistart must be >= 1, got {self.multistart}")
+        check_count(self.multistart, "multistart")
+        check_count(self.seed, "seed", least=0)
 
 
 @dataclass(frozen=True)
@@ -221,12 +231,11 @@ def _newton(cb0: CoefficientBlock, ds: SurvivalDataset, ws: LikelihoodWorkspace,
 
 
 def _warm_start(ds: SurvivalDataset, cfg: FitConfig) -> CoxFit | None:
-    """Checked config and the constant Cox warm start; None starts from zeros.
+    """The constant Cox warm start of ds under cfg; None starts from zeros.
 
     Nothing here depends on ``cfg.K``, so cross-validation computes it once
     per fold and hands it to ``fit`` for every candidate.
     """
-    cfg.validate()
     if ds.n_events == 0:
         raise ValidationError("cannot fit a dataset with zero events")
     if cfg.variant == "sttv":

@@ -234,6 +234,8 @@ def read_curve_table(path, level: float = 0.95) -> CurveEstimate:
     The table carries no fallback column, so ``fallback`` is all False;
     ``level`` is recorded as given.
     """
+    if not 0.0 < level < 1.0:
+        raise ValidationError(f"level must lie in (0, 1), got {level}")
     path = str(path)
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)

@@ -39,7 +39,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dataset import SurvivalDataset, make_dataset
-from .errors import SttvError, ValidationError
+from .errors import SttvError, ValidationError, check_count, check_positive
 from .inference import CurveEstimate, normal_quantile
 from .model_selection import cross_validate, cv_candidates
 from .optimizer import FitConfig, FittedModel, estimate_curves, fit
@@ -102,7 +102,11 @@ DEFAULT_BETA_FUNCTIONS = (_beta1, _beta2, _beta3)
 
 @dataclass(frozen=True)
 class Scenario:
-    """Everything that determines one synthetic dataset."""
+    """Everything that determines one synthetic dataset.
+
+    Every field is checked when a scenario is built, by ``replace`` too, so
+    a bad value raises ValidationError there.
+    """
 
     n: int
     covariance: str = "ind"
@@ -112,19 +116,18 @@ class Scenario:
     admin_censor: float = 3.0
     beta_functions: tuple = DEFAULT_BETA_FUNCTIONS
 
-    def validate(self) -> None:
-        if self.n < 1:
-            raise ValidationError(f"n must be >= 1, got {self.n}")
+    def __post_init__(self) -> None:
+        check_count(self.n, "n")
         if self.covariance not in COVARIANCES:
             raise ValidationError(
                 f"covariance must be one of {COVARIANCES}, got {self.covariance!r}"
             )
-        if not self.baseline_hazard > 0.0:
-            raise ValidationError(
-                f"baseline hazard must be positive, got {self.baseline_hazard}"
-            )
-        if self.censor_upper <= 0 or self.admin_censor <= 0:
-            raise ValidationError("censoring bounds must be positive")
+        check_count(self.seed, "seed", least=0)
+        check_positive(self.baseline_hazard, "baseline hazard")
+        check_positive(self.censor_upper, "censor_upper")
+        check_positive(self.admin_censor, "admin_censor")
+        if not self.beta_functions or not all(map(callable, self.beta_functions)):
+            raise ValidationError("beta_functions must be a non-empty tuple of callables")
 
     @property
     def p(self) -> int:
@@ -208,7 +211,6 @@ def draw_event_time(z, sc: Scenario, u: float) -> float:
 
 def generate(sc: Scenario) -> SurvivalDataset:
     """One fully seeded dataset: n rows of (min(Tu, Tc), event flag, z)."""
-    sc.validate()
     Z = draw_covariates(sc.n, sc.covariance, sc.seed, sc.p)
     u_event = _uniforms(_rng(sc.seed, _SALT_EVENT_U), sc.n)
     u_cens = _uniforms(_rng(sc.seed, _SALT_CENSOR), sc.n)
@@ -340,20 +342,30 @@ def _aggregate(values: list) -> tuple:
 
 def validate_study(
     scenario: Scenario, configs, reps: int, jobs: int = 1, *,
-    candidates=None, folds: int = 10,
+    level: float = 0.95, candidates=None, folds: int = 10,
 ) -> None:
-    """Raise ValidationError for any setting ``replicate`` would reject.
+    """Raise ValidationError for any study setting ``replicate`` would reject.
 
-    Callers that write files check a study with this before creating them.
+    The scenario and configs checked themselves when they were built; this
+    checks what ties them into a study: reps, jobs, the interval level, one
+    config per variant, one threshold per covariate and the
+    cross-validation setting.  Callers that
+    write files check a study with this before creating them.
     """
-    scenario.validate()
-    if reps < 1:
-        raise ValidationError(f"reps must be >= 1, got {reps}")
-    if jobs < 1:
-        raise ValidationError(f"jobs must be >= 1, got {jobs}")
+    check_count(reps, "reps")
+    check_count(jobs, "jobs")
+    if not 0.0 < level < 1.0:
+        raise ValidationError(f"level must lie in (0, 1), got {level}")
     variants = tuple(cfg.variant for cfg in configs)
+    if not variants:
+        raise ValidationError("a study needs at least one config")
     if len(set(variants)) != len(variants):
         raise ValidationError(f"duplicate variant names in configs: {variants}")
+    for cfg in configs:
+        if cfg.alpha_override is not None and np.size(cfg.alpha_override) != scenario.p:
+            raise ValidationError(
+                f"{np.size(cfg.alpha_override)} thresholds for {scenario.p} covariates"
+            )
     if candidates is not None:
         cv_candidates(candidates, folds, scenario.n)
 
@@ -381,7 +393,8 @@ def replicate(
     because every rep derives its own seed.
     """
     configs = list(configs)
-    validate_study(scenario, configs, reps, jobs, candidates=candidates, folds=folds)
+    validate_study(scenario, configs, reps, jobs, level=level,
+                   candidates=candidates, folds=folds)
     variants = tuple(cfg.variant for cfg in configs)
     grid = metric_grid(scenario)
 

@@ -47,6 +47,56 @@ def data60(tmp_path_factory):
     return path
 
 
+@pytest.fixture(scope="module")
+def censored20(tmp_path_factory):
+    ds = sx.generate(sx.Scenario(n=20, covariance="ind", seed=14))
+    censored = sx.make_dataset(ds.time, np.zeros(ds.n, dtype=bool), ds.covariates,
+                               tau=ds.tau)
+    path = tmp_path_factory.mktemp("cli") / "censored20.csv"
+    sx.save_csv(censored, path)
+    return path
+
+
+# command, input fixture, flags, config (a simulate config overrides write_study)
+EXIT_2_CASES = {
+    "fit_K_zero": ("fit", "data20", ["--K", 0], None),
+    "fit_eta_zero": ("fit", "data20", ["--eta", 0], None),
+    "fit_multistart_zero": ("fit", "data20", ["--multistart", 0], None),
+    "fit_rho_negative": ("fit", "data20", ["--rho", -1], None),
+    "fit_alpha_scale_zero": ("fit", "data20", ["--alpha-scale", 0], None),
+    "fit_two_alphas_for_three_covariates":
+        ("fit", "data20", [], {"alpha_override": [0.1, 0.2]}),
+    "fit_no_events": ("fit", "censored20", [], None),
+    "cv_eta_zero": ("cv", "data60", ["--eta", 0, "--folds", 2], None),
+    "cv_multistart_zero": ("cv", "data60", ["--multistart", 0, "--folds", 2], None),
+    "cv_no_events": ("cv", "censored20", ["--folds", 2], None),
+    "cv_negative_seed": ("cv", "data60", ["--seed", -1, "--folds", 2], None),
+    "cv_fractional_candidate": ("cv", "data60", ["--folds", 2], {"candidates": [2.5, 3]}),
+    "simulate_K_zero": ("simulate", None, [], {"fit": {"K": 0}}),
+    "simulate_level": ("simulate", None, [], {"level": 1.5}),
+    "simulate_fractional_n": ("simulate", None, [], {"scenario": {"n": 10.5}}),
+    "simulate_infinite_horizon":
+        ("simulate", None, [], {"scenario": {"n": 30, "admin_censor": float("inf")}}),
+    "simulate_no_variants": ("simulate", None, [], {"variants": []}),
+}
+
+
+@pytest.mark.parametrize("case", EXIT_2_CASES.values(), ids=EXIT_2_CASES.keys())
+def test_exit_2_leaves_no_output(case, tmp_path, request):
+    command, data, flags, config = case
+    argv = [command, "--output", tmp_path / "out", *flags]
+    if data is not None:
+        argv += ["--input", request.getfixturevalue(data)]
+    if command == "simulate":
+        argv += ["--config", write_study(tmp_path / "study.json", **config)]
+    elif config is not None:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        argv += ["--config", path]
+    assert run(*argv) == 2
+    assert not (tmp_path / "out").exists()
+
+
 class TestFit:
     def test_twenty_row_contract(self, data20, tmp_path):
         out = tmp_path / "out"
@@ -242,6 +292,23 @@ class TestSimulate:
         assert run("simulate", "--config", study, "--output", out) == 2
         assert not out.exists()
 
+    def test_every_replication_failed_exits_3(self, tmp_path, capsys):
+        # q = 12 basis columns per coefficient cannot be identified from
+        # about 26 events, so both variants fail in the only replication
+        study = write_study(tmp_path / "study.json",
+                            scenario={"n": 30, "covariance": "ind", "seed": 5},
+                            reps=1, fit={"K": 9})
+        out = tmp_path / "out"
+        assert run("simulate", "--config", study, "--output", out) == 3
+        assert len(read_rows(out / "metrics.csv")) == 1
+        doc = json.loads((out / "summary.json").read_text())
+        assert doc["cells"] == []
+        assert sorted(f[1] for f in doc["failed_reps"]) == ["regtv", "sttv"]
+        assert all(f[0] == 0 and f[2] for f in doc["failed_reps"])
+        assert not (out / "summary.md").exists()
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err[-1] == "error [NumericError] every replication failed (2 failures)"
+
     def test_missing_reps_rejected(self, tmp_path):
         study = tmp_path / "study.json"
         study.write_text(json.dumps({"scenario": {"n": 50}}))
@@ -317,8 +384,8 @@ class TestScore:
         assert score_rows == sim_rows
 
     @pytest.mark.parametrize(
-        "bad", [{"covariance": "bogus"}, {"n": -5}, {"n": "many"}],
-        ids=["covariance", "n", "n_text"])
+        "bad", [{"covariance": "bogus"}, {"n": -5}, {"n": "many"}, {"level": 1.5}],
+        ids=["covariance", "n", "n_text", "level"])
     def test_invalid_scenario_rejected(self, tmp_path, bad):
         curves = self.write_truth_curves(tmp_path / "curves.csv")
         config = tmp_path / "score.json"

@@ -78,6 +78,19 @@ class TestCrossValidate:
         with pytest.raises(sx.ValidationError):
             sx.cross_validate(ds60, cfg, candidates=[3], folds=1, seed=0)
 
+    def test_zero_events_rejected_before_any_fold(self, ds60, monkeypatch):
+        import sttvcox.model_selection as ms
+
+        def no_folds(*args, **kwargs):
+            raise AssertionError("folds were built")
+
+        monkeypatch.setattr(ms, "assign_folds", no_folds)
+        censored = sx.make_dataset(ds60.time, np.zeros(ds60.n, dtype=bool),
+                                   ds60.covariates, tau=ds60.tau)
+        cfg = sx.FitConfig(K=3, variant="sttv", seed=19)
+        with pytest.raises(sx.ValidationError, match="zero events"):
+            sx.cross_validate(censored, cfg, candidates=[3, 5], folds=4, seed=0)
+
     def test_default_candidates(self):
         assert tuple(sx.DEFAULT_CANDIDATES) == (3, 5, 9, 13, 17, 21)
 

@@ -1,5 +1,7 @@
 """Full model fitting for both variants and curve extraction."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -144,12 +146,21 @@ class TestFit:
             assert all(field in line for line in lines)
 
     def test_config_validation(self):
-        with pytest.raises(sx.ValidationError):
-            sx.FitConfig(K=0, variant="sttv").validate()
-        with pytest.raises(sx.ValidationError):
-            sx.FitConfig(K=2, eta=0.0, variant="sttv").validate()
-        with pytest.raises(sx.ValidationError):
-            sx.FitConfig(K=2, variant="nope").validate()
+        base = sx.FitConfig(K=2, variant="sttv")
+        bad = [
+            {"K": 0}, {"eta": 0.0}, {"variant": "nope"},
+            {"K": float("inf")}, {"K": float("nan")}, {"K": 2.5},
+            {"alpha_scale": 0.0}, {"alpha_scale": -1.0},
+            {"alpha_override": (0.1, 0.0, 0.2)}, {"alpha_override": (-0.1,)},
+            {"max_iter": 0}, {"multistart": float("nan")}, {"multistart": 0},
+            {"rho": -1.0}, {"tol_grad": float("nan")}, {"seed": -1},
+        ]
+        for change in bad:
+            with pytest.raises(sx.ValidationError):
+                sx.FitConfig(**{"K": 2, "variant": "sttv", **change})
+            # replace builds a new config, so it runs the same checks
+            with pytest.raises(sx.ValidationError):
+                replace(base, **change)
 
 
 class TestEstimateCurves:

@@ -57,3 +57,16 @@ def test_jobs_below_one_rejected(tmp_path, capsys):
     assert load_script().main(argv) != 0
     assert not out.exists()
     assert "jobs must be >= 1" in capsys.readouterr().err
+
+
+def test_every_replication_failed_exits_3(tmp_path, capsys):
+    out = tmp_path / "repro"
+    argv = ["--output", str(out), "--reps", "1", "--sizes", "30",
+            "--covariances", "ind", "--select", "fixed", "--K", "9"]
+    assert load_script().main(argv) == 3
+    assert read_rows(out / "metrics_ind_30.csv") == []
+    failures = read_rows(out / "failures.csv")
+    assert sorted(row[2] for row in failures) == ["regtv", "sttv"]
+    assert not (out / "summary.csv").exists()
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["error [NumericError] every replication failed (2 failures)"]

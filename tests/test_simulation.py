@@ -153,6 +153,20 @@ class TestGenerate:
         ds = sx.generate(sc)
         assert ds.covariates.shape == (50, 1)
 
+    def test_scenario_validation(self):
+        base = sx.Scenario(n=10)
+        bad = [
+            {"n": 0}, {"n": float("nan")}, {"n": 10.5}, {"covariance": "toeplitz"},
+            {"seed": -1}, {"baseline_hazard": 0.0},
+            {"censor_upper": float("nan")}, {"admin_censor": float("inf")},
+            {"beta_functions": ()}, {"beta_functions": (1.0,)},
+        ]
+        for change in bad:
+            with pytest.raises(sx.ValidationError):
+                sx.Scenario(**{"n": 10, **change})
+            with pytest.raises(sx.ValidationError):
+                replace(base, **change)
+
 
 class TestScore:
     def test_exact_truth_scores_perfectly(self):
@@ -335,7 +349,11 @@ class TestReplicateWithCv:
         {"candidates": (2, 3), "folds": 61},
         {"candidates": (0, 3), "folds": 2},
         {"candidates": (), "folds": 2},
-    ], ids=["one_fold", "folds_above_n", "zero_candidate", "no_candidates"])
+        {"candidates": (2.5, 3), "folds": 2},
+        {"candidates": (2, 3), "folds": 2.5},
+        {"level": 1.5},
+    ], ids=["one_fold", "folds_above_n", "zero_candidate", "no_candidates",
+            "fractional_candidate", "fractional_folds", "level"])
     def test_bad_cv_setting_fails_before_any_replication(self, setting, monkeypatch):
         def no_generate(sc):
             raise AssertionError("a replication started")
@@ -343,6 +361,15 @@ class TestReplicateWithCv:
         monkeypatch.setattr(sim, "generate", no_generate)
         with pytest.raises(sx.ValidationError):
             sx.replicate(self.SCENARIO, self.CONFIGS, reps=2, **setting)
+
+    def test_threshold_count_checked_before_any_replication(self, monkeypatch):
+        def no_generate(sc):
+            raise AssertionError("a replication started")
+
+        monkeypatch.setattr(sim, "generate", no_generate)
+        cfg = sx.FitConfig(K=2, variant="sttv", alpha_override=(0.1, 0.2))
+        with pytest.raises(sx.ValidationError, match="2 thresholds for 3 covariates"):
+            sx.replicate(self.SCENARIO, [cfg], reps=2)
 
     def test_jobs_below_one_rejected(self):
         with pytest.raises(sx.ValidationError, match="jobs must be >= 1"):
