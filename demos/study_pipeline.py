@@ -12,7 +12,7 @@ import tempfile
 from pathlib import Path
 
 import sttvcox as sx
-from sttvcox.reporting import build_summary, metric_rows, render_markdown
+from sttvcox.reporting import build_summary, metric_rows
 
 
 def main():

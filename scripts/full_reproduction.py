@@ -11,7 +11,9 @@ run, or trim ``--reps``, ``--sizes``, and ``--covariances`` for smoke
 tests.  Every setting is checked before anything is written; a bad one
 stops the run with a one-line error and exit code 2.  A run in which every
 replication of every setting failed writes ``failures.csv`` and then stops
-with exit code 3.
+with exit code 3.  Failures exit as the ``sttvcox`` command does: one line
+on stderr and code 2 (bad setting or unwritable output), 3 (numeric
+failure) or 4 (non-convergence).
 
 Output layout (schemas shared with the reporting module):
 
@@ -29,8 +31,8 @@ import csv
 import sys
 from pathlib import Path
 
-from sttvcox import (DEFAULT_CANDIDATES, VARIANTS, FitConfig, NumericError, Scenario,
-                     SttvError, replicate)
+from sttvcox import DEFAULT_CANDIDATES, VARIANTS, FitConfig, NumericError, Scenario, replicate
+from sttvcox.cli import _guarded
 from sttvcox.reporting import build_summary, metric_rows, render_csv, render_markdown
 from sttvcox.simulation import validate_study
 
@@ -115,11 +117,7 @@ def run(args) -> int:
 
 
 def main(argv=None) -> int:
-    try:
-        return run(parse_args(argv))
-    except SttvError as exc:
-        print(f"error [{type(exc).__name__}] {exc}", file=sys.stderr)
-        return 3 if isinstance(exc, NumericError) else 2
+    return _guarded(lambda: run(parse_args(argv)))
 
 
 if __name__ == "__main__":

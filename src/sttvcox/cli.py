@@ -37,6 +37,7 @@ from .inference import CurveEstimate, wald_ci
 from .model_selection import DEFAULT_CANDIDATES, cross_validate, cv_candidates
 from .optimizer import VARIANTS, FitConfig, estimate_curves, fit
 from .reporting import (
+    SUMMARY_COLUMNS,
     build_summary,
     curves_csv_text,
     metric_rows,
@@ -51,12 +52,14 @@ logger = logging.getLogger(__name__)
 
 _DEFAULT_K = 5
 _DEFAULT_GRID_POINTS = 200
+# interval level of the fit commands' curves; simulate and score default to it
+_LEVEL = 0.95
 
 # Scenario settings a config may give; simulate and score read them alike
 _SCENARIO_FLOATS = ("baseline_hazard", "censor_upper", "admin_censor")
 _SCENARIO_KEYS = ("n", "covariance", "seed") + _SCENARIO_FLOATS
-# keys of one summary.json cell, in the order of StudySummary.rows
-_CELL_KEYS = ("covariance", "n", "variant", "metric", "coefficient", "mean", "sd", "reps")
+# the exit codes of the module docstring, per failure type, matched in this order
+_EXIT_CODES = {ConvergenceError: 4, NumericError: 3, ValidationError: 2, OSError: 2}
 
 
 def _setup_logging() -> None:
@@ -280,14 +283,14 @@ def _model_doc(model, standardize_doc) -> dict:
     }
 
 
-def _constant_curves(fitres, names, grid: np.ndarray, level: float = 0.95) -> CurveEstimate:
+def _constant_curves(fitres, names, grid: np.ndarray) -> CurveEstimate:
     """Constant-effect curve set from a proportional-hazards fit."""
     p = fitres.beta.shape[0]
     G = grid.size
     se = np.sqrt(np.diag(fitres.covariance))
     theta = np.repeat(fitres.beta[:, None], G, axis=1)
     sig = np.repeat(se[:, None], G, axis=1)
-    lower, upper = wald_ci(theta, sig, 1.0 - level)
+    lower, upper = wald_ci(theta, sig, 1.0 - _LEVEL)
     return CurveEstimate(
         grid=grid,
         theta_hat=theta,
@@ -296,7 +299,7 @@ def _constant_curves(fitres, names, grid: np.ndarray, level: float = 0.95) -> Cu
         ci_lower=lower,
         ci_upper=upper,
         zero_flags=np.zeros((p, G), dtype=bool),
-        level=level,
+        level=_LEVEL,
         fallback=np.zeros((p, G), dtype=bool),
         covariate_names=names,
     )
@@ -349,7 +352,7 @@ def cmd_fit(args, config: dict) -> int:
         }
     else:
         model = fit(ds_fit, cfg)
-        curves = estimate_curves(model, grid)
+        curves = estimate_curves(model, grid, _LEVEL)
         doc = _model_doc(model, standardize_doc)
 
     _write_fit_outputs(outdir, doc, curves, scales)
@@ -362,10 +365,6 @@ def cmd_cv(args, config: dict) -> int:
     variant = _merged(args, config, "variant", "sttv")
     candidates = _setting(args, config, "candidates", DEFAULT_CANDIDATES,
                           lambda ks: tuple(_int(k) for k in ks))
-    if variant not in VARIANTS:
-        raise ValidationError(
-            f"cross-validation supports variants {VARIANTS}, got {variant!r}"
-        )
 
     ds = _load_input(args, config)
     candidates = cv_candidates(candidates, folds, ds.n)
@@ -393,7 +392,7 @@ def cmd_cv(args, config: dict) -> int:
 
     if refit:
         model = fit(ds, replace(cfg, K=result.chosen_K))
-        curves = estimate_curves(model, grid)
+        curves = estimate_curves(model, grid, _LEVEL)
         _write_fit_outputs(outdir, _model_doc(model, None), curves)
     return 0
 
@@ -419,15 +418,10 @@ def _study_pieces(args, config: dict):
         raise ValidationError('simulate config needs a "scenario" object')
     scenario = _scenario(scenario_doc, args.seed)
 
-    if args.variant is not None:
-        variants = [args.variant]
-    else:
-        variants = _cast(list, config.get("variants", VARIANTS), "variants")
-    bad = [v for v in variants if v not in VARIANTS]
-    if bad:
+    variants = config.get("variants", list(VARIANTS)) if args.variant is None else [args.variant]
+    if not isinstance(variants, list):
         raise ValidationError(
-            f"simulation studies support variants {VARIANTS}; got {bad} "
-            "(the constant-effect model has no curve metrics)"
+            f"variants setting must be a JSON list, got {type(variants).__name__} {variants!r}"
         )
 
     fit_doc = config.get("fit", {})
@@ -441,7 +435,7 @@ def _study_pieces(args, config: dict):
     if "reps" not in config:
         raise ValidationError('simulate config needs "reps"')
     reps = _cast(_int, config["reps"], "reps")
-    level = _setting(args, config, "level", 0.95, float)
+    level = _setting(args, config, "level", _LEVEL, float)
     jobs = _setting(args, config, "jobs", 1, _int)
     validate_study(scenario, configs, reps, jobs, level=level)
     dump = bool(config.get("dump_curves", False))
@@ -461,7 +455,7 @@ def cmd_simulate(args, config: dict) -> int:
 
     # a study in which every replication failed keeps only its failure record
     summary = build_summary([metrics_path]) if rows else None
-    cells = [dict(zip(_CELL_KEYS, row)) for row in summary.rows] if summary else []
+    cells = [dict(zip(SUMMARY_COLUMNS, row)) for row in summary.rows] if summary else []
     _write_json(
         os.path.join(outdir, "summary.json"),
         {
@@ -499,7 +493,7 @@ def cmd_score(args, config: dict) -> int:
     variant = str(config.get("variant", "external"))
     rep = _setting(args, config, "rep", 0, _int)
 
-    curves = read_curve_table(input_path, level=_setting(args, config, "level", 0.95, float))
+    curves = read_curve_table(input_path, level=_setting(args, config, "level", _LEVEL, float))
     report = score(curves, scenario)
 
     outdir = _open_output(args, config, scenario.seed)
@@ -593,21 +587,19 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     _setup_logging()
     args = build_parser().parse_args(argv)
+    return _guarded(lambda: args.func(args, _load_config(args.config)))
+
+
+def _guarded(run) -> int:
+    """run(), or for a failure of a type in _EXIT_CODES one stderr line and its code.
+
+    ``main`` and the full reproduction script exit through it alike.
+    """
     try:
-        return args.func(args, _load_config(args.config))
-    except ConvergenceError as exc:
-        return _report_failure(exc, 4)
-    except NumericError as exc:
-        return _report_failure(exc, 3)
-    except ValidationError as exc:
-        return _report_failure(exc, 2)
-    except OSError as exc:
-        return _report_failure(exc, 2)
-
-
-def _report_failure(exc: BaseException, code: int) -> int:
-    print(f"error [{type(exc).__name__}] {exc}", file=sys.stderr)
-    return code
+        return run()
+    except tuple(_EXIT_CODES) as exc:
+        print(f"error [{type(exc).__name__}] {exc}", file=sys.stderr)
+        return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

@@ -20,6 +20,9 @@ from .likelihood import _risk_set_totals
 logger = logging.getLogger(__name__)
 
 _MAX_HALVINGS = 30
+# Newton stops when max |score| < _TOL; _MAX_ITER iterations at most
+_TOL = 1e-9
+_MAX_ITER = 50
 _SEPARATION_BOUND = 20.0
 
 
@@ -61,8 +64,8 @@ def _loglik_parts(ds: SurvivalDataset, beta: np.ndarray, order: int):
     return value, grad, hess
 
 
-def fit_coxph(ds: SurvivalDataset, tol: float = 1e-9, max_iter: int = 50) -> CoxFit:
-    """Newton-Raphson with step halving; converges when max |score| < tol."""
+def fit_coxph(ds: SurvivalDataset) -> CoxFit:
+    """Newton-Raphson with step halving; converges when max |score| < _TOL."""
     if ds.n_events == 0:
         raise ValidationError("constant Cox fit needs at least one event")
     spread = ds.covariates.max(axis=0) - ds.covariates.min(axis=0)
@@ -84,8 +87,8 @@ def fit_coxph(ds: SurvivalDataset, tol: float = 1e-9, max_iter: int = 50) -> Cox
     value, grad, hess = _loglik_parts(ds, beta, order=2)
     iterations = 0
     converged = False
-    for _ in range(max_iter):
-        if np.max(np.abs(grad[active])) < tol:
+    for _ in range(_MAX_ITER):
+        if np.max(np.abs(grad[active])) < _TOL:
             converged = True
             break
         H = hess[np.ix_(active, active)]
@@ -118,9 +121,9 @@ def fit_coxph(ds: SurvivalDataset, tol: float = 1e-9, max_iter: int = 50) -> Cox
                 last_iterate=beta.copy(),
             )
         value, grad, hess = _loglik_parts(ds, beta, order=2)
-    if not converged and np.max(np.abs(grad[active])) >= tol:
+    if not converged and np.max(np.abs(grad[active])) >= _TOL:
         raise ConvergenceError(
-            f"no convergence in {max_iter} Newton iterations",
+            f"no convergence in {_MAX_ITER} Newton iterations",
             last_iterate=beta.copy(),
         )
 

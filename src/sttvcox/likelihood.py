@@ -43,7 +43,7 @@ import numpy as np
 from .dataset import SurvivalDataset
 from .errors import NumericError, ValidationError
 from .splines import SplineBasis, eval_basis_grid
-from .threshold import smooth_threshold, smooth_threshold_d1, smooth_threshold_d2
+from .threshold import _effect
 
 logger = logging.getLogger(__name__)
 
@@ -138,20 +138,6 @@ def _check_dims(cb: CoefficientBlock, ds: SurvivalDataset, ws: LikelihoodWorkspa
         raise ValidationError("workspace was built from a different dataset")
 
 
-def _surrogate(cb: CoefficientBlock, theta: np.ndarray, order: int):
-    """h, h', h'' at theta (any shape broadcasting rows over covariates)."""
-    if cb.thresholds is None:
-        h = theta
-        h1 = np.ones_like(theta) if order >= 1 else None
-        h2 = np.zeros_like(theta) if order >= 2 else None
-        return h, h1, h2
-    al = cb.thresholds
-    h = smooth_threshold(theta, al, cb.eta)
-    h1 = smooth_threshold_d1(theta, al, cb.eta) if order >= 1 else None
-    h2 = smooth_threshold_d2(theta, al, cb.eta) if order >= 2 else None
-    return h, h1, h2
-
-
 def linear_predictor(cb: CoefficientBlock, z, Bt) -> float:
     """g(z, t) = sum_j z_j h_eta(B(t)' gamma_j, alpha_j) for one subject."""
     z = np.asarray(z, dtype=float).ravel()
@@ -160,8 +146,7 @@ def linear_predictor(cb: CoefficientBlock, z, Bt) -> float:
         raise ValidationError(f"covariate vector of length {z.shape[0]}, expected {cb.p}")
     if Bt.shape[0] != cb.q:
         raise ValidationError(f"basis vector of length {Bt.shape[0]}, expected {cb.q}")
-    theta = cb.gamma @ Bt
-    h, _, _ = _surrogate(cb, theta, order=0)
+    h, _, _ = _effect(cb.gamma @ Bt, cb.thresholds, cb.eta)
     return float(z @ h)
 
 
@@ -258,7 +243,7 @@ def _scan(cb: CoefficientBlock, ds: SurvivalDataset, ws: LikelihoodWorkspace, or
 
     B_ev = ws.basis_at_times[ws.event_rows]
     theta = B_ev @ cb.gamma.T                       # (m, p)
-    h, h1, h2 = _surrogate(cb, theta, order)
+    h, h1, h2 = _effect(theta, cb.thresholds, cb.eta, order)
     own_g, logS0, Ebar, V = _event_totals(h, ds.covariates, ws.event_rows,
                                           ws.risk_starts, order)
     return own_g, logS0, Ebar, h1, V, h2, B_ev

@@ -27,7 +27,7 @@ from .errors import (
 from .likelihood import _event_totals
 from .optimizer import FitConfig, FittedModel, _warm_start, fit
 from .splines import eval_basis_grid
-from .threshold import soft_threshold
+from .threshold import _effect
 
 logger = logging.getLogger(__name__)
 
@@ -70,18 +70,15 @@ def assign_folds(n: int, folds: int, events, seed: int) -> np.ndarray:
 def _heldout_error(model: FittedModel, held: SurvivalDataset) -> float:
     """Negative unpenalized log partial likelihood of held-out data.
 
-    Curves are the exact soft-thresholded estimates evaluated at the
-    held-out event times; risk sets live entirely inside the held-out fold.
+    Curves are the exact soft-thresholded estimates (the spline levels of
+    an unthresholded fit) evaluated at the held-out event times; risk sets
+    live entirely inside the held-out fold.
     """
     events = held.event_rows
     if events.size == 0:
         return 0.0
     B_ev = eval_basis_grid(model.basis, held.time[events])
-    theta = B_ev @ model.gamma_hat.T                 # (m, p)
-    if model.alphas is not None:
-        beta = soft_threshold(theta, model.alphas)
-    else:
-        beta = theta
+    beta, _, _ = _effect(B_ev @ model.gamma_hat.T, model.alphas, 0.0)   # (m, p)
     own, logS0, _, _ = _event_totals(beta, held.covariates, events,
                                      held.risk_start(events), order=0)
     return -float(own.sum() - logS0.sum())

@@ -1,9 +1,10 @@
 """Aggregation of replication artifacts into summary tables.
 
 Raw input is the per-rep metrics CSV written by the simulate command (one
-row per replication per model variant) plus, optionally, per-rep curve
-CSVs carrying confidence-interval columns.  Output is a StudySummary with
-grouped mean/sd cells and renderings as Markdown or CSV.
+row per replication per model variant).  Output is a StudySummary with
+grouped mean/sd cells and renderings as Markdown or CSV.  Per-rep curve
+CSVs carrying confidence-interval columns give a pointwise coverage
+profile (``coverage_profile``).
 
 The curve CSV is both written (``curves_csv_text``) and read
 (``read_curve_table``) here; the reader returns a ``CurveEstimate``, so a
@@ -39,6 +40,10 @@ from .simulation import Scenario, StudyResult
 _BASE_COLUMNS = ("covariance", "n", "variant", "rep")
 _PER_COEFFICIENT = ("ise", "etpr", "etnr", "itpr", "itnr")
 _SCALED = ("aise", "ise")
+
+# one grouped summary cell: the fields of StudySummary.rows, the columns of
+# render_csv and the keys of a summary.json cell
+SUMMARY_COLUMNS = ("covariance", "n", "variant", "metric", "coefficient", "mean", "sd", "reps")
 
 CURVE_COLUMNS = (
     "covariate",
@@ -130,15 +135,14 @@ def _read_metrics(paths) -> tuple:
 class StudySummary:
     """Grouped cells: one row per (covariance, n, variant, metric, coefficient)."""
 
-    rows: tuple            # (covariance, n, variant, metric, coef | None, mean, sd, reps)
+    rows: tuple            # SUMMARY_COLUMNS; coefficient None for aise
     p: int
     n_raw_rows: int
     footnotes: tuple
-    coverage: dict | None  # output of coverage_profile, when curve files were given
 
 
-def build_summary(metrics_paths, curve_paths=(), scenario: Scenario | None = None) -> StudySummary:
-    """Aggregate per-rep metrics CSVs; optionally attach a coverage profile.
+def build_summary(metrics_paths) -> StudySummary:
+    """Aggregate per-rep metrics CSVs into grouped mean/sd cells.
 
     Squared-error cells come out multiplied by 100.  Duplicate (group, rep)
     rows are rejected so every cell is traceable to distinct replications.
@@ -183,18 +187,11 @@ def build_summary(metrics_paths, curve_paths=(), scenario: Scenario | None = Non
     if single_rep:
         footnotes.append("sd is reported as 0 for groups with a single replication.")
 
-    coverage = None
-    if curve_paths:
-        if scenario is None:
-            raise ValidationError("curve files need a scenario to define the truth")
-        coverage = coverage_profile(curve_paths, scenario)
-
     return StudySummary(
         rows=tuple(rows),
         p=p,
         n_raw_rows=len(records),
         footnotes=tuple(footnotes),
-        coverage=coverage,
     )
 
 
@@ -335,7 +332,7 @@ def _fmt(x: float) -> str:
 def render_markdown(summary: StudySummary) -> str:
     """Readable table with one row per grouped cell."""
     lines = [
-        "| covariance | n | variant | metric | coefficient | mean | sd | reps |",
+        "| " + " | ".join(SUMMARY_COLUMNS) + " |",
         "| --- | ---: | --- | --- | ---: | ---: | ---: | ---: |",
     ]
     for cov, n, variant, metric, coef, mean, sd, reps in summary.rows:
@@ -348,16 +345,12 @@ def render_markdown(summary: StudySummary) -> str:
     for note in summary.footnotes:
         lines.append(f"- {note}")
     lines.append(f"- Aggregated from {summary.n_raw_rows} per-rep rows.")
-    if summary.coverage is not None:
-        lines.append(
-            f"- Coverage profile attached from {summary.coverage['n_reps']} curve files."
-        )
     return "\n".join(lines) + "\n"
 
 
 def render_csv(summary: StudySummary) -> str:
     """Machine-readable cells; floats written with repr for exact round trips."""
-    lines = ["covariance,n,variant,metric,coefficient,mean,sd,reps"]
+    lines = [",".join(SUMMARY_COLUMNS)]
     for cov, n, variant, metric, coef, mean, sd, reps in summary.rows:
         coef_txt = "" if coef is None else str(coef)
         lines.append(f"{cov},{n},{variant},{metric},{coef_txt},{mean!r},{sd!r},{reps}")

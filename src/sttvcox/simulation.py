@@ -40,9 +40,9 @@ import numpy as np
 
 from .dataset import SurvivalDataset, make_dataset
 from .errors import SttvError, ValidationError, check_count, check_positive
-from .inference import CurveEstimate, normal_quantile
+from .inference import normal_quantile
 from .model_selection import cross_validate, cv_candidates
-from .optimizer import FitConfig, FittedModel, estimate_curves, fit
+from .optimizer import estimate_curves, fit
 
 logger = logging.getLogger(__name__)
 
@@ -55,7 +55,7 @@ DEFAULT_BASELINE_HAZARD = 1.7
 
 COVARIANCES = ("ind", "ar1", "cs")
 
-# metric grid: 100 equally spaced points on [0, 3] including the endpoints
+# metric grid: 100 equally spaced points on [0, admin_censor] including the endpoints
 METRIC_GRID_POINTS = 100
 
 _T_MAX = 20.0
@@ -138,9 +138,8 @@ class Scenario:
         return np.vstack([np.asarray(f(t), dtype=float) for f in self.beta_functions])
 
 
-def metric_grid(scenario: Scenario | None = None) -> np.ndarray:
-    upper = scenario.admin_censor if scenario is not None else 3.0
-    return np.linspace(0.0, upper, METRIC_GRID_POINTS)
+def metric_grid(scenario: Scenario) -> np.ndarray:
+    return np.linspace(0.0, scenario.admin_censor, METRIC_GRID_POINTS)
 
 
 def _rng(seed: int, salt: int) -> np.random.Generator:
@@ -239,17 +238,15 @@ class MetricReport:
     grid: np.ndarray
 
 
-def score(curves, sc: Scenario, level: float = 0.95) -> MetricReport:
-    """Error and detection metrics on the canonical scenario grid.
+def score(curves, sc: Scenario) -> MetricReport:
+    """Error and detection metrics of a curve set on the scenario's metric grid.
 
-    Accepts a fitted model (evaluated here on the metric grid) or an
-    already-evaluated curve set.  Estimation ratios compare the zero flags
-    against the truth-zero set; inference ratios ask whether the interval
-    excludes (TPR) or contains (TNR) zero.  Empty denominators yield nan.
+    The curves must be evaluated on ``metric_grid(sc)``.  Estimation ratios
+    compare the zero flags against the truth-zero set; inference ratios ask
+    whether the interval excludes (TPR) or contains (TNR) zero.  Empty
+    denominators yield nan.
     """
     expected = metric_grid(sc)
-    if isinstance(curves, FittedModel):
-        curves = estimate_curves(curves, expected, level=level)
     grid = np.asarray(curves.grid, dtype=float).ravel()
     if grid.shape != expected.shape or not np.allclose(grid, expected, atol=1e-12):
         raise ValidationError(

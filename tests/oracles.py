@@ -59,6 +59,77 @@ def smooth_threshold_ref(theta, alpha, eta):
 
 
 # ----------------------------------------------------------------------
+# The array implementations of the surrogate and its two derivatives
+# before they shared one kernel, kept (argument checks aside) as bitwise
+# references for it, the way tests/test_risk_sets.py keeps the per-event
+# risk-set loop
+# ----------------------------------------------------------------------
+
+_FAR = 1.0e8
+
+
+def _maybe_scalar(x, scalar):
+    return float(x[()]) if scalar else x
+
+
+def smooth_threshold_arrays_ref(theta, alpha, eta):
+    alpha = np.asarray(alpha, dtype=float)
+    theta = np.asarray(theta, dtype=float)
+    scalar = theta.ndim == 0 and alpha.ndim == 0
+    if float(eta) == 0.0:
+        out = np.where(
+            theta > alpha,
+            theta - alpha,
+            np.where(theta < -alpha, theta + alpha, 0.0),
+        )
+        return _maybe_scalar(out, scalar)
+    m = theta - alpha
+    p = theta + alpha
+    u = m / eta
+    v = p / eta
+    far = (np.abs(u) > _FAR) & (np.abs(v) > _FAR)
+    uc = np.clip(u, -_FAR, _FAR)
+    vc = np.clip(v, -_FAR, _FAR)
+    h = 0.5 * ((1.0 + (2.0 / np.pi) * np.arctan(uc)) * m
+               + (1.0 - (2.0 / np.pi) * np.arctan(vc)) * p)
+    exact = np.where(theta > alpha, m, np.where(theta < -alpha, p, 0.0))
+    out = np.where(far, exact, h)
+    return _maybe_scalar(out, scalar)
+
+
+def smooth_threshold_d1_arrays_ref(theta, alpha, eta):
+    alpha = np.asarray(alpha, dtype=float)
+    theta = np.asarray(theta, dtype=float)
+    scalar = theta.ndim == 0 and alpha.ndim == 0
+    u = (theta - alpha) / eta
+    v = (theta + alpha) / eta
+    far = (np.abs(u) > _FAR) & (np.abs(v) > _FAR)
+    uc = np.clip(u, -_FAR, _FAR)
+    vc = np.clip(v, -_FAR, _FAR)
+    d1 = (1.0
+          + (np.arctan(uc) - np.arctan(vc)) / np.pi
+          + (uc / (1.0 + uc * uc) - vc / (1.0 + vc * vc)) / np.pi)
+    limit = np.where(np.abs(theta) > alpha, 1.0, 0.0)
+    out = np.where(far, limit, d1)
+    return _maybe_scalar(out, scalar)
+
+
+def smooth_threshold_d2_arrays_ref(theta, alpha, eta):
+    alpha = np.asarray(alpha, dtype=float)
+    theta = np.asarray(theta, dtype=float)
+    scalar = theta.ndim == 0 and alpha.ndim == 0
+    u = (theta - alpha) / eta
+    v = (theta + alpha) / eta
+    far = (np.abs(u) > _FAR) & (np.abs(v) > _FAR)
+    uc = np.clip(u, -_FAR, _FAR)
+    vc = np.clip(v, -_FAR, _FAR)
+    d2 = (2.0 / (np.pi * eta)) * (1.0 / (1.0 + uc * uc) ** 2
+                                  - 1.0 / (1.0 + vc * vc) ** 2)
+    out = np.where(far, 0.0, d2)
+    return _maybe_scalar(out, scalar)
+
+
+# ----------------------------------------------------------------------
 # Likelihood pieces recomputed from first principles (triple loops)
 # ----------------------------------------------------------------------
 

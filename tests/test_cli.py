@@ -72,12 +72,15 @@ EXIT_2_CASES = {
     "cv_no_events": ("cv", "censored20", ["--folds", 2], None),
     "cv_negative_seed": ("cv", "data60", ["--seed", -1, "--folds", 2], None),
     "cv_fractional_candidate": ("cv", "data60", ["--folds", 2], {"candidates": [2.5, 3]}),
+    "cv_coxph_variant": ("cv", "data60", ["--folds", 2], {"variant": "coxph"}),
     "simulate_K_zero": ("simulate", None, [], {"fit": {"K": 0}}),
     "simulate_level": ("simulate", None, [], {"level": 1.5}),
     "simulate_fractional_n": ("simulate", None, [], {"scenario": {"n": 10.5}}),
     "simulate_infinite_horizon":
         ("simulate", None, [], {"scenario": {"n": 30, "admin_censor": float("inf")}}),
     "simulate_no_variants": ("simulate", None, [], {"variants": []}),
+    "simulate_variants_string": ("simulate", None, [], {"variants": "sttv"}),
+    "simulate_coxph_variant": ("simulate", None, [], {"variants": ["coxph"]}),
 }
 
 
@@ -308,6 +311,13 @@ class TestSimulate:
         assert not (out / "summary.md").exists()
         err = capsys.readouterr().err.strip().splitlines()
         assert err[-1] == "error [NumericError] every replication failed (2 failures)"
+
+    def test_variants_string_named_with_its_type(self, tmp_path, capsys):
+        study = write_study(tmp_path / "study.json", variants="sttv")
+        assert run("simulate", "--config", study, "--output", tmp_path / "out") == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["error [ValidationError] variants setting must be a JSON list, "
+                       "got str 'sttv'"]
 
     def test_missing_reps_rejected(self, tmp_path):
         study = tmp_path / "study.json"

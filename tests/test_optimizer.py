@@ -7,7 +7,6 @@ import pytest
 
 import sttvcox as sx
 from sttvcox import optimizer
-from conftest import make_random_dataset
 
 
 class TestFit:

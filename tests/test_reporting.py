@@ -200,18 +200,6 @@ class TestCoverageProfile:
         with pytest.raises(sx.ValidationError):
             coverage_profile([a], sx.Scenario(n=10, covariance="ind", seed=0))
 
-    def test_attached_through_build_summary(self, tmp_path):
-        metrics = write_metrics(tmp_path / "m.csv", [one_coef_row(0, 0.01)])
-        truth = step_two(self.grid)
-        curves = write_curves(tmp_path / "c.csv", self.grid,
-                              truth - 0.1, truth + 0.1)
-        with pytest.raises(sx.ValidationError):
-            build_summary([metrics], curve_paths=[curves])
-        summary = build_summary([metrics], curve_paths=[curves],
-                                scenario=self.scenario())
-        assert summary.coverage is not None
-        assert summary.coverage["n_reps"] == 1
-
 
 class TestReadCurveTable:
     def test_missing_column_named(self, tmp_path):
@@ -233,7 +221,7 @@ class TestReadCurveTable:
         with pytest.raises(sx.ValidationError):
             read_curve_table(path)
 
-    def test_round_trip_arrays(self, tmp_path, fitted_sttv_200):
+    def test_round_trip_arrays(self, tmp_path, fitted_sttv_200, scenario_200):
         grid = np.linspace(0.0, 3.0, 7)
         truth = step_two(grid)
         path = write_curves(tmp_path / "c.csv", grid,
@@ -245,7 +233,7 @@ class TestReadCurveTable:
 
         # a fitted sttv curve set with zero flags and pinched [0, 0]
         # intervals survives the writer and the reader bit for bit
-        curves = sx.estimate_curves(fitted_sttv_200, sx.metric_grid())
+        curves = sx.estimate_curves(fitted_sttv_200, sx.metric_grid(scenario_200))
         assert curves.zero_flags.any()
         assert ((curves.ci_lower == 0.0) & (curves.ci_upper == 0.0)).any()
         path = tmp_path / "fitted.csv"

@@ -70,3 +70,15 @@ def test_every_replication_failed_exits_3(tmp_path, capsys):
     assert not (out / "summary.csv").exists()
     err = capsys.readouterr().err.strip().splitlines()
     assert err == ["error [NumericError] every replication failed (2 failures)"]
+
+
+def test_unwritable_output_exits_2_like_the_cli(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = blocker / "repro"
+    argv = ["--output", str(out), "--reps", "1", "--sizes", "60",
+            "--covariances", "ind", "--select", "fixed"]
+    assert load_script().main(argv) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error [NotADirectoryError]")

@@ -237,7 +237,8 @@ class TestScore:
             sx.score(curves, sc)
 
     def test_fitted_model_scores_in_range(self, fitted_sttv_200, scenario_200):
-        rep = sx.score(fitted_sttv_200, scenario_200)
+        curves = sx.estimate_curves(fitted_sttv_200, sx.metric_grid(scenario_200))
+        rep = sx.score(curves, scenario_200)
         np.testing.assert_array_equal(rep.grid, sx.metric_grid(scenario_200))
         assert rep.aise == pytest.approx(rep.ise.mean(), rel=1e-15)
         for name in ("etpr", "etnr", "itpr", "itnr"):
@@ -327,8 +328,9 @@ class TestReplicateWithCv:
                 cv = sx.cross_validate(ds, cfg, (2, 3), 2, seed=sc_r.seed)
                 assert serial.chosen_K[cfg.variant][rep] == cv.chosen_K
                 model = sx.fit(ds, replace(cfg, K=cv.chosen_K))
+                curves = sx.estimate_curves(model, sx.metric_grid(sc_r))
                 assert_reports_equal(serial.reports[cfg.variant][rep],
-                                     sx.score(model, sc_r))
+                                     sx.score(curves, sc_r))
 
     def test_jobs_do_not_change_results(self, serial):
         parallel = sx.replicate(self.SCENARIO, self.CONFIGS, reps=2, jobs=2,
