@@ -52,7 +52,7 @@ logger = logging.getLogger(__name__)
 
 _DEFAULT_K = 5
 _DEFAULT_GRID_POINTS = 200
-# interval level of the fit commands' curves; simulate and score default to it
+# interval level of the fit commands' curves; simulate defaults to it
 _LEVEL = 0.95
 
 # Scenario settings a config may give; simulate and score read them alike
@@ -493,7 +493,7 @@ def cmd_score(args, config: dict) -> int:
     variant = str(config.get("variant", "external"))
     rep = _setting(args, config, "rep", 0, _int)
 
-    curves = read_curve_table(input_path, level=_setting(args, config, "level", _LEVEL, float))
+    curves = read_curve_table(input_path)
     report = score(curves, scenario)
 
     outdir = _open_output(args, config, scenario.seed)

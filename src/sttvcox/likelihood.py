@@ -261,9 +261,15 @@ def _einsum_blocks(M: np.ndarray, B_ev: np.ndarray, p: int, q: int) -> np.ndarra
     return out.reshape(p * q, p * q)
 
 
-def _evaluate(cb: CoefficientBlock, ds: SurvivalDataset, ws: LikelihoodWorkspace, order: int):
-    """(value, gradient or None, Hessian or None) from one scan of the given order."""
+def _evaluate(cb: CoefficientBlock, ds: SurvivalDataset, ws: LikelihoodWorkspace, order: int,
+              keep: list | None = None):
+    """(value, gradient or None, Hessian or None) from one scan of the given order.
+
+    A ``keep`` list is refilled with the scan's (h', V, event basis rows).
+    """
     own_g, logS0, Ebar, h1, V, h2, B_ev = _scan(cb, ds, ws, order)
+    if keep is not None:
+        keep[:] = (h1, V, B_ev)
     p, q = cb.p, cb.q
     value = float(own_g.sum() - logS0.sum() - ws.rho * _penalty(cb, ws))
     if order == 0:
@@ -303,10 +309,20 @@ def score_covariance(cb: CoefficientBlock, ds: SurvivalDataset, ws: LikelihoodWo
     consumes this raw sum directly.
     """
     _, _, _, h1, V, _, B_ev = _scan(cb, ds, ws, order=2)
-    S = V * h1[:, :, None] * h1[:, None, :]
-    return _einsum_blocks(S, B_ev, cb.p, cb.q)
+    return _score_cov(h1, V, B_ev, cb.p, cb.q)
 
 
-def value_and_derivatives(cb: CoefficientBlock, ds: SurvivalDataset, ws: LikelihoodWorkspace):
-    """(value, gradient, hessian) sharing a single event scan."""
-    return _evaluate(cb, ds, ws, order=2)
+def _score_cov(h1: np.ndarray, V: np.ndarray, B_ev: np.ndarray, p: int, q: int) -> np.ndarray:
+    """The score covariance from the h', V and event basis rows of one order-2 scan."""
+    return _einsum_blocks(V * h1[:, :, None] * h1[:, None, :], B_ev, p, q)
+
+
+def value_and_derivatives(cb: CoefficientBlock, ds: SurvivalDataset, ws: LikelihoodWorkspace,
+                          *, _keep: list | None = None):
+    """(value, gradient, hessian) sharing a single event scan.
+
+    ``_keep`` is internal to ``fit``: a list refilled with the scan's
+    (h', V, event basis rows), so that the sandwich meat at the optimum
+    comes from the optimizer's last scan, not from one more.
+    """
+    return _evaluate(cb, ds, ws, order=2, keep=_keep)

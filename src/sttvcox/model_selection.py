@@ -25,7 +25,7 @@ from .errors import (
     check_count,
 )
 from .likelihood import _event_totals
-from .optimizer import FitConfig, FittedModel, _warm_start, fit
+from .optimizer import FitConfig, FittedModel, _cox_warm_start, fit
 from .splines import eval_basis_grid
 from .threshold import _effect
 
@@ -156,7 +156,7 @@ def cross_validate(
         try:
             train = _subset(ds, np.flatnonzero(assignment != r))
             held = _subset(ds, np.flatnonzero(assignment == r))
-            warm = _warm_start(train, replace(cfg, K=cand[0]))
+            warm = _cox_warm_start(train)
         except SttvError as exc:
             for ci in live:
                 exclude(ci, exc)

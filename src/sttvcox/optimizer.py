@@ -43,9 +43,9 @@ from .inference import CurveEstimate, curve_variance, sparse_ci, wald_ci
 from .likelihood import (
     CoefficientBlock,
     LikelihoodWorkspace,
+    _score_cov,
     make_workspace,
     penalized_loglik,
-    score_covariance,
     value_and_derivatives,
 )
 from .splines import SplineBasis, eval_basis_grid, make_basis
@@ -149,11 +149,16 @@ class FittedModel:
 
 def _newton(cb0: CoefficientBlock, ds: SurvivalDataset, ws: LikelihoodWorkspace,
             cfg: FitConfig):
-    """Maximize from one starting point; returns (gamma, path, diagnostics)."""
+    """Maximize from one starting point; returns (gamma, path, diagnostics).
+
+    The last entry is the (h', V, event basis rows) triple of the scan at
+    the returned gamma, from which ``fit`` forms the score covariance.
+    """
     p, q = cb0.p, cb0.q
     gamma = cb0.gamma.copy()
     cb = replace(cb0, gamma=gamma)
-    value, grad, hess = value_and_derivatives(cb, ds, ws)
+    scan: list = []   # h', V and event basis rows of the latest derivative scan
+    value, grad, hess = value_and_derivatives(cb, ds, ws, _keep=scan)
     gnorm = float(np.max(np.abs(grad)))
     path = [value]
     eye = np.eye(p * q)
@@ -207,7 +212,7 @@ def _newton(cb0: CoefficientBlock, ds: SurvivalDataset, ws: LikelihoodWorkspace,
         rel = abs(new_value - value) / (abs(value) + 1.0)
         stall = stall + 1 if rel < _STALL_REL else 0
         gamma, cb = trial, cb_trial
-        value, grad, hess = value_and_derivatives(cb, ds, ws)
+        value, grad, hess = value_and_derivatives(cb, ds, ws, _keep=scan)
         gnorm = float(np.max(np.abs(grad)))
         path.append(value)
         n_iter += 1
@@ -227,45 +232,54 @@ def _newton(cb0: CoefficientBlock, ds: SurvivalDataset, ws: LikelihoodWorkspace,
                 path=path,
             )
 
-    return gamma, hess, value, grad, np.array(path), n_iter, gnorm, stop_reason
+    return gamma, hess, value, grad, np.array(path), n_iter, gnorm, stop_reason, scan
 
 
-def _warm_start(ds: SurvivalDataset, cfg: FitConfig) -> CoxFit | None:
-    """The constant Cox warm start of ds under cfg; None starts from zeros.
+def _cox_warm_start(ds: SurvivalDataset) -> CoxFit | ConvergenceError:
+    """The constant Cox fit of ds, or the SeparationError or ConvergenceError
+    it raised.
 
-    Nothing here depends on ``cfg.K``, so cross-validation computes it once
-    per fold and hands it to ``fit`` for every candidate.
+    Nothing here depends on the config, so one result serves every variant
+    and every K fitted on ds; ``fit`` applies the config's fallback rule.
     """
     if ds.n_events == 0:
         raise ValidationError("cannot fit a dataset with zero events")
-    if cfg.variant == "sttv":
-        try:
-            return fit_coxph(ds)
-        except SeparationError:
-            if cfg.alpha_override is None:
-                raise
-            logger.warning(
-                "warm start hit separation; starting from zero coefficients "
-                "with the explicit threshold override"
-            )
-            return None
     try:
         return fit_coxph(ds)
-    except (SeparationError, ConvergenceError) as exc:
-        logger.warning("warm start failed (%s); starting from zero coefficients", exc)
+    except ConvergenceError as exc:
+        return exc
+
+
+def _warm_for(warm: CoxFit | ConvergenceError, cfg: FitConfig) -> CoxFit | None:
+    """cfg's warm start from a ``_cox_warm_start`` result; None starts from zeros.
+
+    A failed Cox fit is re-raised for sttv, unless it hit separation and the
+    thresholds are given explicitly; regtv starts from zeros after any failure.
+    """
+    if not isinstance(warm, ConvergenceError):
+        return warm
+    if cfg.variant == "sttv":
+        if cfg.alpha_override is None or not isinstance(warm, SeparationError):
+            raise warm
+        logger.warning(
+            "warm start hit separation; starting from zero coefficients "
+            "with the explicit threshold override"
+        )
         return None
+    logger.warning("warm start failed (%s); starting from zero coefficients", warm)
+    return None
 
 
-_COMPUTE = object()   # fit computes its own warm start
-
-
-def fit(ds: SurvivalDataset, cfg: FitConfig, *, _warm=_COMPUTE) -> FittedModel:
+def fit(ds: SurvivalDataset, cfg: FitConfig, *, _warm=None) -> FittedModel:
     """Fit one variant on one dataset; see the module docstring for the recipe.
 
-    ``_warm`` is internal to cross-validation: the ``_warm_start`` result of
-    ds under a config that differs from cfg at most in K.
+    ``_warm`` is internal to cross-validation and replication studies: the
+    ``_cox_warm_start`` result of ds, shared by the fits of every variant
+    and K on ds.  The sandwich meat ``score_cov`` is the score covariance of
+    the winning start's last Newton scan, which ran at ``gamma_hat``; it
+    equals ``score_covariance`` there, and no further event scan runs.
     """
-    warm = _warm_start(ds, cfg) if _warm is _COMPUTE else _warm
+    warm = _warm_for(_cox_warm_start(ds) if _warm is None else _warm, cfg)
     rho = cfg.rho if cfg.rho is not None else 1.0 / ds.n**2
     basis = make_basis(cfg.K, cfg.d, ds.tau)
     ws = make_workspace(ds, basis, rho)
@@ -302,8 +316,7 @@ def fit(ds: SurvivalDataset, cfg: FitConfig, *, _warm=_COMPUTE) -> FittedModel:
     if best is None:
         raise first_error
 
-    gamma, hess, value, grad, path, n_iter, gnorm, stop_reason = best
-    cb_hat = CoefficientBlock(gamma=gamma, thresholds=alphas, eta=cfg.eta)
+    gamma, hess, value, grad, path, n_iter, gnorm, stop_reason, scan = best
     neg_h = -hess
     cond = np.linalg.cond(neg_h)
     if cond > _COND_ERROR:
@@ -314,7 +327,7 @@ def fit(ds: SurvivalDataset, cfg: FitConfig, *, _warm=_COMPUTE) -> FittedModel:
     if cond > _COND_WARN:
         logger.warning("ill-conditioned negative Hessian (cond %.2e)", cond)
     neg_h_inv = np.linalg.inv(neg_h)
-    sigma = score_covariance(cb_hat, ds, ws)
+    sigma = _score_cov(*scan, ds.p, basis.q)
     sandwich = neg_h_inv @ sigma @ neg_h_inv
     sandwich = 0.5 * (sandwich + sandwich.T)
 

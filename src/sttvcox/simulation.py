@@ -13,7 +13,8 @@ with effect curves
 
 so each curve has a genuine zero region inside the horizon.  Event times
 come from inverse-transform sampling of the cumulative hazard, integrated
-by the composite trapezoid rule on a fixed fine grid; censoring is
+by the composite trapezoid rule on a fixed fine grid up to the censoring
+cap (a later event time is censored whatever its value); censoring is
 uniform(0, 10) capped administratively at t = 3, which is also the
 analysis horizon.
 
@@ -42,7 +43,7 @@ from .dataset import SurvivalDataset, make_dataset
 from .errors import SttvError, ValidationError, check_count, check_positive
 from .inference import normal_quantile
 from .model_selection import cross_validate, cv_candidates
-from .optimizer import estimate_curves, fit
+from .optimizer import _cox_warm_start, estimate_curves, fit
 
 logger = logging.getLogger(__name__)
 
@@ -171,15 +172,25 @@ def draw_covariates(n: int, structure: str, seed: int, p: int = 3) -> np.ndarray
     return eps @ L.T
 
 
-def _invert_cumhaz(Z: np.ndarray, targets: np.ndarray, sc: Scenario) -> np.ndarray:
+def _invert_cumhaz(Z: np.ndarray, targets: np.ndarray, sc: Scenario,
+                   cap: float = np.inf) -> np.ndarray:
     """Solve Lambda(T | z) = target per subject on the trapezoid grid.
 
     The cumulative hazard is piecewise-linearly interpolated between grid
-    points, so the inversion is exact for the interpolant; targets beyond
-    Lambda(t_max) return t_max (such subjects are always censored because
-    t_max is far past the administrative cap).
+    points, so the inversion is exact for the interpolant.  The hazard is
+    integrated up to the censoring cap only: the grid is the prefix of the
+    fixed [0, t_max] grid through one point past the first grid point at or
+    after ``cap``, and targets beyond its last value return inf.  Any time
+    past the cap is censored either way, so the observed data are those of
+    the full grid.  Without a cap below t_max the whole grid is used and
+    targets beyond Lambda(t_max) return t_max (such subjects are always
+    censored because t_max is far past the administrative cap).
     """
     t_grid = np.linspace(0.0, _T_MAX, int(round(_T_MAX / _T_STEP)) + 1)
+    right = None
+    if cap < _T_MAX:
+        t_grid = t_grid[:int(np.searchsorted(t_grid, cap)) + 2]
+        right = np.inf
     curves = sc.true_curves(t_grid)
     out = np.empty(Z.shape[0])
     log_lam0 = np.log(sc.baseline_hazard)
@@ -192,7 +203,7 @@ def _invert_cumhaz(Z: np.ndarray, targets: np.ndarray, sc: Scenario) -> np.ndarr
             [np.zeros((lam.shape[0], 1)), np.cumsum(steps, axis=1)], axis=1
         )
         for row, target in enumerate(targets[chunk]):
-            out[s + row] = np.interp(target, cum[row], t_grid)
+            out[s + row] = np.interp(target, cum[row], t_grid, right=right)
     return out
 
 
@@ -215,7 +226,7 @@ def generate(sc: Scenario) -> SurvivalDataset:
     u_cens = _uniforms(_rng(sc.seed, _SALT_CENSOR), sc.n)
 
     targets = -np.log1p(-u_event)
-    t_event = _invert_cumhaz(Z, targets, sc)
+    t_event = _invert_cumhaz(Z, targets, sc, cap=sc.admin_censor)
     t_cens = np.minimum(u_cens * sc.censor_upper, sc.admin_censor)
 
     time = np.minimum(t_event, t_cens)
@@ -315,6 +326,7 @@ def _run_one_rep(args):
     scenario, configs, rep, level, grid, keep_curves, candidates, folds = args
     sc_r = replace(scenario, seed=rep_seed(scenario.seed, rep))
     ds = generate(sc_r)
+    warm = None   # the dataset's Cox warm start, fitted once when first needed
     out = {}
     errors = []
     for cfg in configs:
@@ -322,7 +334,9 @@ def _run_one_rep(args):
             if candidates is not None:
                 cv = cross_validate(ds, cfg, candidates, folds, seed=sc_r.seed)
                 cfg = replace(cfg, K=cv.chosen_K)
-            model = fit(ds, cfg)
+            if warm is None:
+                warm = _cox_warm_start(ds)
+            model = fit(ds, cfg, _warm=warm)
             curves = estimate_curves(model, grid, level=level)
             out[cfg.variant] = (score(curves, sc_r), cfg.K, curves if keep_curves else None)
         except SttvError as exc:
@@ -384,7 +398,10 @@ def replicate(
     K, unless ``candidates`` is given: then each replication chooses every
     config's K by ``folds``-fold ``cross_validate`` over the candidates,
     with the replication's seed as the fold seed, and ``StudyResult.chosen_K``
-    records the choice.  Every setting is checked before the first rep.
+    records the choice.  Each replication fits the Cox warm start of its
+    dataset once and shares it among the configs' fits, each of which
+    applies its variant's fallback rule; the fits are those of separate
+    ``fit`` calls.  Every setting is checked before the first rep.
     Failed reps, in cross-validation or in the fit, are recorded and
     excluded from aggregates.  Results are identical for any jobs value
     because every rep derives its own seed.

@@ -57,8 +57,10 @@ def _effect(theta, alpha, eta: float, order: int = 0):
     exact = np.where(theta > alpha, m, np.where(theta < -alpha, p, 0.0))
     if eta == 0.0:
         return exact, None, None
-    u = m / eta
-    v = p / eta
+    # far-field quotients may overflow to inf; the far branch replaces them
+    with np.errstate(over="ignore"):
+        u = m / eta
+        v = p / eta
     far = (np.abs(u) > _FAR) & (np.abs(v) > _FAR)
     uc = np.clip(u, -_FAR, _FAR)
     vc = np.clip(v, -_FAR, _FAR)

@@ -85,8 +85,9 @@ def smooth_threshold_arrays_ref(theta, alpha, eta):
         return _maybe_scalar(out, scalar)
     m = theta - alpha
     p = theta + alpha
-    u = m / eta
-    v = p / eta
+    with np.errstate(over="ignore"):
+        u = m / eta
+        v = p / eta
     far = (np.abs(u) > _FAR) & (np.abs(v) > _FAR)
     uc = np.clip(u, -_FAR, _FAR)
     vc = np.clip(v, -_FAR, _FAR)
@@ -101,8 +102,9 @@ def smooth_threshold_d1_arrays_ref(theta, alpha, eta):
     alpha = np.asarray(alpha, dtype=float)
     theta = np.asarray(theta, dtype=float)
     scalar = theta.ndim == 0 and alpha.ndim == 0
-    u = (theta - alpha) / eta
-    v = (theta + alpha) / eta
+    with np.errstate(over="ignore"):
+        u = (theta - alpha) / eta
+        v = (theta + alpha) / eta
     far = (np.abs(u) > _FAR) & (np.abs(v) > _FAR)
     uc = np.clip(u, -_FAR, _FAR)
     vc = np.clip(v, -_FAR, _FAR)
@@ -118,8 +120,9 @@ def smooth_threshold_d2_arrays_ref(theta, alpha, eta):
     alpha = np.asarray(alpha, dtype=float)
     theta = np.asarray(theta, dtype=float)
     scalar = theta.ndim == 0 and alpha.ndim == 0
-    u = (theta - alpha) / eta
-    v = (theta + alpha) / eta
+    with np.errstate(over="ignore"):
+        u = (theta - alpha) / eta
+        v = (theta + alpha) / eta
     far = (np.abs(u) > _FAR) & (np.abs(v) > _FAR)
     uc = np.clip(u, -_FAR, _FAR)
     vc = np.clip(v, -_FAR, _FAR)
@@ -374,3 +377,31 @@ def mc_threshold_cdf(theta_tilde, alpha, sigma, xs, n_draws, seed):
                    np.where(draws < -alpha, draws + alpha, 0.0))
     out.sort()
     return np.searchsorted(out, xs, side="right") / n_draws
+
+
+# ----------------------------------------------------------------------
+# Event-time inversion on the full [0, 20] hazard grid, as the generator
+# did before it stopped integrating at the censoring cap
+# ----------------------------------------------------------------------
+
+def invert_cumhaz_full_grid_ref(Z, targets, sc):
+    """Solve Lambda(T | z) = target per subject on the whole trapezoid grid.
+
+    Same grid (20001 points on [0, 20]), same 128-subject chunks and the
+    same numpy calls as the generator, so the floats agree wherever the
+    event time is not censored; targets beyond Lambda(20) return 20.
+    """
+    t_grid = np.linspace(0.0, 20.0, 20001)
+    curves = sc.true_curves(t_grid)
+    out = np.empty(Z.shape[0])
+    log_lam0 = np.log(sc.baseline_hazard)
+    for s in range(0, Z.shape[0], 128):
+        chunk = slice(s, min(s + 128, Z.shape[0]))
+        lam = np.exp(log_lam0 + Z[chunk] @ curves)
+        steps = 0.5 * (lam[:, 1:] + lam[:, :-1]) * np.diff(t_grid)
+        cum = np.concatenate(
+            [np.zeros((lam.shape[0], 1)), np.cumsum(steps, axis=1)], axis=1
+        )
+        for row, target in enumerate(targets[chunk]):
+            out[s + row] = np.interp(target, cum[row], t_grid)
+    return out

@@ -394,8 +394,8 @@ class TestScore:
         assert score_rows == sim_rows
 
     @pytest.mark.parametrize(
-        "bad", [{"covariance": "bogus"}, {"n": -5}, {"n": "many"}, {"level": 1.5}],
-        ids=["covariance", "n", "n_text", "level"])
+        "bad", [{"covariance": "bogus"}, {"n": -5}, {"n": "many"}],
+        ids=["covariance", "n", "n_text"])
     def test_invalid_scenario_rejected(self, tmp_path, bad):
         curves = self.write_truth_curves(tmp_path / "curves.csv")
         config = tmp_path / "score.json"

@@ -132,6 +132,24 @@ class TestFit:
         assert calls["value_and_derivatives"] == m.n_iter + 1
         assert calls["penalized_loglik"] >= m.n_iter
 
+    @pytest.mark.parametrize("variant, seed", [("sttv", 0), ("regtv", 2)])
+    @pytest.mark.parametrize("multistart", [1, 3])
+    def test_score_cov_is_score_covariance_at_the_optimum(self, dataset_200, variant,
+                                                          seed, multistart):
+        cfg = sx.FitConfig(K=2, variant=variant, seed=seed, multistart=multistart)
+        m = sx.fit(dataset_200, cfg)
+        if multistart > 1:
+            # at these seeds the first of three starts wins, so the meat must
+            # come from the winning start's scan, not from the last one run
+            first = sx.fit(dataset_200, replace(cfg, multistart=1))
+            assert m.gamma_hat.tobytes() == first.gamma_hat.tobytes()
+        ws = sx.make_workspace(dataset_200, m.basis, m.rho)
+        cb = sx.CoefficientBlock(gamma=m.gamma_hat, thresholds=m.alphas, eta=cfg.eta)
+        want = sx.score_covariance(cb, dataset_200, ws)
+        assert m.score_cov.tobytes() == want.tobytes()
+        sandwich = m.neg_hessian_inv @ want @ m.neg_hessian_inv
+        assert m.sandwich.tobytes() == (0.5 * (sandwich + sandwich.T)).tobytes()
+
     def test_debug_line_per_accepted_iteration(self, dataset_200, caplog):
         with caplog.at_level("DEBUG", logger="sttvcox.optimizer"):
             m = sx.fit(dataset_200, sx.FitConfig(K=2, variant="sttv", seed=5))

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 import sttvcox as sx
+from oracles import invert_cumhaz_full_grid_ref
+from sttvcox import optimizer as opt
 from sttvcox import simulation as sim
 
 
@@ -125,6 +127,19 @@ class TestDrawEventTime:
             emp = (T > t).mean()
             assert emp == pytest.approx(np.exp(-lam * t), abs=0.01)
 
+    def test_times_past_the_cap_are_returned(self):
+        # draw_event_time integrates the whole grid whatever the censoring
+        # cap; at z = 0 the hazard is 1.7, so these times are 4.06 and 5.42
+        z = np.zeros(3)
+        for admin_censor in (0.5, 3.0):
+            sc = sx.Scenario(n=10, covariance="ind", seed=0, admin_censor=admin_censor)
+            for u in (0.999, 0.9999):
+                t = sx.draw_event_time(z, sc, u)
+                want = invert_cumhaz_full_grid_ref(
+                    z.reshape(1, -1), np.array([-np.log1p(-u)]), sc)[0]
+                assert t == want
+                assert admin_censor < t < 20.0
+
 
 class TestGenerate:
     def test_seed_determinism(self):
@@ -166,6 +181,24 @@ class TestGenerate:
                 sx.Scenario(**{"n": 10, **change})
             with pytest.raises(sx.ValidationError):
                 replace(base, **change)
+
+    # generate integrates the hazard only up to the censoring cap
+    @pytest.mark.parametrize("covariance", sim.COVARIANCES)
+    @pytest.mark.parametrize("admin_censor", [0.5, 2.5, 3.0, 25.0])
+    @pytest.mark.parametrize("n", [129, 300])      # partial last 128-subject chunk
+    def test_bytes_equal_full_grid_inversion(self, covariance, admin_censor, n,
+                                             monkeypatch):
+        sc = sx.Scenario(n=n, covariance=covariance, seed=n + 7,
+                         admin_censor=admin_censor)
+        got = sx.generate(sc)
+        monkeypatch.setattr(sim, "_invert_cumhaz",
+                            lambda Z, targets, sc, cap=None:
+                            invert_cumhaz_full_grid_ref(Z, targets, sc))
+        want = sx.generate(sc)
+        for name in ("time", "event", "covariates", "sort_index"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+        assert got.tau == want.tau == admin_censor
 
 
 class TestScore:
@@ -376,3 +409,66 @@ class TestReplicateWithCv:
     def test_jobs_below_one_rejected(self):
         with pytest.raises(sx.ValidationError, match="jobs must be >= 1"):
             sx.replicate(self.SCENARIO, self.CONFIGS, reps=1, jobs=0)
+
+
+def separating_dataset():
+    """Event order follows the first covariate, so the Cox fit diverges."""
+    n = 40
+    time = np.linspace(0.05, 2.9, n)
+    event = np.ones(n, dtype=bool)
+    event[::5] = False
+    rng = np.random.default_rng(3)
+    Z = np.column_stack([-time, rng.standard_normal((n, 2))])
+    return sx.make_dataset(time, event, Z, tau=3.0, covariate_names=("z1", "z2", "z3"))
+
+
+class TestOneWarmStartPerDataset:
+    """Both variants of a replication share the Cox warm start of its data."""
+
+    SCENARIO = sx.Scenario(n=60, covariance="ind", seed=17)
+    CONFIGS = [sx.FitConfig(K=2, variant=v, seed=17) for v in ("sttv", "regtv")]
+
+    @pytest.mark.parametrize("setting", [{}, {"candidates": (2, 3), "folds": 2}],
+                             ids=["fixed_K", "cv"])
+    def test_one_cox_fit_per_replication_dataset(self, setting, monkeypatch):
+        sizes = []
+        real = opt.fit_coxph
+        monkeypatch.setattr(opt, "fit_coxph", lambda ds: sizes.append(ds.n) or real(ds))
+        res = sx.replicate(self.SCENARIO, self.CONFIGS, reps=2, **setting)
+        assert res.failures == ()
+        # the fold fits of cross-validation see 30 rows; the full data 60
+        assert sizes.count(self.SCENARIO.n) == 2
+        if not setting:
+            assert len(sizes) == 2
+
+    def test_reports_equal_separate_fits(self):
+        res = sx.replicate(self.SCENARIO, self.CONFIGS, reps=2, keep_curves=True)
+        for rep in range(2):
+            sc_r = replace(self.SCENARIO, seed=sx.rep_seed(17, rep))
+            ds = sx.generate(sc_r)
+            for cfg in self.CONFIGS:
+                curves = sx.estimate_curves(sx.fit(ds, cfg), sx.metric_grid(sc_r))
+                assert_reports_equal(res.reports[cfg.variant][rep], sx.score(curves, sc_r))
+                kept = res.curves[cfg.variant][rep]
+                for name in ("theta_hat", "beta_hat", "sigma_hat", "ci_lower", "ci_upper"):
+                    assert getattr(kept, name).tobytes() == getattr(curves, name).tobytes()
+
+    def test_separation_fails_sttv_and_regtv_falls_back(self, monkeypatch, caplog):
+        ds = separating_dataset()
+        sc = sx.Scenario(n=ds.n, covariance="ind", seed=3)
+        sttv, regtv = self.CONFIGS
+        with pytest.raises(sx.SeparationError) as separated:
+            sx.fit(ds, sttv)
+        message = str(separated.value)
+        assert message.startswith("monotone likelihood")
+        monkeypatch.setattr(sim, "generate", lambda sc: ds)
+        caplog.clear()
+        with caplog.at_level("WARNING", logger="sttvcox.optimizer"):
+            res = sx.replicate(sc, self.CONFIGS, reps=1)
+        warnings = [r.getMessage() for r in caplog.records if r.name == "sttvcox.optimizer"]
+        assert res.failures == ((0, "sttv", message),)
+        assert warnings == [f"warm start failed ({message}); starting from zero coefficients"]
+        model = sx.fit(ds, regtv)
+        assert model.warm_start is None
+        curves = sx.estimate_curves(model, sx.metric_grid(sc))
+        assert_reports_equal(res.reports["regtv"][0], sx.score(curves, sc))

@@ -188,7 +188,6 @@ def assert_matches_refs(theta, alpha, eta):
         assert_same_bits(sx.soft_threshold(theta, alpha), REFS[0](theta, alpha, 0.0))
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 class TestEffectKernel:
     """The one kernel behind the surrogate, bit for bit against the references."""
 
