@@ -181,11 +181,18 @@ def _open_output(args, config: dict, seed: int) -> str:
 
 def _load_input(args, config: dict):
     """The survival CSV named by --input, truncated at --tau when given; fit
-    and cv read it, and both need at least one event."""
+    and cv read it, and both need at least one event and a --tau no later
+    than the last observed time."""
     input_path = _require(_merged(args, config, "input", None), "--input")
     ds = load_csv(input_path, tau=_setting(args, config, "tau", None, float))
     if ds.n_events == 0:
         raise ValidationError(f"{input_path}: no events to fit")
+    last = float(ds.time[-1])
+    if ds.tau > last:
+        # the spline knots would spread over follow-up without data
+        raise ValidationError(
+            f"--tau {ds.tau} is past the last observed time {last} in {input_path}"
+        )
     return ds
 
 
@@ -305,6 +312,17 @@ def _constant_curves(fitres, names, grid: np.ndarray) -> CurveEstimate:
     )
 
 
+def _fit_model(ds, cfg: FitConfig):
+    """fit(ds, cfg) for fit and cv --refit; an unconverged model logs one WARNING."""
+    model = fit(ds, cfg)
+    if not model.converged:
+        logger.warning(
+            "fit did not converge: stop reason %s, gradient max-norm %.3e",
+            model.stop_reason, model.final_grad_norm,
+        )
+    return model
+
+
 def _write_fit_outputs(outdir: str, doc: dict, curves: CurveEstimate, scales=None) -> None:
     """model.json and curves.csv, shared by fit and cv --refit."""
     _write_json(os.path.join(outdir, "model.json"), doc)
@@ -351,7 +369,7 @@ def cmd_fit(args, config: dict) -> int:
             "version": __version__,
         }
     else:
-        model = fit(ds_fit, cfg)
+        model = _fit_model(ds_fit, cfg)
         curves = estimate_curves(model, grid, _LEVEL)
         doc = _model_doc(model, standardize_doc)
 
@@ -391,7 +409,7 @@ def cmd_cv(args, config: dict) -> int:
     )
 
     if refit:
-        model = fit(ds, replace(cfg, K=result.chosen_K))
+        model = _fit_model(ds, replace(cfg, K=result.chosen_K))
         curves = estimate_curves(model, grid, _LEVEL)
         _write_fit_outputs(outdir, _model_doc(model, None), curves)
     return 0

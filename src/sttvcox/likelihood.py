@@ -150,34 +150,16 @@ def linear_predictor(cb: CoefficientBlock, z, Bt) -> float:
     return float(z @ h)
 
 
-def _risk_set_totals(G: np.ndarray, starts: np.ndarray, Z: np.ndarray, order: int):
-    """Breslow risk-set totals of each event, in blocks of _BLOCK_EVENTS events.
+def _risk_weights(G: np.ndarray, starts: np.ndarray, mx: np.ndarray, s0: np.ndarray):
+    """The weights half of the risk-set kernel: yields (r0, W) per block.
 
-    Row e of G holds the linear predictors of all n subjects at event e,
-    whose risk set is the suffix ``starts[e]:`` of the time-sorted rows.
-    Returns logS0 (m,), the log-sum-exp of the risk-set predictors, and
-    for order >= 1 the weighted mean Ebar (m, p) of Z, for order >= 2 the
-    weighted covariance V (m, p, p).  Each event subtracts its own
-    risk-set maximum before exponentiating.
-
-    Every float equals that of a loop over single events.  A block of k
-    events whose first risk-set start is r0 copies G[block, r0:] into a
-    (k, n - r0 + 1) matrix behind one leading column, and masks each row
-    left of its own start with -inf.  The row max and W = exp(row - max)
-    are elementwise, and masked entries become exp(-inf) = 0.
-    ``np.add.reduceat`` over [a, b) gives x[a] + pairwise(x[a+1:b]) where
-    ``ndarray.sum`` gives pairwise(x), so each row's segment starts on the
-    masked zero just before its suffix (hence the leading column); zero
-    padding at the row end, or one dense (m, n) matrix, would change the
-    pairwise split.  BLAS gemv and gemm are not invariant to zero padding
-    either, so the weighted sums of Z stay one product per event, on views
-    of W.  The normalizations run once over all events.
+    A block holds _BLOCK_EVENTS events (fewer in the last one); r0 is its
+    first risk-set start and W its (k, n - r0 + 1) matrix of
+    exp(predictor - row max) behind one leading zero column.  Each block's
+    row maxima and risk-set sums are written into ``mx`` and ``s0`` before
+    the block is yielded.  See ``_risk_set_totals``.
     """
-    m, n, p = G.shape[0], G.shape[1], Z.shape[1]
-    mx = np.zeros(m)
-    s0 = np.zeros(m)
-    S1 = np.zeros((m, p)) if order >= 1 else None
-    S2 = np.zeros((m, p, p)) if order >= 2 else None
+    m, n = G.shape
     for b0 in range(0, m, _BLOCK_EVENTS):
         rs = starts[b0:b0 + _BLOCK_EVENTS]
         k, r0 = rs.shape[0], int(rs.min())
@@ -194,28 +176,94 @@ def _risk_set_totals(G: np.ndarray, starts: np.ndarray, Z: np.ndarray, order: in
         row = np.arange(k) * width
         idx = np.stack([row + rel, row + width], axis=1).ravel()[:-1]
         s0[block] = np.add.reduceat(W.ravel(), idx)[0::2]
-        for i in range(k if order >= 1 else 0):
-            w = W[i, rel[i] + 1:]
-            Zr = Z[rs[i]:]
-            S1[b0 + i] = w @ Zr
+        yield r0, W
+
+
+def _risk_moments(blocks, starts: np.ndarray, Z: np.ndarray, order: int):
+    """The moments half: (S1, S2) from the ``_risk_weights`` blocks.
+
+    S1 (m, p) holds the weighted sums of Z over each risk set for order
+    >= 1, S2 (m, p, p) those of Z Z' for order >= 2; entries past the
+    order are None.  The blocks are consumed at every order, so a
+    ``_risk_weights`` generator fills its mx and s0 at order 0 too.
+    """
+    (n, p), m = Z.shape, starts.shape[0]
+    S1 = np.zeros((m, p)) if order >= 1 else None
+    S2 = np.zeros((m, p, p)) if order >= 2 else None
+    if order >= 2:
+        ZT = np.ascontiguousarray(Z.T)
+        t_buf = np.empty((p, n))
+    starts = starts.tolist()
+    e = 0
+    for r0, W in blocks:
+        for i in range(W.shape[0] if order >= 1 else 0):
+            r = starts[e + i]
+            w = W[i, r - r0 + 1:]
+            Zr = Z[r:]
+            np.matmul(w, Zr, out=S1[e + i])
             if order >= 2:
-                S2[b0 + i] = Zr.T @ (w[:, None] * Zr)
+                t = np.multiply(ZT[:, r:], w, out=t_buf[:, :n - r])
+                np.matmul(Zr.T, t.T, out=S2[e + i])
+        e += W.shape[0]
+    return S1, S2
+
+
+def _normalized(mx: np.ndarray, s0: np.ndarray, S1, S2):
+    """(logS0, Ebar, V) from row maxima, risk-set sums and moment sums."""
     logS0 = mx + np.log(s0)
-    Ebar = S1 / s0[:, None] if order >= 1 else None
-    V = S2 / s0[:, None, None] - Ebar[:, :, None] * Ebar[:, None, :] if order >= 2 else None
+    Ebar = S1 / s0[:, None] if S1 is not None else None
+    V = S2 / s0[:, None, None] - Ebar[:, :, None] * Ebar[:, None, :] if S2 is not None else None
     return logS0, Ebar, V
 
 
-def _event_totals(H: np.ndarray, Z: np.ndarray, events: np.ndarray, starts: np.ndarray,
-                  order: int):
-    """Own predictors and risk-set totals for per-event effect rows H (m, p).
+def _risk_set_totals(G: np.ndarray, starts: np.ndarray, Z: np.ndarray, order: int):
+    """Breslow risk-set totals of each event, in blocks of _BLOCK_EVENTS events.
 
-    The predictors H @ Z.T are built in chunks of events so the matrix
-    stays within _CHUNK_BUDGET floats.  Returns own_g (m,) and the
-    ``_risk_set_totals`` triple.
+    Row e of G holds the linear predictors of all n subjects at event e,
+    whose risk set is the suffix ``starts[e]:`` of the time-sorted rows.
+    Returns logS0 (m,), the log-sum-exp of the risk-set predictors, and
+    for order >= 1 the weighted mean Ebar (m, p) of Z, for order >= 2 the
+    weighted covariance V (m, p, p).  Each event subtracts its own
+    risk-set maximum before exponentiating.
+
+    The kernel has two halves.  The weights half (``_risk_weights``) forms,
+    per block, the weights W with their row maxima and sums s0; the
+    moments half (``_risk_moments``) forms the weighted sums of Z and Z Z'
+    one event at a time from W.  An order-0 scan needs only the first half,
+    and a derivative scan at the same predictors can reuse its blocks.
+
+    Every float equals that of a loop over single events.  A block of k
+    events whose first risk-set start is r0 copies G[block, r0:] into a
+    (k, n - r0 + 1) matrix behind one leading column, and masks each row
+    left of its own start with -inf.  The row max and W = exp(row - max)
+    are elementwise, and masked entries become exp(-inf) = 0.
+    ``np.add.reduceat`` over [a, b) gives x[a] + pairwise(x[a+1:b]) where
+    ``ndarray.sum`` gives pairwise(x), so each row's segment starts on the
+    masked zero just before its suffix (hence the leading column); zero
+    padding at the row end, or one dense (m, n) matrix, would change the
+    pairwise split.  BLAS gemv and gemm are not invariant to zero padding
+    either, so the weighted sums of Z stay one product per event, on views
+    of W.  The second moment of event e with risk set Zr = Z[r:] is
+    ``Zr.T @ t.T``, where t = Z.T[:, r:] * w is formed from a C-contiguous
+    copy of Z.T into a reused (p, n) buffer: the same products as the loop's
+    ``Zr.T @ (w[:, None] * Zr)`` without its temporaries, and the same gemm
+    result under every OpenBLAS core type tried.  ``Z.T[:, r:] @ t.T``
+    and a Fortran-ordered Z reach other floats and are not used.  The
+    normalizations run once over all events.
+    """
+    m = G.shape[0]
+    mx, s0 = np.zeros(m), np.zeros(m)
+    S1, S2 = _risk_moments(_risk_weights(G, starts, mx, s0), starts, Z, order)
+    return _normalized(mx, s0, S1, S2)
+
+
+def _weight_chunks(H: np.ndarray, Z: np.ndarray, events: np.ndarray, starts: np.ndarray):
+    """Per chunk of events: (rows, own_g, mx, s0, ``_risk_weights`` blocks).
+
+    The predictors H @ Z.T of a chunk stay within _CHUNK_BUDGET floats; mx
+    and s0 are filled as the blocks are consumed.
     """
     chunk = max(1, _CHUNK_BUDGET // max(Z.shape[0], 1))
-    parts = []
     # without events one empty chunk still runs and gives the output shapes
     for s in range(0, max(H.shape[0], 1), chunk):
         rows = slice(s, s + chunk)
@@ -226,16 +274,45 @@ def _event_totals(H: np.ndarray, Z: np.ndarray, events: np.ndarray, starts: np.n
                 f"non-finite linear predictor at observation {int(bad[1])} "
                 f"(event {int(s + bad[0])})"
             )
-        own_g = G[np.arange(G.shape[0]), events[rows]]
-        parts.append((own_g, *_risk_set_totals(G, starts[rows], Z, order)))
+        c = G.shape[0]
+        mx, s0 = np.zeros(c), np.zeros(c)
+        yield rows, G[np.arange(c), events[rows]], mx, s0, _risk_weights(G, starts[rows], mx, s0)
+
+
+def _event_totals(H: np.ndarray, Z: np.ndarray, events: np.ndarray, starts: np.ndarray,
+                  order: int, keep: list | None = None, reuse: list | None = None):
+    """Own predictors and risk-set totals for per-event effect rows H (m, p).
+
+    Returns own_g (m,) and the ``_risk_set_totals`` triple, chunk by chunk
+    of ``_weight_chunks``.  A ``keep`` list gets each chunk's (rows, own_g,
+    mx, s0, blocks) while the kept blocks total at most _CHUNK_BUDGET
+    floats, and is emptied once they pass it.  Given such a list as
+    ``reuse``, no predictors are built: only the moments half runs.
+    """
+    kept = 0
+    parts = []
+    for rows, own_g, mx, s0, blocks in reuse or _weight_chunks(H, Z, events, starts):
+        if keep is not None and kept <= _CHUNK_BUDGET:
+            blocks = list(blocks)
+            kept += sum(W.size for _, W in blocks)
+            keep.append((rows, own_g, mx, s0, blocks))
+            if kept > _CHUNK_BUDGET:
+                keep.clear()
+        S1, S2 = _risk_moments(blocks, starts[rows], Z, order)   # fills mx, s0
+        parts.append((own_g, *_normalized(mx, s0, S1, S2)))
     return [None if part[0] is None else np.concatenate(part) for part in zip(*parts)]
 
 
-def _scan(cb: CoefficientBlock, ds: SurvivalDataset, ws: LikelihoodWorkspace, order: int):
+def _scan(cb: CoefficientBlock, ds: SurvivalDataset, ws: LikelihoodWorkspace, order: int,
+          weights: list | None = None):
     """One pass over events: per-event risk totals up to the given order.
 
     Returns own_g, logS0 (both (m,)), and for order >= 1 also Ebar (m, p),
     h1 (m, p); for order >= 2 also V (m, p, p), h2 (m, p).
+
+    A ``weights`` list is emptied, then an order-0 scan refills it with
+    (cb, its kept weight chunks) when ``_event_totals`` kept them all; a
+    higher-order scan of that same cb takes its chunks as ``reuse``.
     """
     _check_dims(cb, ds, ws)
     if cb.thresholds is not None and order >= 1 and cb.eta == 0.0:
@@ -244,8 +321,16 @@ def _scan(cb: CoefficientBlock, ds: SurvivalDataset, ws: LikelihoodWorkspace, or
     B_ev = ws.basis_at_times[ws.event_rows]
     theta = B_ev @ cb.gamma.T                       # (m, p)
     h, h1, h2 = _effect(theta, cb.thresholds, cb.eta, order)
+    keep = reuse = None
+    if weights is not None:
+        if order >= 1 and weights and weights[0] is cb:
+            reuse = weights[1]
+        weights.clear()
+        keep = [] if order == 0 else None
     own_g, logS0, Ebar, V = _event_totals(h, ds.covariates, ws.event_rows,
-                                          ws.risk_starts, order)
+                                          ws.risk_starts, order, keep, reuse)
+    if keep:
+        weights[:] = (cb, keep)
     return own_g, logS0, Ebar, h1, V, h2, B_ev
 
 
@@ -262,12 +347,13 @@ def _einsum_blocks(M: np.ndarray, B_ev: np.ndarray, p: int, q: int) -> np.ndarra
 
 
 def _evaluate(cb: CoefficientBlock, ds: SurvivalDataset, ws: LikelihoodWorkspace, order: int,
-              keep: list | None = None):
+              keep: list | None = None, weights: list | None = None):
     """(value, gradient or None, Hessian or None) from one scan of the given order.
 
-    A ``keep`` list is refilled with the scan's (h', V, event basis rows).
+    A ``keep`` list is refilled with the scan's (h', V, event basis rows);
+    ``weights`` is passed on to ``_scan``.
     """
-    own_g, logS0, Ebar, h1, V, h2, B_ev = _scan(cb, ds, ws, order)
+    own_g, logS0, Ebar, h1, V, h2, B_ev = _scan(cb, ds, ws, order, weights)
     if keep is not None:
         keep[:] = (h1, V, B_ev)
     p, q = cb.p, cb.q
@@ -286,9 +372,16 @@ def _evaluate(cb: CoefficientBlock, ds: SurvivalDataset, ws: LikelihoodWorkspace
     return value, grad, H
 
 
-def penalized_loglik(cb: CoefficientBlock, ds: SurvivalDataset, ws: LikelihoodWorkspace) -> float:
-    """Value of the smoothed penalized log partial likelihood."""
-    return _evaluate(cb, ds, ws, order=0)[0]
+def penalized_loglik(cb: CoefficientBlock, ds: SurvivalDataset, ws: LikelihoodWorkspace,
+                     *, _keep: list | None = None) -> float:
+    """Value of the smoothed penalized log partial likelihood.
+
+    ``_keep`` is internal to the Newton line search: a list refilled with
+    this scan's risk-set weights while they fit in _CHUNK_BUDGET floats, and
+    left empty otherwise, for ``value_and_derivatives(..., _reuse=)`` at the
+    accepted trial.
+    """
+    return _evaluate(cb, ds, ws, order=0, weights=_keep)[0]
 
 
 def gradient(cb: CoefficientBlock, ds: SurvivalDataset, ws: LikelihoodWorkspace) -> np.ndarray:
@@ -318,11 +411,15 @@ def _score_cov(h1: np.ndarray, V: np.ndarray, B_ev: np.ndarray, p: int, q: int) 
 
 
 def value_and_derivatives(cb: CoefficientBlock, ds: SurvivalDataset, ws: LikelihoodWorkspace,
-                          *, _keep: list | None = None):
+                          *, _keep: list | None = None, _reuse: list | None = None):
     """(value, gradient, hessian) sharing a single event scan.
 
-    ``_keep`` is internal to ``fit``: a list refilled with the scan's
-    (h', V, event basis rows), so that the sandwich meat at the optimum
-    comes from the optimizer's last scan, not from one more.
+    ``_keep`` and ``_reuse`` are internal to ``fit``.  ``_keep`` is a list
+    refilled with the scan's (h', V, event basis rows), so that the
+    sandwich meat at the optimum comes from the optimizer's last scan, not
+    from one more.  ``_reuse`` is a ``penalized_loglik`` ``_keep`` list;
+    when it holds the weights of this very cb, the scan builds no
+    predictors and runs only the effect derivatives and the moments half,
+    with the same floats.  It is emptied either way.
     """
-    return _evaluate(cb, ds, ws, order=2, keep=_keep)
+    return _evaluate(cb, ds, ws, order=2, keep=_keep, weights=_reuse)

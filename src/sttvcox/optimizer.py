@@ -10,11 +10,16 @@ Cox model.
 
 Newton directions come from the negative Hessian with a Levenberg-style
 diagonal shift (lambda growing tenfold from 1e-6 whenever the
-factorization fails), followed by Armijo backtracking.  Trial points of
-the line search are scored by the objective value alone (an order-0 event
-scan); the gradient and Hessian are formed once per accepted iterate.  The
-value of that scan is the same float the derivative scan gives, so scoring
-trials this way leaves the iterates unchanged.  Iteration stops when the
+factorization or the solve fails), followed by Armijo backtracking.  Trial
+points of the line search are scored by the objective value alone (an
+order-0 event scan); the gradient and Hessian are formed once per accepted
+iterate.  The value of that scan is the same float the derivative scan
+gives, so scoring trials this way leaves the iterates unchanged.  The
+accepted trial's risk-set weights (its predictors, row maxima, sums and
+exponentials) serve the derivative pass at the same point, which then adds
+only the effect derivatives and the weighted moments; a trial whose
+weights pass the likelihood's chunk budget keeps none, and the derivative
+pass forms them afresh with the same floats.  Iteration stops when the
 gradient max-norm drops below tol_grad, or when the objective stalls
 (relative change below 1e-10 on three consecutive iterations); only the
 gradient criterion sets ``converged``.  Each accepted iteration logs one
@@ -158,6 +163,7 @@ def _newton(cb0: CoefficientBlock, ds: SurvivalDataset, ws: LikelihoodWorkspace,
     gamma = cb0.gamma.copy()
     cb = replace(cb0, gamma=gamma)
     scan: list = []   # h', V and event basis rows of the latest derivative scan
+    weights: list = []   # risk-set weights of the latest trial, while they fit the budget
     value, grad, hess = value_and_derivatives(cb, ds, ws, _keep=scan)
     gnorm = float(np.max(np.abs(grad)))
     path = [value]
@@ -180,10 +186,11 @@ def _newton(cb0: CoefficientBlock, ds: SurvivalDataset, ws: LikelihoodWorkspace,
             A = -hess + lam * eye if lam else -hess
             try:
                 np.linalg.cholesky(A)
+                # a matrix cholesky accepts can still be singular to solve
+                delta = np.linalg.solve(A, grad)
             except np.linalg.LinAlgError:
                 lam = max(10.0 * lam, _LAM_MIN)
                 continue
-            delta = np.linalg.solve(A, grad)
             slope = float(grad @ delta)
             if slope <= 0:
                 lam = max(10.0 * lam, _LAM_MIN)
@@ -194,7 +201,7 @@ def _newton(cb0: CoefficientBlock, ds: SurvivalDataset, ws: LikelihoodWorkspace,
                 cb_trial = replace(cb, gamma=trial)
                 trials += 1
                 try:
-                    new_value = penalized_loglik(cb_trial, ds, ws)
+                    new_value = penalized_loglik(cb_trial, ds, ws, _keep=weights)
                 except NumericError:
                     new_value = -np.inf
                 if new_value >= value + _ARMIJO * scale * slope:
@@ -212,7 +219,7 @@ def _newton(cb0: CoefficientBlock, ds: SurvivalDataset, ws: LikelihoodWorkspace,
         rel = abs(new_value - value) / (abs(value) + 1.0)
         stall = stall + 1 if rel < _STALL_REL else 0
         gamma, cb = trial, cb_trial
-        value, grad, hess = value_and_derivatives(cb, ds, ws, _keep=scan)
+        value, grad, hess = value_and_derivatives(cb, ds, ws, _keep=scan, _reuse=weights)
         gnorm = float(np.max(np.abs(grad)))
         path.append(value)
         n_iter += 1

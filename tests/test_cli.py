@@ -2,11 +2,13 @@
 
 import csv
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import sttvcox as sx
+from sttvcox import cli
 from sttvcox.cli import main
 from sttvcox.reporting import CURVE_COLUMNS, read_curve_table
 
@@ -67,9 +69,11 @@ EXIT_2_CASES = {
     "fit_two_alphas_for_three_covariates":
         ("fit", "data20", [], {"alpha_override": [0.1, 0.2]}),
     "fit_no_events": ("fit", "censored20", [], None),
+    "fit_tau_past_last_time": ("fit", "data20", ["--tau", 100], None),
     "cv_eta_zero": ("cv", "data60", ["--eta", 0, "--folds", 2], None),
     "cv_multistart_zero": ("cv", "data60", ["--multistart", 0, "--folds", 2], None),
     "cv_no_events": ("cv", "censored20", ["--folds", 2], None),
+    "cv_tau_past_last_time": ("cv", "data60", ["--folds", 2], {"tau": 100}),
     "cv_negative_seed": ("cv", "data60", ["--seed", -1, "--folds", 2], None),
     "cv_fractional_candidate": ("cv", "data60", ["--folds", 2], {"candidates": [2.5, 3]}),
     "cv_coxph_variant": ("cv", "data60", ["--folds", 2], {"variant": "coxph"}),
@@ -98,6 +102,28 @@ def test_exit_2_leaves_no_output(case, tmp_path, request):
         argv += ["--config", path]
     assert run(*argv) == 2
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["fit", "--K", 2], ["cv", "--candidates", "2,3", "--folds", 3, "--refit"]],
+    ids=["fit", "cv_refit"],
+)
+def test_unconverged_fit_logs_one_warning(argv, data60, tmp_path, monkeypatch, caplog):
+    def warnings():
+        return [r.getMessage() for r in caplog.records
+                if r.name == "sttvcox.cli" and r.levelname == "WARNING"]
+
+    argv = [*argv, "--input", data60, "--grid-points", 30, "--output"]
+    with caplog.at_level("WARNING", logger="sttvcox.cli"):
+        assert run(*argv, tmp_path / "converged") == 0
+        assert warnings() == []
+        real = cli.fit
+        monkeypatch.setattr(cli, "fit", lambda ds, cfg: replace(
+            real(ds, cfg), converged=False, stop_reason="stalled", final_grad_norm=2.5e-3
+        ))
+        assert run(*argv, tmp_path / "stalled") == 0
+    assert warnings() == ["fit did not converge: stop reason stalled, gradient max-norm 2.500e-03"]
 
 
 class TestFit:

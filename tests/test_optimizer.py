@@ -150,6 +150,79 @@ class TestFit:
         sandwich = m.neg_hessian_inv @ want @ m.neg_hessian_inv
         assert m.sandwich.tobytes() == (0.5 * (sandwich + sandwich.T)).tobytes()
 
+    def test_singular_newton_solve_raises_damping(self, dataset_200, monkeypatch, caplog):
+        warm = optimizer._cox_warm_start(dataset_200)
+        real = np.linalg.solve
+        failures = []
+
+        def solve_fails_once(A, b):
+            if not failures:
+                failures.append(A)
+                raise np.linalg.LinAlgError("Singular matrix")
+            return real(A, b)
+
+        monkeypatch.setattr(np.linalg, "solve", solve_fails_once)
+        with caplog.at_level("DEBUG", logger="sttvcox.optimizer"):
+            m = sx.fit(dataset_200, sx.FitConfig(K=2, variant="sttv", seed=5), _warm=warm)
+        assert len(failures) == 1
+        first = next(r.getMessage() for r in caplog.records
+                     if r.getMessage().startswith("newton iter 1:"))
+        assert "lambda 1.0e-06," in first
+        assert m.converged and m.stop_reason == "gradient"
+        assert (np.diff(m.loglik_path) >= 0).all()
+
+    @staticmethod
+    def line_search(monkeypatch, keep=True, overflow_first=False):
+        """Patch the trial scorer: optionally drop the kept risk-set weights,
+        so every derivative scan starts afresh, and overflow the first trial.
+
+        Returns the list of ``_keep`` contents seen when that trial raised.
+        """
+        real = optimizer.penalized_loglik
+        raised = []
+
+        def trial(cb, ds, ws, _keep=None):
+            _keep = _keep if keep else None
+            if not overflow_first or raised:
+                return real(cb, ds, ws, _keep=_keep)
+            huge = replace(cb, gamma=np.full_like(cb.gamma, np.finfo(float).max))
+            try:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    return real(huge, ds, ws, _keep=_keep)
+            except sx.NumericError:
+                raised.append(None if _keep is None else list(_keep))
+                raise
+
+        monkeypatch.setattr(optimizer, "penalized_loglik", trial)
+        return raised
+
+    def test_failed_first_trial_matches_fit_with_nothing_kept(self, dataset_200,
+                                                              monkeypatch, caplog):
+        # the first line-search trial overflows, so a later halving is accepted
+        cfg = sx.FitConfig(K=2, variant="sttv", seed=5)
+        raised = self.line_search(monkeypatch, overflow_first=True)
+        with caplog.at_level("DEBUG", logger="sttvcox.optimizer"):
+            got = sx.fit(dataset_200, cfg)
+        assert raised == [[]]
+        first = next(r.getMessage() for r in caplog.records
+                     if r.getMessage().startswith("newton iter 1:"))
+        assert "halvings 0," not in first
+        raised = self.line_search(monkeypatch, keep=False, overflow_first=True)
+        want = sx.fit(dataset_200, cfg)
+        assert raised == [None]
+        for name in ("gamma_hat", "loglik_path", "sandwich", "score_cov"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+
+    @pytest.mark.parametrize("variant", ["sttv", "regtv"])
+    def test_multistart_fit_matches_fit_with_nothing_kept(self, dataset_200, monkeypatch,
+                                                          variant):
+        cfg = sx.FitConfig(K=2, variant=variant, seed=5, multistart=3)
+        got = sx.fit(dataset_200, cfg)
+        self.line_search(monkeypatch, keep=False)
+        want = sx.fit(dataset_200, cfg)
+        for name in ("gamma_hat", "loglik_path", "sandwich"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+
     def test_debug_line_per_accepted_iteration(self, dataset_200, caplog):
         with caplog.at_level("DEBUG", logger="sttvcox.optimizer"):
             m = sx.fit(dataset_200, sx.FitConfig(K=2, variant="sttv", seed=5))

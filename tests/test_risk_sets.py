@@ -7,10 +7,12 @@ partial likelihood and the held-out CV error with the loop references in
 ``oracles.py``.  The kernel itself is checked bit for bit against the
 per-event loop it replaced, also on seeded cases up to n = 20000, and the
 value of an order-0 scan against the value of the order-2 scan, which the
-Newton line search relies on.
+Newton line search relies on.  A derivative scan that reuses the weights of
+an order-0 scan at the same coefficients is checked against a fresh one.
 """
 
 import math
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -19,6 +21,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sttvcox as sx
+from sttvcox import likelihood
 from oracles import (
     coxph_loglik_ref,
     penalized_loglik_ref,
@@ -252,3 +255,101 @@ class TestKernelCallers:
             own = float(ds.covariates[i] @ beta)
             want -= own - (m + math.log(sum(math.exp(v - m) for v in terms)))
         assert got == pytest.approx(want, rel=1e-10, abs=tolerance(ds, gamma))
+
+
+def censored_head_case(thresholded):
+    """n = 400 with heavy ties, the earliest 60% of times censored, p = 3.
+
+    Every risk set starts past row 240, so two chunks of events keep fewer
+    weights than the predictors of one chunk hold.
+    """
+    rng = np.random.default_rng(21)
+    n = 400
+    time = np.sort(rng.integers(1, 120, n)) * 0.025
+    event = rng.random(n) < 0.8
+    event[: int(0.6 * n)] = False
+    ds = sx.make_dataset(time, event, rng.choice([1.0, 30.0]) * rng.normal(size=(n, 3)))
+    ws = sx.make_workspace(ds, sx.make_basis(K, D, ds.tau), 0.5)
+    cb = sx.CoefficientBlock(
+        gamma=0.3 * rng.normal(size=(3, Q)),
+        thresholds=np.array([0.05, 0.1, 0.2]) if thresholded else None,
+        eta=0.01,
+    )
+    return ds, ws, cb
+
+
+def scan_and_reuse(cb, ds, ws, monkeypatch):
+    """(kept chunk count, fresh scans during the reuse, reused result, its _keep)."""
+    weights = []
+    value = sx.penalized_loglik(cb, ds, ws, _keep=weights)
+    kept = len(weights[1]) if weights else 0
+    fresh = []
+    real = likelihood._weight_chunks
+    monkeypatch.setattr(likelihood, "_weight_chunks",
+                        lambda *a: fresh.append(1) or real(*a))
+    scan = []
+    got = sx.value_and_derivatives(cb, ds, ws, _keep=scan, _reuse=weights)
+    monkeypatch.setattr(likelihood, "_weight_chunks", real)
+    assert weights == []
+    assert value.hex() == got[0].hex()
+    return kept, len(fresh), got, scan
+
+
+def assert_same_scan(got, got_scan, want, want_scan):
+    assert got[0].hex() == want[0].hex()
+    for g, w in zip((*got[1:], *got_scan), (*want[1:], *want_scan)):
+        assert g.shape == w.shape and g.tobytes() == w.tobytes()
+
+
+class TestReusedWeights:
+    # budget: None keeps the default (one chunk), "two_kept" gives two chunks
+    # whose weights are kept, 2000 gives five-event chunks and keeps nothing
+    @pytest.mark.parametrize("budget, kept", [(None, 1), ("two_kept", 2), (2000, 0)])
+    @pytest.mark.parametrize("thresholded", [True, False], ids=["sttv", "regtv"])
+    def test_reused_weights_match_fresh_scan_bitwise(self, monkeypatch, budget, kept,
+                                                     thresholded):
+        ds, ws, cb = censored_head_case(thresholded)
+        want_scan = []
+        want = sx.value_and_derivatives(cb, ds, ws, _keep=want_scan)
+        if budget == "two_kept":
+            budget = ds.n * (ds.n_events // 2 + 1)
+        if budget is not None:
+            monkeypatch.setattr(likelihood, "_CHUNK_BUDGET", budget)
+        n_kept, fresh, got, got_scan = scan_and_reuse(cb, ds, ws, monkeypatch)
+        assert (n_kept, fresh) == (kept, 0 if kept else 1)
+        assert_same_scan(got, got_scan, want, want_scan)
+
+    @bounded
+    @given(case=cases(), thresholded=st.booleans())
+    @example(case=SINGLE_EVENT, thresholded=True)
+    def test_reuse_on_adversarial_cases(self, case, thresholded):
+        ds, gamma, alphas = case
+        ws = sx.make_workspace(ds, sx.make_basis(K, D, ds.tau), 0.5)
+        cb = sx.CoefficientBlock(
+            gamma=gamma, thresholds=alphas if thresholded else None, eta=0.01
+        )
+        want_scan = []
+        want = sx.value_and_derivatives(cb, ds, ws, _keep=want_scan)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            n_kept, fresh, got, got_scan = scan_and_reuse(cb, ds, ws, monkeypatch)
+        assert (n_kept, fresh) == (1, 0)
+        assert_same_scan(got, got_scan, want, want_scan)
+
+    def test_weights_of_other_coefficients_are_not_used(self):
+        ds, ws, cb = censored_head_case(True)
+        other = replace(cb, gamma=1.5 * cb.gamma)
+        weights = []
+        sx.penalized_loglik(other, ds, ws, _keep=weights)
+        assert weights and weights[0] is other
+        got = sx.value_and_derivatives(cb, ds, ws, _reuse=weights)
+        want = sx.value_and_derivatives(cb, ds, ws)
+        assert weights == []
+        assert_same_scan(got, [], want, [])
+
+    def test_failed_scan_leaves_nothing_kept(self):
+        ds, ws, cb = censored_head_case(False)
+        weights = ["stale"]
+        huge = replace(cb, gamma=np.full_like(cb.gamma, np.finfo(float).max))
+        with pytest.raises(sx.NumericError), np.errstate(over="ignore", invalid="ignore"):
+            sx.penalized_loglik(huge, ds, ws, _keep=weights)
+        assert weights == []
