@@ -285,19 +285,14 @@ def _event_totals(H: np.ndarray, Z: np.ndarray, events: np.ndarray, starts: np.n
 
     Returns own_g (m,) and the ``_risk_set_totals`` triple, chunk by chunk
     of ``_weight_chunks``.  A ``keep`` list gets each chunk's (rows, own_g,
-    mx, s0, blocks) while the kept blocks total at most _CHUNK_BUDGET
-    floats, and is emptied once they pass it.  Given such a list as
-    ``reuse``, no predictors are built: only the moments half runs.
+    mx, s0, blocks); given such a list as ``reuse``, no predictors are
+    built and only the moments half runs.
     """
-    kept = 0
     parts = []
     for rows, own_g, mx, s0, blocks in reuse or _weight_chunks(H, Z, events, starts):
-        if keep is not None and kept <= _CHUNK_BUDGET:
+        if keep is not None:
             blocks = list(blocks)
-            kept += sum(W.size for _, W in blocks)
             keep.append((rows, own_g, mx, s0, blocks))
-            if kept > _CHUNK_BUDGET:
-                keep.clear()
         S1, S2 = _risk_moments(blocks, starts[rows], Z, order)   # fills mx, s0
         parts.append((own_g, *_normalized(mx, s0, S1, S2)))
     return [None if part[0] is None else np.concatenate(part) for part in zip(*parts)]
@@ -310,9 +305,11 @@ def _scan(cb: CoefficientBlock, ds: SurvivalDataset, ws: LikelihoodWorkspace, or
     Returns own_g, logS0 (both (m,)), and for order >= 1 also Ebar (m, p),
     h1 (m, p); for order >= 2 also V (m, p, p), h2 (m, p).
 
-    A ``weights`` list is emptied, then an order-0 scan refills it with
-    (cb, its kept weight chunks) when ``_event_totals`` kept them all; a
-    higher-order scan of that same cb takes its chunks as ``reuse``.
+    A ``weights`` list is emptied, then an order-0 scan whose m x n
+    predictors fit in _CHUNK_BUDGET floats (one chunk) refills it with
+    (cb, its weight chunk); a higher-order scan of that same cb takes the
+    chunk as ``reuse``.  A larger scan keeps nothing, so it never holds
+    more than one weight block besides its predictors.
     """
     _check_dims(cb, ds, ws)
     if cb.thresholds is not None and order >= 1 and cb.eta == 0.0:
@@ -326,10 +323,11 @@ def _scan(cb: CoefficientBlock, ds: SurvivalDataset, ws: LikelihoodWorkspace, or
         if order >= 1 and weights and weights[0] is cb:
             reuse = weights[1]
         weights.clear()
-        keep = [] if order == 0 else None
+        if order == 0 and ws.event_rows.shape[0] * ds.n <= _CHUNK_BUDGET:
+            keep = []
     own_g, logS0, Ebar, V = _event_totals(h, ds.covariates, ws.event_rows,
                                           ws.risk_starts, order, keep, reuse)
-    if keep:
+    if keep is not None:
         weights[:] = (cb, keep)
     return own_g, logS0, Ebar, h1, V, h2, B_ev
 
@@ -377,8 +375,8 @@ def penalized_loglik(cb: CoefficientBlock, ds: SurvivalDataset, ws: LikelihoodWo
     """Value of the smoothed penalized log partial likelihood.
 
     ``_keep`` is internal to the Newton line search: a list refilled with
-    this scan's risk-set weights while they fit in _CHUNK_BUDGET floats, and
-    left empty otherwise, for ``value_and_derivatives(..., _reuse=)`` at the
+    this scan's risk-set weights when its predictors fit in _CHUNK_BUDGET
+    floats, and left empty otherwise, for ``value_and_derivatives(..., _reuse=)`` at the
     accepted trial.
     """
     return _evaluate(cb, ds, ws, order=0, weights=_keep)[0]

@@ -18,8 +18,8 @@ gives, so scoring trials this way leaves the iterates unchanged.  The
 accepted trial's risk-set weights (its predictors, row maxima, sums and
 exponentials) serve the derivative pass at the same point, which then adds
 only the effect derivatives and the weighted moments; a trial whose
-weights pass the likelihood's chunk budget keeps none, and the derivative
-pass forms them afresh with the same floats.  Iteration stops when the
+event-by-subject predictors pass the likelihood's chunk budget keeps none,
+and the derivative pass forms them afresh with the same floats.  Iteration stops when the
 gradient max-norm drops below tol_grad, or when the objective stalls
 (relative change below 1e-10 on three consecutive iterations); only the
 gradient criterion sets ``converged``.  Each accepted iteration logs one
@@ -163,7 +163,7 @@ def _newton(cb0: CoefficientBlock, ds: SurvivalDataset, ws: LikelihoodWorkspace,
     gamma = cb0.gamma.copy()
     cb = replace(cb0, gamma=gamma)
     scan: list = []   # h', V and event basis rows of the latest derivative scan
-    weights: list = []   # risk-set weights of the latest trial, while they fit the budget
+    weights: list = []   # risk-set weights of the latest trial, if it fit one chunk
     value, grad, hess = value_and_derivatives(cb, ds, ws, _keep=scan)
     gnorm = float(np.max(np.abs(grad)))
     path = [value]

@@ -12,6 +12,7 @@ an order-0 scan at the same coefficients is checked against a fresh one.
 """
 
 import math
+import weakref
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -260,8 +261,8 @@ class TestKernelCallers:
 def censored_head_case(thresholded):
     """n = 400 with heavy ties, the earliest 60% of times censored, p = 3.
 
-    Every risk set starts past row 240, so two chunks of events keep fewer
-    weights than the predictors of one chunk hold.
+    Every risk set starts past row 240, so the weight blocks are narrower
+    than the predictor rows they come from.
     """
     rng = np.random.default_rng(21)
     n = 400
@@ -302,22 +303,48 @@ def assert_same_scan(got, got_scan, want, want_scan):
 
 
 class TestReusedWeights:
-    # budget: None keeps the default (one chunk), "two_kept" gives two chunks
-    # whose weights are kept, 2000 gives five-event chunks and keeps nothing
-    @pytest.mark.parametrize("budget, kept", [(None, 1), ("two_kept", 2), (2000, 0)])
+    # budget: None keeps the default; "fits" is exactly the m x n predictors
+    # of one chunk; "over" gives two chunks of about m / 2 events and keeps
+    # nothing; 2000 gives five-event chunks and keeps nothing
+    @pytest.mark.parametrize("budget, kept", [(None, 1), ("fits", 1), ("over", 0), (2000, 0)])
     @pytest.mark.parametrize("thresholded", [True, False], ids=["sttv", "regtv"])
     def test_reused_weights_match_fresh_scan_bitwise(self, monkeypatch, budget, kept,
                                                      thresholded):
         ds, ws, cb = censored_head_case(thresholded)
         want_scan = []
         want = sx.value_and_derivatives(cb, ds, ws, _keep=want_scan)
-        if budget == "two_kept":
-            budget = ds.n * (ds.n_events // 2 + 1)
+        budget = {"fits": ds.n_events * ds.n,
+                  "over": (ds.n_events // 2 + 1) * ds.n}.get(budget, budget)
         if budget is not None:
             monkeypatch.setattr(likelihood, "_CHUNK_BUDGET", budget)
         n_kept, fresh, got, got_scan = scan_and_reuse(cb, ds, ws, monkeypatch)
         assert (n_kept, fresh) == (kept, 0 if kept else 1)
         assert_same_scan(got, got_scan, want, want_scan)
+
+    @pytest.mark.parametrize("over", [False, True], ids=["fits", "over"])
+    def test_scan_past_budget_stores_no_weights(self, monkeypatch, over):
+        """Past the budget, each weight block is freed once the next is formed."""
+        ds, ws, cb = censored_head_case(True)
+        monkeypatch.setattr(likelihood, "_CHUNK_BUDGET", ds.n_events * ds.n - over)
+        real = likelihood._risk_weights
+        alive = []   # per block: earlier blocks still referenced when it is yielded
+        refs = []
+
+        def watched(*args):
+            for r0, W in real(*args):
+                alive.append(sum(ref() is not None for ref in refs))
+                refs.append(weakref.ref(W))
+                yield r0, W
+
+        monkeypatch.setattr(likelihood, "_risk_weights", watched)
+        weights = []
+        sx.penalized_loglik(cb, ds, ws, _keep=weights)
+        assert len(alive) > 2
+        if over:
+            # the consumer's loop variable holds only the block before
+            assert weights == [] and max(alive) == 1
+        else:
+            assert len(weights[1]) == 1 and alive == list(range(len(alive)))
 
     @bounded
     @given(case=cases(), thresholded=st.booleans())
