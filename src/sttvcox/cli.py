@@ -118,6 +118,14 @@ def _setting(args, config: dict, key: str, default, kind):
     return None if value is None else _cast(kind, value, key)
 
 
+def _switch(args, config: dict, key: str) -> bool:
+    """A switch set by its flag or by a JSON true or false config value."""
+    value = config.get(key, False)
+    if not isinstance(value, bool):
+        raise ValidationError(f"{key} setting must be true or false, got {value!r}")
+    return getattr(args, key, False) or value
+
+
 def _require(value, what: str):
     if value is None:
         raise ValidationError(f"{what} is required")
@@ -343,7 +351,7 @@ def cmd_fit(args, config: dict) -> int:
         )
     cfg = None if variant == "coxph" else _fit_config(args, config, ds.p, seed, variant)
     ds_fit, standardize_doc, scales = ds, None, None
-    if args.standardize or config.get("standardize", False):
+    if _switch(args, config, "standardize"):
         ds_fit, means, scales = _standardized(ds)
         standardize_doc = {"means": means, "scales": scales}
     grid = _fit_grid(args, config, ds.tau)
@@ -387,7 +395,7 @@ def cmd_cv(args, config: dict) -> int:
     ds = _load_input(args, config)
     candidates = cv_candidates(candidates, folds, ds.n)
     cfg = replace(_fit_config(args, config, ds.p, seed, variant), K=candidates[0])
-    refit = args.refit or config.get("refit", False)
+    refit = _switch(args, config, "refit")
     grid = _fit_grid(args, config, ds.tau) if refit else None
 
     outdir = _open_output(args, config, seed)
@@ -456,7 +464,7 @@ def _study_pieces(args, config: dict):
     level = _setting(args, config, "level", _LEVEL, float)
     jobs = _setting(args, config, "jobs", 1, _int)
     validate_study(scenario, configs, reps, jobs, level=level)
-    dump = bool(config.get("dump_curves", False))
+    dump = _switch(args, config, "dump_curves")
     return scenario, configs, reps, level, jobs, dump
 
 

@@ -150,7 +150,7 @@ def load_csv(
     covariate_cols=None,
     tau: float | None = None,
 ) -> SurvivalDataset:
-    """Read a UTF-8 CSV with a header row into a dataset.
+    """Read a UTF-8 CSV with a header row of distinct names into a dataset.
 
     ``covariate_cols`` defaults to every column other than the time and
     event ones, in header order.  Row numbers in error messages count data
@@ -161,6 +161,9 @@ def load_csv(
         header = reader.fieldnames
         if header is None:
             raise SchemaError(f"{path}: empty file, header row required")
+        for i, col in enumerate(header):
+            if col in header[:i]:
+                raise SchemaError(f"{path}: repeated column {col!r}")
         if covariate_cols is None:
             covariate_cols = [c for c in header if c not in (time_col, event_col)]
         covariate_cols = list(covariate_cols)

@@ -150,73 +150,34 @@ def linear_predictor(cb: CoefficientBlock, z, Bt) -> float:
     return float(z @ h)
 
 
-def _risk_weights(G: np.ndarray, starts: np.ndarray, mx: np.ndarray, s0: np.ndarray):
-    """The weights half of the risk-set kernel: yields (r0, W) per block.
+def _risk_weights(G: np.ndarray, starts: np.ndarray):
+    """Yields (W, row max, s0) per block of _BLOCK_EVENTS events (fewer in the last).
 
-    A block holds _BLOCK_EVENTS events (fewer in the last one); r0 is its
-    first risk-set start and W its (k, n - r0 + 1) matrix of
-    exp(predictor - row max) behind one leading zero column.  Each block's
-    row maxima and risk-set sums are written into ``mx`` and ``s0`` before
-    the block is yielded.  See ``_risk_set_totals``.
+    W is the block's (k, n + 1 - r0) matrix of exp(predictor - row max)
+    behind one leading zero column, where r0 = n + 1 - W.shape[1] is the
+    block's first risk-set start; s0 holds its risk-set sums.  See
+    ``_risk_set_totals``.
     """
     m, n = G.shape
     for b0 in range(0, m, _BLOCK_EVENTS):
         rs = starts[b0:b0 + _BLOCK_EVENTS]
         k, r0 = rs.shape[0], int(rs.min())
-        block = slice(b0, b0 + k)
         width = n - r0 + 1
         rel = rs - r0                         # column of the zero before each suffix
         W = np.full((k, width), -np.inf)
-        np.copyto(W[:, 1:], G[block, r0:], where=np.arange(r0, n) >= rs[:, None])
-        mx[block] = top = W.max(axis=1)
+        np.copyto(W[:, 1:], G[b0:b0 + k, r0:], where=np.arange(r0, n) >= rs[:, None])
+        top = W.max(axis=1)
         W -= top[:, None]
         np.exp(W, out=W)
         # segment starts interleaved with row starts; the odd segments,
         # masked prefixes of the next row, are dropped
         row = np.arange(k) * width
         idx = np.stack([row + rel, row + width], axis=1).ravel()[:-1]
-        s0[block] = np.add.reduceat(W.ravel(), idx)[0::2]
-        yield r0, W
+        yield W, top, np.add.reduceat(W.ravel(), idx)[0::2]
 
 
-def _risk_moments(blocks, starts: np.ndarray, Z: np.ndarray, order: int):
-    """The moments half: (S1, S2) from the ``_risk_weights`` blocks.
-
-    S1 (m, p) holds the weighted sums of Z over each risk set for order
-    >= 1, S2 (m, p, p) those of Z Z' for order >= 2; entries past the
-    order are None.  The blocks are consumed at every order, so a
-    ``_risk_weights`` generator fills its mx and s0 at order 0 too.
-    """
-    (n, p), m = Z.shape, starts.shape[0]
-    S1 = np.zeros((m, p)) if order >= 1 else None
-    S2 = np.zeros((m, p, p)) if order >= 2 else None
-    if order >= 2:
-        ZT = np.ascontiguousarray(Z.T)
-        t_buf = np.empty((p, n))
-    starts = starts.tolist()
-    e = 0
-    for r0, W in blocks:
-        for i in range(W.shape[0] if order >= 1 else 0):
-            r = starts[e + i]
-            w = W[i, r - r0 + 1:]
-            Zr = Z[r:]
-            np.matmul(w, Zr, out=S1[e + i])
-            if order >= 2:
-                t = np.multiply(ZT[:, r:], w, out=t_buf[:, :n - r])
-                np.matmul(Zr.T, t.T, out=S2[e + i])
-        e += W.shape[0]
-    return S1, S2
-
-
-def _normalized(mx: np.ndarray, s0: np.ndarray, S1, S2):
-    """(logS0, Ebar, V) from row maxima, risk-set sums and moment sums."""
-    logS0 = mx + np.log(s0)
-    Ebar = S1 / s0[:, None] if S1 is not None else None
-    V = S2 / s0[:, None, None] - Ebar[:, :, None] * Ebar[:, None, :] if S2 is not None else None
-    return logS0, Ebar, V
-
-
-def _risk_set_totals(G: np.ndarray, starts: np.ndarray, Z: np.ndarray, order: int):
+def _risk_set_totals(G: np.ndarray | None, starts: np.ndarray, Z: np.ndarray, order: int,
+                     blocks: list | None = None):
     """Breslow risk-set totals of each event, in blocks of _BLOCK_EVENTS events.
 
     Row e of G holds the linear predictors of all n subjects at event e,
@@ -224,13 +185,9 @@ def _risk_set_totals(G: np.ndarray, starts: np.ndarray, Z: np.ndarray, order: in
     Returns logS0 (m,), the log-sum-exp of the risk-set predictors, and
     for order >= 1 the weighted mean Ebar (m, p) of Z, for order >= 2 the
     weighted covariance V (m, p, p).  Each event subtracts its own
-    risk-set maximum before exponentiating.
-
-    The kernel has two halves.  The weights half (``_risk_weights``) forms,
-    per block, the weights W with their row maxima and sums s0; the
-    moments half (``_risk_moments``) forms the weighted sums of Z and Z Z'
-    one event at a time from W.  An order-0 scan needs only the first half,
-    and a derivative scan at the same predictors can reuse its blocks.
+    risk-set maximum before exponentiating.  The weight blocks come from
+    ``_risk_weights(G, starts)``, or are ``blocks`` kept from an earlier
+    scan of the same G, which is then not read.
 
     Every float equals that of a loop over single events.  A block of k
     events whose first risk-set start is r0 copies G[block, r0:] into a
@@ -251,19 +208,49 @@ def _risk_set_totals(G: np.ndarray, starts: np.ndarray, Z: np.ndarray, order: in
     and a Fortran-ordered Z reach other floats and are not used.  The
     normalizations run once over all events.
     """
-    m = G.shape[0]
+    (n, p), m = Z.shape, starts.shape[0]
     mx, s0 = np.zeros(m), np.zeros(m)
-    S1, S2 = _risk_moments(_risk_weights(G, starts, mx, s0), starts, Z, order)
-    return _normalized(mx, s0, S1, S2)
+    S1 = np.zeros((m, p)) if order >= 1 else None
+    S2 = np.zeros((m, p, p)) if order >= 2 else None
+    if order >= 2:
+        ZT = np.ascontiguousarray(Z.T)
+        t_buf = np.empty((p, n))
+    rs = starts.tolist()
+    e = 0
+    for W, top, s in _risk_weights(G, starts) if blocks is None else blocks:
+        k, r0 = W.shape[0], n + 1 - W.shape[1]
+        mx[e:e + k], s0[e:e + k] = top, s
+        for i in range(k if order >= 1 else 0):
+            r = rs[e + i]
+            w = W[i, r - r0 + 1:]
+            Zr = Z[r:]
+            np.matmul(w, Zr, out=S1[e + i])
+            if order >= 2:
+                t = np.multiply(ZT[:, r:], w, out=t_buf[:, :n - r])
+                np.matmul(Zr.T, t.T, out=S2[e + i])
+        e += k
+    logS0 = mx + np.log(s0)
+    Ebar = S1 / s0[:, None] if order >= 1 else None
+    V = S2 / s0[:, None, None] - Ebar[:, :, None] * Ebar[:, None, :] if order >= 2 else None
+    return logS0, Ebar, V
 
 
-def _weight_chunks(H: np.ndarray, Z: np.ndarray, events: np.ndarray, starts: np.ndarray):
-    """Per chunk of events: (rows, own_g, mx, s0, ``_risk_weights`` blocks).
+def _event_totals(H: np.ndarray, Z: np.ndarray, events: np.ndarray, starts: np.ndarray,
+                  order: int, weights: list | None = None):
+    """Own predictors and risk-set totals for per-event effect rows H (m, p).
 
-    The predictors H @ Z.T of a chunk stay within _CHUNK_BUDGET floats; mx
-    and s0 are filled as the blocks are consumed.
+    The predictors H @ Z.T are built in chunks of events so the matrix
+    stays within _CHUNK_BUDGET floats.  Returns own_g (m,) and the
+    ``_risk_set_totals`` triple.  ``weights`` holds the (own_g, weight
+    blocks) of one chunk: an empty list is filled by this scan, which must
+    then be of one chunk, and a filled one, kept from a scan of the same H,
+    stands in for the predictors and their weights.
     """
+    if weights:
+        own_g, blocks = weights
+        return [own_g, *_risk_set_totals(None, starts, Z, order, blocks)]
     chunk = max(1, _CHUNK_BUDGET // max(Z.shape[0], 1))
+    parts = []
     # without events one empty chunk still runs and gives the output shapes
     for s in range(0, max(H.shape[0], 1), chunk):
         rows = slice(s, s + chunk)
@@ -274,42 +261,28 @@ def _weight_chunks(H: np.ndarray, Z: np.ndarray, events: np.ndarray, starts: np.
                 f"non-finite linear predictor at observation {int(bad[1])} "
                 f"(event {int(s + bad[0])})"
             )
-        c = G.shape[0]
-        mx, s0 = np.zeros(c), np.zeros(c)
-        yield rows, G[np.arange(c), events[rows]], mx, s0, _risk_weights(G, starts[rows], mx, s0)
-
-
-def _event_totals(H: np.ndarray, Z: np.ndarray, events: np.ndarray, starts: np.ndarray,
-                  order: int, keep: list | None = None, reuse: list | None = None):
-    """Own predictors and risk-set totals for per-event effect rows H (m, p).
-
-    Returns own_g (m,) and the ``_risk_set_totals`` triple, chunk by chunk
-    of ``_weight_chunks``.  A ``keep`` list gets each chunk's (rows, own_g,
-    mx, s0, blocks); given such a list as ``reuse``, no predictors are
-    built and only the moments half runs.
-    """
-    parts = []
-    for rows, own_g, mx, s0, blocks in reuse or _weight_chunks(H, Z, events, starts):
-        if keep is not None:
-            blocks = list(blocks)
-            keep.append((rows, own_g, mx, s0, blocks))
-        S1, S2 = _risk_moments(blocks, starts[rows], Z, order)   # fills mx, s0
-        parts.append((own_g, *_normalized(mx, s0, S1, S2)))
+        own_g = G[np.arange(G.shape[0]), events[rows]]
+        blocks = None
+        if weights is not None:
+            blocks = list(_risk_weights(G, starts[rows]))
+            weights[:] = own_g, blocks
+        parts.append((own_g, *_risk_set_totals(G, starts[rows], Z, order, blocks)))
     return [None if part[0] is None else np.concatenate(part) for part in zip(*parts)]
 
 
 def _scan(cb: CoefficientBlock, ds: SurvivalDataset, ws: LikelihoodWorkspace, order: int,
-          weights: list | None = None):
+          state: dict | None = None):
     """One pass over events: per-event risk totals up to the given order.
 
     Returns own_g, logS0 (both (m,)), and for order >= 1 also Ebar (m, p),
     h1 (m, p); for order >= 2 also V (m, p, p), h2 (m, p).
 
-    A ``weights`` list is emptied, then an order-0 scan whose m x n
-    predictors fit in _CHUNK_BUDGET floats (one chunk) refills it with
-    (cb, its weight chunk); a higher-order scan of that same cb takes the
-    chunk as ``reuse``.  A larger scan keeps nothing, so it never holds
-    more than one weight block besides its predictors.
+    A ``state`` dict loses its "weights" entry before the scan.  An order-0
+    scan whose m x n predictors fit in _CHUNK_BUDGET floats (one chunk)
+    stores (cb, its own_g and weight blocks) there, and a derivative scan
+    of that very cb uses them in place of predictors.  A larger scan keeps
+    nothing, so it never holds more than one weight block besides its
+    predictors.
     """
     _check_dims(cb, ds, ws)
     if cb.thresholds is not None and order >= 1 and cb.eta == 0.0:
@@ -318,17 +291,18 @@ def _scan(cb: CoefficientBlock, ds: SurvivalDataset, ws: LikelihoodWorkspace, or
     B_ev = ws.basis_at_times[ws.event_rows]
     theta = B_ev @ cb.gamma.T                       # (m, p)
     h, h1, h2 = _effect(theta, cb.thresholds, cb.eta, order)
-    keep = reuse = None
-    if weights is not None:
-        if order >= 1 and weights and weights[0] is cb:
-            reuse = weights[1]
-        weights.clear()
+    weights = None
+    if state is not None:
+        kept = state.pop("weights", None)
+        if order >= 1 and kept is not None and kept[0] is cb:
+            weights = kept[1]
+        del kept   # the last trial's blocks are freed before this scan forms its own
         if order == 0 and ws.event_rows.shape[0] * ds.n <= _CHUNK_BUDGET:
-            keep = []
+            weights = []
     own_g, logS0, Ebar, V = _event_totals(h, ds.covariates, ws.event_rows,
-                                          ws.risk_starts, order, keep, reuse)
-    if keep is not None:
-        weights[:] = (cb, keep)
+                                          ws.risk_starts, order, weights)
+    if order == 0 and weights is not None:
+        state["weights"] = (cb, weights)
     return own_g, logS0, Ebar, h1, V, h2, B_ev
 
 
@@ -345,15 +319,15 @@ def _einsum_blocks(M: np.ndarray, B_ev: np.ndarray, p: int, q: int) -> np.ndarra
 
 
 def _evaluate(cb: CoefficientBlock, ds: SurvivalDataset, ws: LikelihoodWorkspace, order: int,
-              keep: list | None = None, weights: list | None = None):
+              state: dict | None = None):
     """(value, gradient or None, Hessian or None) from one scan of the given order.
 
-    A ``keep`` list is refilled with the scan's (h', V, event basis rows);
-    ``weights`` is passed on to ``_scan``.
+    ``state`` is passed on to ``_scan``; an order-2 scan also stores its
+    (h', V, event basis rows) there as "meat".
     """
-    own_g, logS0, Ebar, h1, V, h2, B_ev = _scan(cb, ds, ws, order, weights)
-    if keep is not None:
-        keep[:] = (h1, V, B_ev)
+    own_g, logS0, Ebar, h1, V, h2, B_ev = _scan(cb, ds, ws, order, state)
+    if order == 2 and state is not None:
+        state["meat"] = (h1, V, B_ev)
     p, q = cb.p, cb.q
     value = float(own_g.sum() - logS0.sum() - ws.rho * _penalty(cb, ws))
     if order == 0:
@@ -371,15 +345,15 @@ def _evaluate(cb: CoefficientBlock, ds: SurvivalDataset, ws: LikelihoodWorkspace
 
 
 def penalized_loglik(cb: CoefficientBlock, ds: SurvivalDataset, ws: LikelihoodWorkspace,
-                     *, _keep: list | None = None) -> float:
+                     *, _state: dict | None = None) -> float:
     """Value of the smoothed penalized log partial likelihood.
 
-    ``_keep`` is internal to the Newton line search: a list refilled with
-    this scan's risk-set weights when its predictors fit in _CHUNK_BUDGET
-    floats, and left empty otherwise, for ``value_and_derivatives(..., _reuse=)`` at the
-    accepted trial.
+    ``_state`` is internal to the Newton fit: a dict whose "weights" entry
+    this scan replaces with its risk-set weights when its predictors fit in
+    _CHUNK_BUDGET floats, and removes otherwise, for the derivative scan
+    at the accepted trial.
     """
-    return _evaluate(cb, ds, ws, order=0, weights=_keep)[0]
+    return _evaluate(cb, ds, ws, order=0, state=_state)[0]
 
 
 def gradient(cb: CoefficientBlock, ds: SurvivalDataset, ws: LikelihoodWorkspace) -> np.ndarray:
@@ -409,15 +383,15 @@ def _score_cov(h1: np.ndarray, V: np.ndarray, B_ev: np.ndarray, p: int, q: int) 
 
 
 def value_and_derivatives(cb: CoefficientBlock, ds: SurvivalDataset, ws: LikelihoodWorkspace,
-                          *, _keep: list | None = None, _reuse: list | None = None):
+                          *, _state: dict | None = None):
     """(value, gradient, hessian) sharing a single event scan.
 
-    ``_keep`` and ``_reuse`` are internal to ``fit``.  ``_keep`` is a list
-    refilled with the scan's (h', V, event basis rows), so that the
+    ``_state`` is internal to ``fit``, the dict ``penalized_loglik`` keeps
+    its weights in.  The scan removes its "weights" entry and, when that
+    holds the weights of this very cb, builds no predictors and adds only
+    the effect derivatives and the weighted moments, with the same floats.
+    It then stores its (h', V, event basis rows) as "meat", so that the
     sandwich meat at the optimum comes from the optimizer's last scan, not
-    from one more.  ``_reuse`` is a ``penalized_loglik`` ``_keep`` list;
-    when it holds the weights of this very cb, the scan builds no
-    predictors and runs only the effect derivatives and the moments half,
-    with the same floats.  It is emptied either way.
+    from one more.
     """
-    return _evaluate(cb, ds, ws, order=2, keep=_keep, weights=_reuse)
+    return _evaluate(cb, ds, ws, order=2, state=_state)

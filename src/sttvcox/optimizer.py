@@ -14,17 +14,19 @@ factorization or the solve fails), followed by Armijo backtracking.  Trial
 points of the line search are scored by the objective value alone (an
 order-0 event scan); the gradient and Hessian are formed once per accepted
 iterate.  The value of that scan is the same float the derivative scan
-gives, so scoring trials this way leaves the iterates unchanged.  The
-accepted trial's risk-set weights (its predictors, row maxima, sums and
-exponentials) serve the derivative pass at the same point, which then adds
-only the effect derivatives and the weighted moments; a trial whose
-event-by-subject predictors pass the likelihood's chunk budget keeps none,
-and the derivative pass forms them afresh with the same floats.  Iteration stops when the
-gradient max-norm drops below tol_grad, or when the objective stalls
-(relative change below 1e-10 on three consecutive iterations); only the
-gradient criterion sets ``converged``.  Each accepted iteration logs one
-DEBUG line: objective, gradient max-norm, damping lambda, step scale,
-halvings and trial evaluations.
+gives, so scoring trials this way leaves the iterates unchanged.  Each
+start holds one private state dict that every scan of the start is given.
+An order-0 trial keeps its risk-set weights (own predictors, row maxima,
+sums and exponentials) there, and the derivative pass at the accepted trial
+takes them out, adds only the effect derivatives and the weighted moments,
+and leaves its h', V and event basis rows for the sandwich meat.  A trial
+whose event-by-subject predictors pass the likelihood's chunk budget keeps
+no weights, and the derivative pass forms them afresh with the same
+floats.  Iteration stops when the gradient max-norm drops below tol_grad,
+or when the objective stalls (relative change below 1e-10 on three
+consecutive iterations); only the gradient criterion sets ``converged``.
+Each accepted iteration logs one DEBUG line: objective, gradient max-norm,
+damping lambda, step scale, halvings and trial evaluations.
 """
 
 from __future__ import annotations
@@ -156,15 +158,14 @@ def _newton(cb0: CoefficientBlock, ds: SurvivalDataset, ws: LikelihoodWorkspace,
             cfg: FitConfig):
     """Maximize from one starting point; returns (gamma, path, diagnostics).
 
-    The last entry is the (h', V, event basis rows) triple of the scan at
+    The last entry is the "meat" (h', V, event basis rows) of the scan at
     the returned gamma, from which ``fit`` forms the score covariance.
     """
     p, q = cb0.p, cb0.q
     gamma = cb0.gamma.copy()
     cb = replace(cb0, gamma=gamma)
-    scan: list = []   # h', V and event basis rows of the latest derivative scan
-    weights: list = []   # risk-set weights of the latest trial, if it fit one chunk
-    value, grad, hess = value_and_derivatives(cb, ds, ws, _keep=scan)
+    state: dict = {}   # the latest trial's risk-set weights, the latest scan's meat
+    value, grad, hess = value_and_derivatives(cb, ds, ws, _state=state)
     gnorm = float(np.max(np.abs(grad)))
     path = [value]
     eye = np.eye(p * q)
@@ -201,7 +202,7 @@ def _newton(cb0: CoefficientBlock, ds: SurvivalDataset, ws: LikelihoodWorkspace,
                 cb_trial = replace(cb, gamma=trial)
                 trials += 1
                 try:
-                    new_value = penalized_loglik(cb_trial, ds, ws, _keep=weights)
+                    new_value = penalized_loglik(cb_trial, ds, ws, _state=state)
                 except NumericError:
                     new_value = -np.inf
                 if new_value >= value + _ARMIJO * scale * slope:
@@ -219,7 +220,7 @@ def _newton(cb0: CoefficientBlock, ds: SurvivalDataset, ws: LikelihoodWorkspace,
         rel = abs(new_value - value) / (abs(value) + 1.0)
         stall = stall + 1 if rel < _STALL_REL else 0
         gamma, cb = trial, cb_trial
-        value, grad, hess = value_and_derivatives(cb, ds, ws, _keep=scan, _reuse=weights)
+        value, grad, hess = value_and_derivatives(cb, ds, ws, _state=state)
         gnorm = float(np.max(np.abs(grad)))
         path.append(value)
         n_iter += 1
@@ -239,7 +240,7 @@ def _newton(cb0: CoefficientBlock, ds: SurvivalDataset, ws: LikelihoodWorkspace,
                 path=path,
             )
 
-    return gamma, hess, value, grad, np.array(path), n_iter, gnorm, stop_reason, scan
+    return gamma, hess, value, grad, np.array(path), n_iter, gnorm, stop_reason, state["meat"]
 
 
 def _cox_warm_start(ds: SurvivalDataset) -> CoxFit | ConvergenceError:
@@ -323,7 +324,7 @@ def fit(ds: SurvivalDataset, cfg: FitConfig, *, _warm=None) -> FittedModel:
     if best is None:
         raise first_error
 
-    gamma, hess, value, grad, path, n_iter, gnorm, stop_reason, scan = best
+    gamma, hess, value, grad, path, n_iter, gnorm, stop_reason, meat = best
     neg_h = -hess
     cond = np.linalg.cond(neg_h)
     if cond > _COND_ERROR:
@@ -334,7 +335,7 @@ def fit(ds: SurvivalDataset, cfg: FitConfig, *, _warm=None) -> FittedModel:
     if cond > _COND_WARN:
         logger.warning("ill-conditioned negative Hessian (cond %.2e)", cond)
     neg_h_inv = np.linalg.inv(neg_h)
-    sigma = _score_cov(*scan, ds.p, basis.q)
+    sigma = _score_cov(*meat, ds.p, basis.q)
     sandwich = neg_h_inv @ sigma @ neg_h_inv
     sandwich = 0.5 * (sandwich + sandwich.T)
 

@@ -59,6 +59,14 @@ def censored20(tmp_path_factory):
     return path
 
 
+@pytest.fixture(scope="module")
+def repeated20(tmp_path_factory):
+    path = tmp_path_factory.mktemp("cli") / "repeated20.csv"
+    path.write_text("time,event,z,z\n" + "".join(
+        f"{t + 1}.0,{t % 2},0.{t},{t}\n" for t in range(20)))
+    return path
+
+
 # command, input fixture, flags, config (a simulate config overrides write_study)
 EXIT_2_CASES = {
     "fit_K_zero": ("fit", "data20", ["--K", 0], None),
@@ -70,6 +78,8 @@ EXIT_2_CASES = {
         ("fit", "data20", [], {"alpha_override": [0.1, 0.2]}),
     "fit_no_events": ("fit", "censored20", [], None),
     "fit_tau_past_last_time": ("fit", "data20", ["--tau", 100], None),
+    "fit_repeated_column": ("fit", "repeated20", [], None),
+    "fit_standardize_string": ("fit", "data20", [], {"standardize": "false"}),
     "cv_eta_zero": ("cv", "data60", ["--eta", 0, "--folds", 2], None),
     "cv_multistart_zero": ("cv", "data60", ["--multistart", 0, "--folds", 2], None),
     "cv_no_events": ("cv", "censored20", ["--folds", 2], None),
@@ -77,6 +87,8 @@ EXIT_2_CASES = {
     "cv_negative_seed": ("cv", "data60", ["--seed", -1, "--folds", 2], None),
     "cv_fractional_candidate": ("cv", "data60", ["--folds", 2], {"candidates": [2.5, 3]}),
     "cv_coxph_variant": ("cv", "data60", ["--folds", 2], {"variant": "coxph"}),
+    "cv_repeated_column": ("cv", "repeated20", ["--folds", 2], None),
+    "cv_refit_string": ("cv", "data60", ["--folds", 2], {"refit": "false"}),
     "simulate_K_zero": ("simulate", None, [], {"fit": {"K": 0}}),
     "simulate_level": ("simulate", None, [], {"level": 1.5}),
     "simulate_fractional_n": ("simulate", None, [], {"scenario": {"n": 10.5}}),
@@ -85,6 +97,7 @@ EXIT_2_CASES = {
     "simulate_no_variants": ("simulate", None, [], {"variants": []}),
     "simulate_variants_string": ("simulate", None, [], {"variants": "sttv"}),
     "simulate_coxph_variant": ("simulate", None, [], {"variants": ["coxph"]}),
+    "simulate_dump_curves_string": ("simulate", None, [], {"dump_curves": "false"}),
 }
 
 

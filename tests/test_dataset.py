@@ -44,6 +44,15 @@ class TestLoadCsv:
         with pytest.raises(sx.SchemaError):
             sx.load_csv(p, covariate_cols=["z1"])
 
+    @pytest.mark.parametrize("header", ["time,event,z,z", "time,event,time,z"])
+    def test_repeated_column_named(self, tmp_path, header):
+        # a dict reader would keep only the last column of each name
+        rows = "1.0,1,0.5,9\n2.0,0,0.6,8\n3.0,1,0.7,7\n"
+        p = write_csv(tmp_path / "d.csv", f"{header}\n{rows}")
+        repeated = header.split(",")[2]
+        with pytest.raises(sx.SchemaError, match=f"repeated column '{repeated}'"):
+            sx.load_csv(p)
+
     def test_negative_time_rejected(self, tmp_path):
         # zero is rejected too: the README asks for positive times
         for t in ("-1", "0"):

@@ -173,24 +173,26 @@ class TestFit:
 
     @staticmethod
     def line_search(monkeypatch, keep=True, overflow_first=False):
-        """Patch the trial scorer: optionally drop the kept risk-set weights,
-        so every derivative scan starts afresh, and overflow the first trial.
+        """Patch the trial scorer: optionally withhold the fit's state, so no
+        weights are kept and every derivative scan starts afresh, and overflow
+        the first trial.
 
-        Returns the list of ``_keep`` contents seen when that trial raised.
+        Returns, for that trial, whether the state held weights after it raised
+        (None when withheld).
         """
         real = optimizer.penalized_loglik
         raised = []
 
-        def trial(cb, ds, ws, _keep=None):
-            _keep = _keep if keep else None
+        def trial(cb, ds, ws, _state=None):
+            _state = _state if keep else None
             if not overflow_first or raised:
-                return real(cb, ds, ws, _keep=_keep)
+                return real(cb, ds, ws, _state=_state)
             huge = replace(cb, gamma=np.full_like(cb.gamma, np.finfo(float).max))
             try:
                 with np.errstate(over="ignore", invalid="ignore"):
-                    return real(huge, ds, ws, _keep=_keep)
+                    return real(huge, ds, ws, _state=_state)
             except sx.NumericError:
-                raised.append(None if _keep is None else list(_keep))
+                raised.append(None if _state is None else "weights" in _state)
                 raise
 
         monkeypatch.setattr(optimizer, "penalized_loglik", trial)
@@ -203,7 +205,7 @@ class TestFit:
         raised = self.line_search(monkeypatch, overflow_first=True)
         with caplog.at_level("DEBUG", logger="sttvcox.optimizer"):
             got = sx.fit(dataset_200, cfg)
-        assert raised == [[]]
+        assert raised == [False]
         first = next(r.getMessage() for r in caplog.records
                      if r.getMessage().startswith("newton iter 1:"))
         assert "halvings 0," not in first

@@ -279,26 +279,39 @@ def censored_head_case(thresholded):
     return ds, ws, cb
 
 
+def chunk_count(ds):
+    return -(-ds.n_events // max(1, likelihood._CHUNK_BUDGET // ds.n))
+
+
 def scan_and_reuse(cb, ds, ws, monkeypatch):
-    """(kept chunk count, fresh scans during the reuse, reused result, its _keep)."""
-    weights = []
-    value = sx.penalized_loglik(cb, ds, ws, _keep=weights)
-    kept = len(weights[1]) if weights else 0
+    """(1 if weights were kept, else 0, fresh weight formations during the
+    reuse, reused result, its meat)."""
+    state = {}
+    value = sx.penalized_loglik(cb, ds, ws, _state=state)
+    kept = int("weights" in state)
+    if kept:
+        assert state["weights"][0] is cb
     fresh = []
-    real = likelihood._weight_chunks
-    monkeypatch.setattr(likelihood, "_weight_chunks",
+    real = likelihood._risk_weights
+    monkeypatch.setattr(likelihood, "_risk_weights",
                         lambda *a: fresh.append(1) or real(*a))
-    scan = []
-    got = sx.value_and_derivatives(cb, ds, ws, _keep=scan, _reuse=weights)
-    monkeypatch.setattr(likelihood, "_weight_chunks", real)
-    assert weights == []
+    got = sx.value_and_derivatives(cb, ds, ws, _state=state)
+    monkeypatch.setattr(likelihood, "_risk_weights", real)
+    # the current iterate never pins a trial's weight blocks
+    assert set(state) == {"meat"}
     assert value.hex() == got[0].hex()
-    return kept, len(fresh), got, scan
+    return kept, len(fresh), got, state["meat"]
 
 
-def assert_same_scan(got, got_scan, want, want_scan):
+def fresh_scan(cb, ds, ws):
+    """(value_and_derivatives result, its meat) without kept weights."""
+    state = {}
+    return sx.value_and_derivatives(cb, ds, ws, _state=state), state["meat"]
+
+
+def assert_same_scan(got, got_meat, want, want_meat):
     assert got[0].hex() == want[0].hex()
-    for g, w in zip((*got[1:], *got_scan), (*want[1:], *want_scan)):
+    for g, w in zip((*got[1:], *got_meat), (*want[1:], *want_meat)):
         assert g.shape == w.shape and g.tobytes() == w.tobytes()
 
 
@@ -311,15 +324,17 @@ class TestReusedWeights:
     def test_reused_weights_match_fresh_scan_bitwise(self, monkeypatch, budget, kept,
                                                      thresholded):
         ds, ws, cb = censored_head_case(thresholded)
-        want_scan = []
-        want = sx.value_and_derivatives(cb, ds, ws, _keep=want_scan)
+        want, want_meat = fresh_scan(cb, ds, ws)
         budget = {"fits": ds.n_events * ds.n,
                   "over": (ds.n_events // 2 + 1) * ds.n}.get(budget, budget)
         if budget is not None:
             monkeypatch.setattr(likelihood, "_CHUNK_BUDGET", budget)
-        n_kept, fresh, got, got_scan = scan_and_reuse(cb, ds, ws, monkeypatch)
-        assert (n_kept, fresh) == (kept, 0 if kept else 1)
-        assert_same_scan(got, got_scan, want, want_scan)
+        n_chunks = chunk_count(ds)
+        assert n_chunks == 1 if kept else n_chunks > 1
+        got_kept, fresh, got, got_meat = scan_and_reuse(cb, ds, ws, monkeypatch)
+        # without kept weights every chunk forms its weights afresh
+        assert (got_kept, fresh) == (kept, 0 if kept else n_chunks)
+        assert_same_scan(got, got_meat, want, want_meat)
 
     @pytest.mark.parametrize("over", [False, True], ids=["fits", "over"])
     def test_scan_past_budget_stores_no_weights(self, monkeypatch, over):
@@ -331,20 +346,39 @@ class TestReusedWeights:
         refs = []
 
         def watched(*args):
-            for r0, W in real(*args):
+            for W, top, s0 in real(*args):
                 alive.append(sum(ref() is not None for ref in refs))
                 refs.append(weakref.ref(W))
-                yield r0, W
+                yield W, top, s0
 
         monkeypatch.setattr(likelihood, "_risk_weights", watched)
-        weights = []
-        sx.penalized_loglik(cb, ds, ws, _keep=weights)
+        state = {}
+        sx.penalized_loglik(cb, ds, ws, _state=state)
         assert len(alive) > 2
         if over:
             # the consumer's loop variable holds only the block before
-            assert weights == [] and max(alive) == 1
+            assert state == {} and max(alive) == 1
         else:
-            assert len(weights[1]) == 1 and alive == list(range(len(alive)))
+            assert len(state["weights"][1][1]) == len(alive)
+            assert alive == list(range(len(alive)))
+
+    def test_next_trial_frees_the_last_trials_weights(self, monkeypatch):
+        """A trial's kept blocks are freed before the next trial forms its own."""
+        ds, ws, cb = censored_head_case(True)
+        state = {}
+        sx.penalized_loglik(cb, ds, ws, _state=state)
+        refs = [weakref.ref(W) for W, _, _ in state["weights"][1][1]]
+        real = likelihood._risk_weights
+        alive = []   # per block of the next trial: last trial's blocks still referenced
+
+        def watched(*args):
+            for block in real(*args):
+                alive.append(sum(ref() is not None for ref in refs))
+                yield block
+
+        monkeypatch.setattr(likelihood, "_risk_weights", watched)
+        sx.penalized_loglik(replace(cb, gamma=0.5 * cb.gamma), ds, ws, _state=state)
+        assert alive and max(alive) == 0
 
     @bounded
     @given(case=cases(), thresholded=st.booleans())
@@ -355,28 +389,26 @@ class TestReusedWeights:
         cb = sx.CoefficientBlock(
             gamma=gamma, thresholds=alphas if thresholded else None, eta=0.01
         )
-        want_scan = []
-        want = sx.value_and_derivatives(cb, ds, ws, _keep=want_scan)
+        want, want_meat = fresh_scan(cb, ds, ws)
         with pytest.MonkeyPatch.context() as monkeypatch:
-            n_kept, fresh, got, got_scan = scan_and_reuse(cb, ds, ws, monkeypatch)
-        assert (n_kept, fresh) == (1, 0)
-        assert_same_scan(got, got_scan, want, want_scan)
+            kept, fresh, got, got_meat = scan_and_reuse(cb, ds, ws, monkeypatch)
+        assert (kept, fresh) == (1, 0)
+        assert_same_scan(got, got_meat, want, want_meat)
 
     def test_weights_of_other_coefficients_are_not_used(self):
         ds, ws, cb = censored_head_case(True)
         other = replace(cb, gamma=1.5 * cb.gamma)
-        weights = []
-        sx.penalized_loglik(other, ds, ws, _keep=weights)
-        assert weights and weights[0] is other
-        got = sx.value_and_derivatives(cb, ds, ws, _reuse=weights)
-        want = sx.value_and_derivatives(cb, ds, ws)
-        assert weights == []
-        assert_same_scan(got, [], want, [])
+        state = {}
+        sx.penalized_loglik(other, ds, ws, _state=state)
+        assert state["weights"][0] is other
+        got = sx.value_and_derivatives(cb, ds, ws, _state=state)
+        assert set(state) == {"meat"}
+        assert_same_scan(got, state["meat"], *fresh_scan(cb, ds, ws))
 
     def test_failed_scan_leaves_nothing_kept(self):
         ds, ws, cb = censored_head_case(False)
-        weights = ["stale"]
+        state = {"weights": "stale"}
         huge = replace(cb, gamma=np.full_like(cb.gamma, np.finfo(float).max))
         with pytest.raises(sx.NumericError), np.errstate(over="ignore", invalid="ignore"):
-            sx.penalized_loglik(huge, ds, ws, _keep=weights)
-        assert weights == []
+            sx.penalized_loglik(huge, ds, ws, _state=state)
+        assert state == {}
