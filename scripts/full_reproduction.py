@@ -27,21 +27,18 @@ Output layout (schemas shared with the reporting module):
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 from pathlib import Path
 
 from sttvcox import DEFAULT_CANDIDATES, VARIANTS, FitConfig, NumericError, Scenario, replicate
 from sttvcox.cli import _guarded
+from sttvcox.dataset import _table_text
 from sttvcox.reporting import build_summary, metric_rows, render_csv, render_markdown
 from sttvcox.simulation import validate_study
 
 
 def write_csv(path, header, rows):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+    path.write_text(_table_text(header, rows), encoding="utf-8", newline="")
 
 
 def parse_args(argv=None):

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import __version__
 from .coxph import fit_coxph
-from .dataset import load_csv, make_dataset
+from .dataset import _table_text, load_csv, make_dataset
 from .errors import ConvergenceError, NumericError, ValidationError
 from .inference import CurveEstimate, wald_ci
 from .model_selection import DEFAULT_CANDIDATES, cross_validate, cv_candidates
@@ -72,9 +72,35 @@ def _setup_logging() -> None:
     )
 
 
-def _load_config(path) -> dict:
+class _Config(dict):
+    """A JSON config object that records each key asked for by ``get`` or ``in``;
+    nested objects (a study's ``scenario`` and ``fit`` blocks) record their own."""
+
+    def __init__(self, doc: dict):
+        super().__init__((k, _Config(v) if isinstance(v, dict) else v) for k, v in doc.items())
+        self.read = set()
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+    def __contains__(self, key):
+        self.read.add(key)
+        return super().__contains__(key)
+
+    def unread(self, prefix: str = "") -> list:
+        names = []
+        for key, value in self.items():
+            if key not in self.read:
+                names.append(prefix + key)
+            elif isinstance(value, _Config):
+                names += value.unread(f"{prefix}{key}.")
+        return names
+
+
+def _load_config(path) -> _Config:
     if path is None:
-        return {}
+        return _Config({})
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -84,15 +110,15 @@ def _load_config(path) -> dict:
         raise ValidationError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ValidationError(f"config {path} must hold a JSON object")
-    return doc
+    return _Config(doc)
 
 
 def _merged(args, config: dict, key: str, default):
     """Flag value if given, else config value, else default."""
+    value = config.get(key)
     flag = getattr(args, key, None)
     if flag is not None:
         return flag
-    value = config.get(key)
     return default if value is None else value
 
 
@@ -154,7 +180,7 @@ def _atomic_write(path: str, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
-        with os.fdopen(fd, "w", newline="\n") as fh:
+        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -170,9 +196,13 @@ def _write_json(path: str, doc) -> None:
 def _open_output(args, config: dict, seed: int) -> str:
     """Create the output directory and write its manifest; returns the directory.
 
-    Each command calls this once, after building every setting it reads.
+    Each command calls this once, after building every setting it reads, so
+    a config key that nothing read is unknown to the command.
     """
     outdir = _require(_merged(args, config, "output", None), "--output")
+    unknown = config.unread()
+    if unknown:
+        raise ValidationError(f"config {args.config} has unknown keys {unknown}")
     os.makedirs(outdir, exist_ok=True)
     doc = {
         "command": args.command,
@@ -337,10 +367,6 @@ def _write_fit_outputs(outdir: str, doc: dict, curves: CurveEstimate, scales=Non
     _atomic_write(os.path.join(outdir, "curves.csv"), curves_csv_text(curves, scales))
 
 
-def _write_csv(path: str, header, rows) -> None:
-    _atomic_write(path, "\n".join(",".join(r) for r in [header, *rows]) + "\n")
-
-
 def cmd_fit(args, config: dict) -> int:
     ds = _load_input(args, config)
     seed = _setting(args, config, "seed", 0, _int)
@@ -349,7 +375,8 @@ def cmd_fit(args, config: dict) -> int:
         raise ValidationError(
             f"variant must be one of {VARIANTS + ('coxph',)}, got {variant!r}"
         )
-    cfg = None if variant == "coxph" else _fit_config(args, config, ds.p, seed, variant)
+    # coxph ignores the spline settings, but they are still read and checked
+    cfg = _fit_config(args, config, ds.p, seed, "sttv" if variant == "coxph" else variant)
     ds_fit, standardize_doc, scales = ds, None, None
     if _switch(args, config, "standardize"):
         ds_fit, means, scales = _standardized(ds)
@@ -358,7 +385,7 @@ def cmd_fit(args, config: dict) -> int:
 
     outdir = _open_output(args, config, seed)
 
-    if cfg is None:
+    if variant == "coxph":
         fitres = fit_coxph(ds_fit)
         curves = _constant_curves(fitres, ds.covariate_names, grid)
         doc = {
@@ -396,7 +423,7 @@ def cmd_cv(args, config: dict) -> int:
     candidates = cv_candidates(candidates, folds, ds.n)
     cfg = replace(_fit_config(args, config, ds.p, seed, variant), K=candidates[0])
     refit = _switch(args, config, "refit")
-    grid = _fit_grid(args, config, ds.tau) if refit else None
+    grid = _fit_grid(args, config, ds.tau)
 
     outdir = _open_output(args, config, seed)
 
@@ -427,10 +454,11 @@ def _scenario(doc: dict, seed_flag) -> Scenario:
     """Scenario from a config's scenario keys; a --seed flag wins."""
     if "n" not in doc:
         raise ValidationError("scenario.n is required")
+    seed = doc.get("seed", 0)
     kwargs = {
         "n": _cast(_int, doc["n"], "n"),
         "covariance": str(doc.get("covariance", "ind")).lower(),
-        "seed": _cast(_int, seed_flag if seed_flag is not None else doc.get("seed", 0), "seed"),
+        "seed": _cast(_int, seed_flag if seed_flag is not None else seed, "seed"),
     }
     for key in _SCENARIO_FLOATS:
         if key in doc:
@@ -444,7 +472,9 @@ def _study_pieces(args, config: dict):
         raise ValidationError('simulate config needs a "scenario" object')
     scenario = _scenario(scenario_doc, args.seed)
 
-    variants = config.get("variants", list(VARIANTS)) if args.variant is None else [args.variant]
+    variants = config.get("variants", list(VARIANTS))
+    if args.variant is not None:
+        variants = [args.variant]
     if not isinstance(variants, list):
         raise ValidationError(
             f"variants setting must be a JSON list, got {type(variants).__name__} {variants!r}"
@@ -477,7 +507,7 @@ def cmd_simulate(args, config: dict) -> int:
     )
     metrics_path = os.path.join(outdir, "metrics.csv")
     header, rows = metric_rows(result)
-    _write_csv(metrics_path, header, rows)
+    _atomic_write(metrics_path, _table_text(header, rows))
 
     # a study in which every replication failed keeps only its failure record
     summary = build_summary([metrics_path]) if rows else None
@@ -524,7 +554,8 @@ def cmd_score(args, config: dict) -> int:
 
     outdir = _open_output(args, config, scenario.seed)
     row = report_row(report, scenario.covariance, scenario.n, variant, rep)
-    _write_csv(os.path.join(outdir, "metrics.csv"), metrics_header(scenario.p), [row])
+    text = _table_text(metrics_header(scenario.p), [row])
+    _atomic_write(os.path.join(outdir, "metrics.csv"), text)
     return 0
 
 

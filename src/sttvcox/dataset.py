@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import logging
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -143,6 +144,38 @@ def make_dataset(
     return ds
 
 
+def _read_table(path, required=()) -> tuple:
+    """(header, rows) of a CSV table under README "Tables", cells as strings; the
+    ``required`` names must be distinct too.  Errors count data rows from 1."""
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            lines = [row for row in csv.reader(fh) if row]
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise ValidationError(f"{path}: not a UTF-8 CSV table: {exc}") from exc
+    if not lines:
+        raise SchemaError(f"{path}: empty file, header row required")
+    header, rows = lines[0], lines[1:]
+    for names in (header, required):
+        repeated = [col for i, col in enumerate(names) if col in names[:i]]
+        if repeated:
+            raise SchemaError(f"{path}: repeated column {repeated[0]!r}")
+    missing = [col for col in required if col not in header]
+    if missing:
+        raise SchemaError(f"{path}: missing columns {missing}")
+    for rownum, row in enumerate(rows, start=1):
+        if len(row) != len(header):
+            raise ValidationError(f"{path} row {rownum}: {len(row)} cells, expected {len(header)}")
+    return header, rows
+
+
+def _table_text(header, rows) -> str:
+    """CSV text of a header and rows, LF line ends, a float cell as its repr."""
+    lines = []
+    # a CRLF line end makes csv quote a cell holding a CR too; one write per row
+    csv.writer(SimpleNamespace(write=lines.append)).writerows([header, *rows])
+    return "".join(line[:-2] + "\n" for line in lines)
+
+
 def load_csv(
     path,
     time_col: str = "time",
@@ -150,62 +183,53 @@ def load_csv(
     covariate_cols=None,
     tau: float | None = None,
 ) -> SurvivalDataset:
-    """Read a UTF-8 CSV with a header row of distinct names into a dataset.
+    """Read a survival CSV (see README "Tables") into a dataset.
 
     ``covariate_cols`` defaults to every column other than the time and
     event ones, in header order.  Row numbers in error messages count data
     rows from 1 (the header is row 0).
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames
-        if header is None:
-            raise SchemaError(f"{path}: empty file, header row required")
-        for i, col in enumerate(header):
-            if col in header[:i]:
-                raise SchemaError(f"{path}: repeated column {col!r}")
-        if covariate_cols is None:
-            covariate_cols = [c for c in header if c not in (time_col, event_col)]
-        covariate_cols = list(covariate_cols)
-        for col in [time_col, event_col, *covariate_cols]:
-            if col not in header:
-                raise SchemaError(f"{path}: missing column {col!r}")
-        if not covariate_cols:
-            raise SchemaError(f"{path}: no covariate columns")
-
-        times, events, rows = [], [], []
-        for rownum, rec in enumerate(reader, start=1):
-            def cell(col):
-                raw = rec.get(col)
-                if raw is None or raw == "":
-                    raise ValidationError(f"{path} row {rownum}: empty cell in {col!r}")
-                try:
-                    return float(raw)
-                except ValueError:
-                    raise ValidationError(
-                        f"{path} row {rownum}: non-numeric value {raw!r} in {col!r}"
-                    ) from None
-
-            t = cell(time_col)
-            if t <= 0:
-                raise ValidationError(f"{path} row {rownum}: nonpositive time {t}")
-            e = cell(event_col)
-            if e not in (0.0, 1.0):
-                raise ValidationError(
-                    f"{path} row {rownum}: event value {e} not in {{0, 1}}"
-                )
-            times.append(t)
-            events.append(bool(e))
-            rows.append([cell(c) for c in covariate_cols])
-
-    if not times:
+    names = None if covariate_cols is None else list(covariate_cols)
+    header, rows = _read_table(path, (time_col, event_col, *(names or ())))
+    if names is None:
+        names = [c for c in header if c not in (time_col, event_col)]
+    if not names:
+        raise SchemaError(f"{path}: no covariate columns")
+    if not rows:
         raise ValidationError(f"{path}: no data rows")
+
+    index = {col: i for i, col in enumerate(header)}
+    times, events, covariates = [], [], []
+    for rownum, row in enumerate(rows, start=1):
+        def cell(col):
+            raw = row[index[col]]
+            if raw == "":
+                raise ValidationError(f"{path} row {rownum}: empty cell in {col!r}")
+            try:
+                return float(raw)
+            except ValueError:
+                raise ValidationError(
+                    f"{path} row {rownum}: non-numeric value {raw!r} in {col!r}"
+                ) from None
+
+        t = cell(time_col)
+        if t <= 0:
+            raise ValidationError(f"{path} row {rownum}: nonpositive time {t}")
+        e = cell(event_col)
+        if e not in (0.0, 1.0):
+            raise ValidationError(
+                f"{path} row {rownum}: event value {e} not in {{0, 1}}"
+            )
+        times.append(t)
+        events.append(bool(e))
+        covariates.append([cell(c) for c in names])
+
     return make_dataset(
         np.array(times),
         np.array(events),
-        np.array(rows),
+        np.array(covariates),
         tau=tau,
-        covariate_names=covariate_cols,
+        covariate_names=names,
     )
 
 
@@ -215,14 +239,10 @@ def save_csv(ds: SurvivalDataset, path, time_col: str = "time", event_col: str =
     Floats are written with ``repr`` so a reload reproduces them exactly.
     """
     names = ds.covariate_names or tuple(f"z{j + 1}" for j in range(ds.p))
+    columns = [ds.time, ds.event.astype(int), *ds.covariates.T]
+    rows = zip(*([repr(v) for v in col.tolist()] for col in columns))
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([time_col, event_col, *names])
-        for i in range(ds.n):
-            writer.writerow(
-                [repr(float(ds.time[i])), int(ds.event[i])]
-                + [repr(float(v)) for v in ds.covariates[i]]
-            )
+        fh.write(_table_text([time_col, event_col, *names], rows))
 
 
 def risk_set(ds: SurvivalDataset, i: int) -> np.ndarray:

@@ -26,7 +26,6 @@ two-sided case and flags the point (the fallback is conservative).
 
 from __future__ import annotations
 
-import logging
 from collections import namedtuple
 from dataclasses import dataclass
 
@@ -36,8 +35,6 @@ from scipy.special import erfc
 from .errors import NumericError, ValidationError
 from .splines import eval_basis_grid
 from .threshold import soft_threshold
-
-logger = logging.getLogger(__name__)
 
 _SQRT2 = np.sqrt(2.0)
 

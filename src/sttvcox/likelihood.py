@@ -35,7 +35,6 @@ j*q .. (j+1)*q - 1.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,8 +43,6 @@ from .dataset import SurvivalDataset
 from .errors import NumericError, ValidationError
 from .splines import SplineBasis, eval_basis_grid
 from .threshold import _effect
-
-logger = logging.getLogger(__name__)
 
 # cap on the event-block x subject matrix built per chunk (float64 count)
 _CHUNK_BUDGET = 4_000_000

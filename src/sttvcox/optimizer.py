@@ -240,7 +240,7 @@ def _newton(cb0: CoefficientBlock, ds: SurvivalDataset, ws: LikelihoodWorkspace,
                 path=path,
             )
 
-    return gamma, hess, value, grad, np.array(path), n_iter, gnorm, stop_reason, state["meat"]
+    return gamma, hess, value, np.array(path), n_iter, gnorm, stop_reason, state["meat"]
 
 
 def _cox_warm_start(ds: SurvivalDataset) -> CoxFit | ConvergenceError:
@@ -324,7 +324,7 @@ def fit(ds: SurvivalDataset, cfg: FitConfig, *, _warm=None) -> FittedModel:
     if best is None:
         raise first_error
 
-    gamma, hess, value, grad, path, n_iter, gnorm, stop_reason, meat = best
+    gamma, hess, value, path, n_iter, gnorm, stop_reason, meat = best
     neg_h = -hess
     cond = np.linalg.cond(neg_h)
     if cond > _COND_ERROR:

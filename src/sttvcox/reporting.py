@@ -8,7 +8,8 @@ profile (``coverage_profile``).
 
 The curve CSV is both written (``curves_csv_text``) and read
 (``read_curve_table``) here; the reader returns a ``CurveEstimate``, so a
-written table reads back as the curve set it came from.
+written table reads back as the curve set it came from.  Every table here
+follows the CSV rules of README "Tables".
 
 Display conventions: squared-error cells (ISE, AISE) are multiplied by
 100; detection ratios and coverage stay on [0, 1].  Spreads are sample
@@ -28,12 +29,13 @@ Curve CSV schema (written by the fit, cv and simulate commands):
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
-from .errors import SchemaError, ValidationError
+from .dataset import _read_table, _table_text
+from .errors import ValidationError
 from .inference import CurveEstimate
 from .simulation import Scenario, StudyResult
 
@@ -74,21 +76,13 @@ def report_row(report, covariance: str, n: int, variant: str, rep: int) -> tuple
 
 def metric_rows(result: StudyResult) -> tuple:
     """(header, rows) for the per-rep metrics CSV, raw scale, repr floats."""
-    header = metrics_header(result.scenario.p)
-    rows = []
-    for variant in result.variants:
-        for rep in sorted(result.reports[variant]):
-            rows.append(
-                report_row(
-                    result.reports[variant][rep],
-                    result.scenario.covariance,
-                    result.scenario.n,
-                    variant,
-                    rep,
-                )
-            )
-    rows.sort(key=lambda r: (r[0], int(r[1]), r[2], int(r[3])))
-    return header, rows
+    sc = result.scenario
+    rows = [
+        report_row(result.reports[variant][rep], sc.covariance, sc.n, variant, rep)
+        for variant in sorted(result.variants)
+        for rep in sorted(result.reports[variant])
+    ]
+    return metrics_header(sc.p), rows
 
 
 def _read_metrics(paths) -> tuple:
@@ -99,36 +93,20 @@ def _read_metrics(paths) -> tuple:
     header = None
     records = []
     for path in paths:
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            try:
-                file_header = tuple(next(reader))
-            except StopIteration:
-                raise ValidationError(f"{path}: empty file") from None
-            if header is None:
-                header = file_header
-                missing = [c for c in _BASE_COLUMNS + ("aise",) if c not in header]
-                if missing:
-                    raise SchemaError(f"{path}: missing columns {missing}")
-            elif file_header != header:
-                raise ValidationError(
-                    f"{path}: header differs from {paths[0]}; "
-                    "refusing to mix schemas"
-                )
-            for row in reader:
-                if len(row) != len(header):
-                    raise ValidationError(
-                        f"{path}: row with {len(row)} cells, expected {len(header)}"
-                    )
-                records.append(dict(zip(header, row)))
+        file_header, rows = _read_table(path, metrics_header(1))  # the columns of any p >= 1
+        if header is None:
+            header = file_header
+        elif file_header != header:
+            raise ValidationError(
+                f"{path}: header differs from {paths[0]}; refusing to mix schemas"
+            )
+        records.extend(dict(zip(header, row)) for row in rows)
     if not records:
         raise ValidationError("metrics files contain no data rows")
-    p = 0
+    p = 1
     while f"ise_{p + 1}" in header:
         p += 1
-    if p == 0:
-        raise SchemaError("no ise_<j> columns found")
-    return header, records, p
+    return records, p
 
 
 @dataclass(frozen=True)
@@ -147,7 +125,7 @@ def build_summary(metrics_paths) -> StudySummary:
     Squared-error cells come out multiplied by 100.  Duplicate (group, rep)
     rows are rejected so every cell is traceable to distinct replications.
     """
-    _, records, p = _read_metrics(metrics_paths)
+    records, p = _read_metrics(metrics_paths)
 
     value_cols = ["aise"] + [
         f"{name}_{j + 1}" for name in _PER_COEFFICIENT for j in range(p)
@@ -204,25 +182,16 @@ def curves_csv_text(curves: CurveEstimate, scales=None) -> str:
     """
     p = curves.beta_hat.shape[0]
     names = curves.covariate_names or tuple(f"z{j + 1}" for j in range(p))
-    lines = [",".join(CURVE_COLUMNS)]
+    # repr strings: csv.writer formats a float cell more slowly than repr
+    grid = [repr(t) for t in curves.grid.tolist()]
+    rows = []
     for j, name in enumerate(names):
         s = 1.0 if scales is None else float(scales[j])
-        for g in range(curves.grid.size):
-            lines.append(
-                ",".join(
-                    (
-                        name,
-                        repr(float(curves.grid[g])),
-                        repr(float(curves.theta_hat[j, g]) / s),
-                        repr(float(curves.beta_hat[j, g]) / s),
-                        repr(float(curves.sigma_hat[j, g]) / s),
-                        repr(float(curves.ci_lower[j, g]) / s),
-                        repr(float(curves.ci_upper[j, g]) / s),
-                        "true" if curves.zero_flags[j, g] else "false",
-                    )
-                )
-            )
-    return "\n".join(lines) + "\n"
+        # the value columns are named after the curve set's fields
+        values = [[repr(v / s) for v in getattr(curves, f)[j].tolist()] for f in CURVE_COLUMNS[2:7]]
+        flags = ["true" if z else "false" for z in curves.zero_flags[j].tolist()]
+        rows.extend(zip(repeat(name), grid, *values, flags))
+    return _table_text(CURVE_COLUMNS, rows)
 
 
 def read_curve_table(path, level: float = 0.95) -> CurveEstimate:
@@ -233,30 +202,20 @@ def read_curve_table(path, level: float = 0.95) -> CurveEstimate:
     """
     if not 0.0 < level < 1.0:
         raise ValidationError(f"level must lie in (0, 1), got {level}")
-    path = str(path)
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        got = tuple(reader.fieldnames or ())
-        missing = [c for c in CURVE_COLUMNS if c not in got]
-        if missing:
-            raise SchemaError(f"{path}: missing columns {missing}")
-        rows = list(reader)
+    header, rows = _read_table(path, CURVE_COLUMNS)
     if not rows:
         raise ValidationError(f"{path}: no data rows")
-
-    names = []
+    at = {col: header.index(col) for col in CURVE_COLUMNS}
+    by_name = {}
     for row in rows:
-        if row["covariate"] not in names:
-            names.append(row["covariate"])
-    by_name = {name: [r for r in rows if r["covariate"] == name] for name in names}
-    sizes = {len(v) for v in by_name.values()}
-    if len(sizes) != 1:
+        by_name.setdefault(row[at["covariate"]], []).append(row)
+    if len({len(group) for group in by_name.values()}) != 1:
         raise ValidationError(f"{path}: covariates have unequal grid sizes")
 
     def column(field: str, conv) -> np.ndarray:
         try:
             return np.array(
-                [[conv(r[field]) for r in by_name[n]] for n in names]
+                [[conv(r[at[field]]) for r in group] for group in by_name.values()]
             )
         except ValueError as exc:
             raise ValidationError(f"{path}: bad value in column {field}: {exc}") from exc
@@ -283,7 +242,7 @@ def read_curve_table(path, level: float = 0.95) -> CurveEstimate:
         zero_flags=column("is_zero", parse_flag).astype(bool),
         level=float(level),
         fallback=np.zeros(beta_hat.shape, dtype=bool),
-        covariate_names=tuple(names),
+        covariate_names=tuple(by_name),
     )
 
 
@@ -350,8 +309,5 @@ def render_markdown(summary: StudySummary) -> str:
 
 def render_csv(summary: StudySummary) -> str:
     """Machine-readable cells; floats written with repr for exact round trips."""
-    lines = [",".join(SUMMARY_COLUMNS)]
-    for cov, n, variant, metric, coef, mean, sd, reps in summary.rows:
-        coef_txt = "" if coef is None else str(coef)
-        lines.append(f"{cov},{n},{variant},{metric},{coef_txt},{mean!r},{sd!r},{reps}")
-    return "\n".join(lines) + "\n"
+    # a None coefficient (the aise cells) is written as an empty cell
+    return _table_text(SUMMARY_COLUMNS, summary.rows)

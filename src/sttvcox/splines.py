@@ -31,10 +31,6 @@ class SplineBasis:
     knots: np.ndarray
     q: int
 
-    @property
-    def interior_knots(self) -> np.ndarray:
-        return self.knots[self.degree + 1 : self.degree + self.n_segments]
-
 
 def make_basis(K: int, d: int, tau: float) -> SplineBasis:
     """Build the clamped basis with K equal segments of degree d on [0, tau]."""

@@ -10,7 +10,7 @@ import pytest
 import sttvcox as sx
 from sttvcox import cli
 from sttvcox.cli import main
-from sttvcox.reporting import CURVE_COLUMNS, read_curve_table
+from sttvcox.reporting import CURVE_COLUMNS, build_summary, read_curve_table
 
 
 def run(*args):
@@ -20,6 +20,22 @@ def run(*args):
 def read_rows(path):
     with open(path, newline="") as fh:
         return list(csv.reader(fh))
+
+
+def write_truth_curves(path, jitter=0.0):
+    sc = sx.Scenario(n=100, covariance="ind", seed=0)
+    grid = sx.metric_grid(sc)
+    lines = [",".join(CURVE_COLUMNS)]
+    for j, fn in enumerate(sc.beta_functions, start=1):
+        truth = np.asarray(fn(grid), dtype=float) + jitter
+        for g, b in zip(grid, truth):
+            lines.append(",".join([
+                f"z{j}", repr(float(g)), repr(float(b)), repr(float(b)),
+                "1.0", repr(float(b - 0.005)), repr(float(b + 0.005)),
+                "true" if b == 0.0 else "false",
+            ]))
+    path.write_text("\n".join(lines) + "\n")
+    return path
 
 
 def write_study(path, **overrides):
@@ -67,6 +83,22 @@ def repeated20(tmp_path_factory):
     return path
 
 
+@pytest.fixture(scope="module")
+def curves100(tmp_path_factory):
+    return write_truth_curves(tmp_path_factory.mktemp("cli") / "curves100.csv")
+
+
+@pytest.fixture(scope="module")
+def repeated_curves100(curves100):
+    # a scorable curve table plus a second beta_hat column
+    lines = curves100.read_text().splitlines()
+    path = curves100.with_name("repeated_curves100.csv")
+    path.write_text(f"{lines[0]},beta_hat\n" + "".join(f"{line},9.0\n" for line in lines[1:]))
+    return path
+
+
+SCORE_CONFIG = {"covariance": "ind", "n": 100}
+
 # command, input fixture, flags, config (a simulate config overrides write_study)
 EXIT_2_CASES = {
     "fit_K_zero": ("fit", "data20", ["--K", 0], None),
@@ -80,6 +112,8 @@ EXIT_2_CASES = {
     "fit_tau_past_last_time": ("fit", "data20", ["--tau", 100], None),
     "fit_repeated_column": ("fit", "repeated20", [], None),
     "fit_standardize_string": ("fit", "data20", [], {"standardize": "false"}),
+    "fit_unknown_key": ("fit", "data20", [], {"multi_start": 3}),
+    "fit_coxph_K_zero": ("fit", "data20", ["--variant", "coxph", "--K", 0], None),
     "cv_eta_zero": ("cv", "data60", ["--eta", 0, "--folds", 2], None),
     "cv_multistart_zero": ("cv", "data60", ["--multistart", 0, "--folds", 2], None),
     "cv_no_events": ("cv", "censored20", ["--folds", 2], None),
@@ -89,6 +123,10 @@ EXIT_2_CASES = {
     "cv_coxph_variant": ("cv", "data60", ["--folds", 2], {"variant": "coxph"}),
     "cv_repeated_column": ("cv", "repeated20", ["--folds", 2], None),
     "cv_refit_string": ("cv", "data60", ["--folds", 2], {"refit": "false"}),
+    "cv_unknown_key": ("cv", "data60", ["--folds", 2], {"refitt": True}),
+    "cv_grid_points_zero_without_refit": ("cv", "data60", ["--folds", 2], {"grid_points": 0}),
+    "score_unknown_key": ("score", "curves100", [], {**SCORE_CONFIG, "varaint": "x"}),
+    "score_repeated_column": ("score", "repeated_curves100", [], SCORE_CONFIG),
     "simulate_K_zero": ("simulate", None, [], {"fit": {"K": 0}}),
     "simulate_level": ("simulate", None, [], {"level": 1.5}),
     "simulate_fractional_n": ("simulate", None, [], {"scenario": {"n": 10.5}}),
@@ -98,6 +136,10 @@ EXIT_2_CASES = {
     "simulate_variants_string": ("simulate", None, [], {"variants": "sttv"}),
     "simulate_coxph_variant": ("simulate", None, [], {"variants": ["coxph"]}),
     "simulate_dump_curves_string": ("simulate", None, [], {"dump_curves": "false"}),
+    "simulate_unknown_key": ("simulate", None, [], {"jobz": 2}),
+    "simulate_unknown_scenario_key":
+        ("simulate", None, [], {"scenario": {"n": 40, "covarance": "ar1"}}),
+    "simulate_unknown_fit_key": ("simulate", None, [], {"fit": {"K": 2, "Kk": 3}}),
 }
 
 
@@ -115,6 +157,26 @@ def test_exit_2_leaves_no_output(case, tmp_path, request):
         argv += ["--config", path]
     assert run(*argv) == 2
     assert not (tmp_path / "out").exists()
+
+
+def test_unknown_keys_named_at_every_level(tmp_path, capsys):
+    study = write_study(tmp_path / "study.json", jobz=2,
+                        scenario={"n": 40, "covarance": "ar1"}, fit={"K": 2, "Kk": 3})
+    assert run("simulate", "--config", study, "--output", tmp_path / "out") == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"error [ValidationError] config {study} has unknown keys "
+                   "['scenario.covarance', 'fit.Kk', 'jobz']"]
+
+
+def test_key_given_as_flag_and_in_config_counts_as_read(data20, tmp_path):
+    config = tmp_path / "fit.json"
+    config.write_text(json.dumps({"K": 2, "variant": "regtv", "seed": 1, "grid_points": 20}))
+    assert run("fit", "--config", config, "--input", data20, "--output", tmp_path / "fit",
+               "--K", 2, "--variant", "regtv", "--seed", 1, "--grid-points", 20) == 0
+    study = write_study(tmp_path / "study.json", reps=1, variants=["sttv"],
+                        scenario={"n": 60, "covariance": "ind", "seed": 3})
+    assert run("simulate", "--config", study, "--output", tmp_path / "sim",
+               "--seed", 3, "--variant", "sttv", "--K", 2) == 0
 
 
 @pytest.mark.parametrize(
@@ -210,6 +272,16 @@ class TestFit:
         out = tmp_path / "out"
         assert run("fit", "--config", config, "--input", data20, "--output", out) == 2
         assert not out.exists()
+
+    def test_quoted_covariate_name_reads_back(self, data20, tmp_path):
+        ds = sx.load_csv(data20)
+        data = tmp_path / "quoted.csv"
+        sx.save_csv(sx.make_dataset(ds.time, ds.event, ds.covariates,
+                                    covariate_names=("a,b", "z2", "z3")), data)
+        out = tmp_path / "out"
+        assert run("fit", "--input", data, "--output", out, "--variant", "coxph",
+                   "--grid-points", 20) == 0
+        assert read_curve_table(out / "curves.csv").covariate_names == ("a,b", "z2", "z3")
 
     def test_alpha_override_recorded(self, data20, tmp_path):
         out = tmp_path / "out"
@@ -366,23 +438,8 @@ class TestSimulate:
 
 
 class TestScore:
-    def write_truth_curves(self, path, jitter=0.0):
-        sc = sx.Scenario(n=100, covariance="ind", seed=0)
-        grid = sx.metric_grid(sc)
-        lines = [",".join(CURVE_COLUMNS)]
-        for j, fn in enumerate(sc.beta_functions, start=1):
-            truth = np.asarray(fn(grid), dtype=float) + jitter
-            for g, b in zip(grid, truth):
-                lines.append(",".join([
-                    f"z{j}", repr(float(g)), repr(float(b)), repr(float(b)),
-                    "1.0", repr(float(b - 0.005)), repr(float(b + 0.005)),
-                    "true" if b == 0.0 else "false",
-                ]))
-        path.write_text("\n".join(lines) + "\n")
-        return path
-
     def test_truth_scores_zero_ise(self, tmp_path):
-        curves = self.write_truth_curves(tmp_path / "curves.csv")
+        curves = write_truth_curves(tmp_path / "curves.csv")
         config = tmp_path / "score.json"
         config.write_text(json.dumps({"covariance": "ind", "n": 100}))
         out = tmp_path / "out"
@@ -436,7 +493,7 @@ class TestScore:
         "bad", [{"covariance": "bogus"}, {"n": -5}, {"n": "many"}],
         ids=["covariance", "n", "n_text"])
     def test_invalid_scenario_rejected(self, tmp_path, bad):
-        curves = self.write_truth_curves(tmp_path / "curves.csv")
+        curves = write_truth_curves(tmp_path / "curves.csv")
         config = tmp_path / "score.json"
         config.write_text(json.dumps({"covariance": "ind", "n": 100, **bad}))
         out = tmp_path / "out"
@@ -445,7 +502,7 @@ class TestScore:
         assert not (out / "metrics.csv").exists()
 
     def test_non_numeric_rep_rejected_before_output(self, tmp_path):
-        curves = self.write_truth_curves(tmp_path / "curves.csv")
+        curves = write_truth_curves(tmp_path / "curves.csv")
         config = tmp_path / "score.json"
         config.write_text(json.dumps({"covariance": "ind", "n": 100, "rep": "x"}))
         out = tmp_path / "out"
@@ -453,8 +510,16 @@ class TestScore:
                    "--output", out) == 2
         assert not out.exists()
 
+    def test_quoted_variant_reads_back(self, curves100, tmp_path):
+        config = tmp_path / "score.json"
+        config.write_text(json.dumps({**SCORE_CONFIG, "variant": "a,b"}))
+        out = tmp_path / "out"
+        assert run("score", "--config", config, "--input", curves100, "--output", out) == 0
+        summary = build_summary([out / "metrics.csv"])
+        assert {row[2] for row in summary.rows} == {"a,b"}
+
     def test_seed_flag_reaches_manifest(self, tmp_path):
-        curves = self.write_truth_curves(tmp_path / "curves.csv")
+        curves = write_truth_curves(tmp_path / "curves.csv")
         config = tmp_path / "score.json"
         config.write_text(json.dumps({"covariance": "ind", "n": 100, "seed": 4}))
         out = tmp_path / "out"

@@ -53,6 +53,44 @@ class TestLoadCsv:
         with pytest.raises(sx.SchemaError, match=f"repeated column '{repeated}'"):
             sx.load_csv(p)
 
+    def test_repeated_covariate_cols_named(self, tmp_path):
+        p = write_csv(tmp_path / "d.csv", "time,event,z1,z2\n1.0,1,0.5,9\n2.0,0,0.6,8\n")
+        with pytest.raises(sx.SchemaError, match="repeated column 'z1'"):
+            sx.load_csv(p, covariate_cols=["z1", "z1"])
+
+    @pytest.mark.parametrize("rows, error", [
+        ("1.0,1,0.5,99\n2.0,0,0.6\n", "row 1: 4 cells, expected 3"),
+        ("1.0,1,0.5\n2.0,0\n", "row 2: 2 cells, expected 3"),
+    ], ids=["long_row", "short_row"])
+    def test_row_length_must_match_header(self, tmp_path, rows, error):
+        p = write_csv(tmp_path / "d.csv", f"time,event,z1\n{rows}")
+        with pytest.raises(sx.ValidationError, match=error):
+            sx.load_csv(p)
+
+    def test_blank_lines_skipped(self, tmp_path):
+        plain = write_csv(tmp_path / "a.csv", "time,event,z1\n2,1,0.5\n1,0,1.5\n")
+        spaced = write_csv(tmp_path / "b.csv", "\ntime,event,z1\n\n2,1,0.5\n\n1,0,1.5\n\n")
+        a, b = sx.load_csv(plain), sx.load_csv(spaced)
+        assert b.covariate_names == a.covariate_names == ("z1",)
+        for field in ("time", "event", "covariates"):
+            np.testing.assert_array_equal(getattr(b, field), getattr(a, field))
+
+    def test_non_utf8_file_named(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_bytes(b"time,event,z\xe9\n1.0,1,0.5\n")
+        with pytest.raises(sx.ValidationError, match="d.csv: not a UTF-8 CSV table"):
+            sx.load_csv(p)
+
+    def test_names_with_separators_round_trip(self, tmp_path):
+        names = ("a,b", 'say "x"', "c\rd", "e\r\nf")
+        ds = sx.make_dataset([1.0, 2.0], [1, 0], [[0.1, 0.2, 0.3, 0.4], [0.5, 0.6, 0.7, 0.8]],
+                             covariate_names=names)
+        out = tmp_path / "w.csv"
+        sx.save_csv(ds, out)
+        assert sx.load_csv(out).covariate_names == names
+        # LF line ends: the only CRs are the two inside names
+        assert out.read_bytes().count(b"\r") == 2
+
     def test_negative_time_rejected(self, tmp_path):
         # zero is rejected too: the README asks for positive times
         for t in ("-1", "0"):

@@ -23,12 +23,16 @@ def step_two(t):
     return 2.0 * (np.asarray(t, dtype=float) < 1.5)
 
 
-def write_metrics(path, rows, p=1):
+def write_table(path, header, rows):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(metrics_header(p))
+        writer.writerow(header)
         writer.writerows(rows)
     return path
+
+
+def write_metrics(path, rows, p=1):
+    return write_table(path, metrics_header(p), rows)
 
 
 def one_coef_row(rep, ise, variant="sttv"):
@@ -96,6 +100,22 @@ class TestBuildSummary:
         a = write_metrics(tmp_path / "a.csv", rows)
         b = write_metrics(tmp_path / "b.csv", rows[::-1])
         assert build_summary([a]).rows == build_summary([b]).rows
+
+    # a dict reader would keep the last of two columns of one name
+    @pytest.mark.parametrize("header, extra, error", [
+        (metrics_header(1) + ("aise",), ["7.0"], "repeated column 'aise'"),
+        (metrics_header(1), ["99"], "row 1: 11 cells, expected 10"),
+    ], ids=["repeated_column", "long_row"])
+    def test_malformed_table_rejected(self, tmp_path, header, extra, error):
+        path = write_table(tmp_path / "m.csv", header, [one_coef_row(0, 0.01) + extra])
+        with pytest.raises(sx.ValidationError, match=error):
+            build_summary([path])
+
+    def test_blank_lines_skipped(self, tmp_path):
+        rows = [one_coef_row(0, 0.01), one_coef_row(1, 0.03)]
+        plain = write_metrics(tmp_path / "a.csv", rows)
+        spaced = write_metrics(tmp_path / "b.csv", [[], rows[0], [], rows[1], []])
+        assert build_summary([spaced]).rows == build_summary([plain]).rows
 
     def test_duplicate_rep_rejected(self, tmp_path):
         path = write_metrics(tmp_path / "m.csv",
@@ -210,6 +230,27 @@ class TestReadCurveTable:
             writer.writerow(["z1", "0.0", "1.0", "1.0", "1.0", "2.0", "false"])
         with pytest.raises(sx.SchemaError, match="ci_lower"):
             read_curve_table(path)
+
+    @pytest.mark.parametrize("header, extra, error", [
+        (CURVE_COLUMNS + ("beta_hat",), ["5.0"], "repeated column 'beta_hat'"),
+        (CURVE_COLUMNS, ["99"], "row 1: 9 cells, expected 8"),
+    ], ids=["repeated_column", "long_row"])
+    def test_malformed_table_rejected(self, tmp_path, header, extra, error):
+        row = ["z1", "0.0", "1.0", "1.0", "1.0", "0.0", "2.0", "false"] + extra
+        path = write_table(tmp_path / "c.csv", header, [row])
+        with pytest.raises(sx.ValidationError, match=error):
+            read_curve_table(path)
+
+    def test_blank_lines_skipped(self, tmp_path):
+        grid = np.linspace(0.0, 3.0, 5)
+        plain = write_curves(tmp_path / "a.csv", grid, [grid - 1, grid - 2],
+                             [grid + 1, grid + 2], names=("z1", "z2"))
+        spaced = tmp_path / "b.csv"
+        spaced.write_text("\n" + plain.read_text().replace("\n", "\n\n"))
+        a, b = read_curve_table(plain), read_curve_table(spaced)
+        assert b.covariate_names == a.covariate_names == ("z1", "z2")
+        for field in ("grid", "beta_hat", "ci_lower", "ci_upper", "zero_flags"):
+            np.testing.assert_array_equal(getattr(b, field), getattr(a, field))
 
     def test_flag_values_validated(self, tmp_path):
         path = tmp_path / "c.csv"
