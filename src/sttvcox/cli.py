@@ -33,7 +33,7 @@ from . import __version__
 from .coxph import fit_coxph
 from .dataset import _table_text, load_csv, make_dataset
 from .errors import ConvergenceError, NumericError, ValidationError
-from .inference import CurveEstimate, wald_ci
+from .inference import CurveEstimate, _curve_set
 from .model_selection import DEFAULT_CANDIDATES, cross_validate, cv_candidates
 from .optimizer import VARIANTS, FitConfig, estimate_curves, fit
 from .reporting import (
@@ -262,7 +262,9 @@ def _standardized(ds):
     return std, means, scales
 
 
-def _fit_config(args, config: dict, p: int, seed: int, variant: str) -> FitConfig:
+def _fit_config(args, config: dict, K: int, p: int, seed: int, variant: str) -> FitConfig:
+    """The fit settings of a command; K is the command's own (``cv`` gives its
+    first candidate)."""
     override = _setting(args, config, "alpha_override", None,
                         lambda v: np.asarray(v, dtype=float).ravel())
     if override is not None:
@@ -274,7 +276,7 @@ def _fit_config(args, config: dict, p: int, seed: int, variant: str) -> FitConfi
             override = np.repeat(override, p)
         override = tuple(float(a) for a in override)
     return FitConfig(
-        K=_setting(args, config, "K", _DEFAULT_K, _int),
+        K=K,
         eta=_setting(args, config, "eta", 1e-3, float),
         rho=_setting(args, config, "rho", None, float),
         alpha_scale=_setting(args, config, "alpha_scale", 0.5, float),
@@ -328,28 +330,6 @@ def _model_doc(model, standardize_doc) -> dict:
     }
 
 
-def _constant_curves(fitres, names, grid: np.ndarray) -> CurveEstimate:
-    """Constant-effect curve set from a proportional-hazards fit."""
-    p = fitres.beta.shape[0]
-    G = grid.size
-    se = np.sqrt(np.diag(fitres.covariance))
-    theta = np.repeat(fitres.beta[:, None], G, axis=1)
-    sig = np.repeat(se[:, None], G, axis=1)
-    lower, upper = wald_ci(theta, sig, 1.0 - _LEVEL)
-    return CurveEstimate(
-        grid=grid,
-        theta_hat=theta,
-        beta_hat=theta,
-        sigma_hat=sig,
-        ci_lower=lower,
-        ci_upper=upper,
-        zero_flags=np.zeros((p, G), dtype=bool),
-        level=_LEVEL,
-        fallback=np.zeros((p, G), dtype=bool),
-        covariate_names=names,
-    )
-
-
 def _fit_model(ds, cfg: FitConfig):
     """fit(ds, cfg) for fit and cv --refit; an unconverged model logs one WARNING."""
     model = fit(ds, cfg)
@@ -376,7 +356,8 @@ def cmd_fit(args, config: dict) -> int:
             f"variant must be one of {VARIANTS + ('coxph',)}, got {variant!r}"
         )
     # coxph ignores the spline settings, but they are still read and checked
-    cfg = _fit_config(args, config, ds.p, seed, "sttv" if variant == "coxph" else variant)
+    K = _setting(args, config, "K", _DEFAULT_K, _int)
+    cfg = _fit_config(args, config, K, ds.p, seed, "sttv" if variant == "coxph" else variant)
     ds_fit, standardize_doc, scales = ds, None, None
     if _switch(args, config, "standardize"):
         ds_fit, means, scales = _standardized(ds)
@@ -387,7 +368,10 @@ def cmd_fit(args, config: dict) -> int:
 
     if variant == "coxph":
         fitres = fit_coxph(ds_fit)
-        curves = _constant_curves(fitres, ds.covariate_names, grid)
+        # the constant effects, repeated across the grid, without thresholds
+        se = np.sqrt(np.diag(fitres.covariance))
+        theta, sig = (np.repeat(a[:, None], grid.size, axis=1) for a in (fitres.beta, se))
+        curves = _curve_set(grid, theta, sig, None, _LEVEL, ds.covariate_names)
         doc = {
             "variant": "coxph",
             "beta": fitres.beta,
@@ -421,7 +405,7 @@ def cmd_cv(args, config: dict) -> int:
 
     ds = _load_input(args, config)
     candidates = cv_candidates(candidates, folds, ds.n)
-    cfg = replace(_fit_config(args, config, ds.p, seed, variant), K=candidates[0])
+    cfg = _fit_config(args, config, candidates[0], ds.p, seed, variant)
     refit = _switch(args, config, "refit")
     grid = _fit_grid(args, config, ds.tau)
 
@@ -483,8 +467,9 @@ def _study_pieces(args, config: dict):
     fit_doc = config.get("fit", {})
     if not isinstance(fit_doc, dict):
         raise ValidationError('"fit" must be an object of fit settings')
+    K = _setting(args, fit_doc, "K", _DEFAULT_K, _int)
     configs = [
-        _fit_config(args, fit_doc, scenario.p, scenario.seed, variant)
+        _fit_config(args, fit_doc, K, scenario.p, scenario.seed, variant)
         for variant in variants
     ]
 
@@ -579,7 +564,6 @@ def _add_common(sp, *, data: bool, fitting: bool) -> None:
         sp.add_argument("--input", help="input CSV path")
         sp.add_argument("--tau", type=float, help="administrative horizon")
     if fitting:
-        sp.add_argument("--K", type=int, help="spline segment count")
         sp.add_argument("--alpha-scale", type=float, help="threshold scale factor")
         sp.add_argument(
             "--alpha-override", type=float, help="explicit threshold for every covariate"
@@ -601,6 +585,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("fit", help="fit effect curves on a survival CSV")
     _add_common(sp, data=True, fitting=True)
+    sp.add_argument("--K", type=int, help="spline segment count")
     sp.add_argument(
         "--variant", choices=VARIANTS + ("coxph",), help="model variant to fit"
     )
@@ -627,6 +612,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("simulate", help="run a seeded replication study")
     _add_common(sp, data=False, fitting=True)
+    sp.add_argument("--K", type=int, help="spline segment count")
     sp.add_argument(
         "--variant", choices=VARIANTS, help="restrict the study to one variant"
     )

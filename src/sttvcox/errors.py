@@ -15,7 +15,8 @@ class SchemaError(ValidationError):
 
 
 class StratificationError(ValidationError):
-    """Cross-validation folds could not be built (some fold has no event)."""
+    """A cross-validation fold without an event; kept as a public name, but
+    nothing raises it since ``assign_folds`` deals the events first."""
 
 
 class NumericError(SttvError):

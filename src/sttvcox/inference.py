@@ -1,4 +1,4 @@
-"""Pointwise variance, the thresholded limit law, and sparse intervals.
+"""Pointwise variance, the thresholded limit law, sparse intervals, and curve sets.
 
 The fitted spline coefficient vector has sandwich covariance
 H^-1 Sigma H^-1, where H is the negative Hessian of the penalized
@@ -22,6 +22,10 @@ tail pins the corresponding endpoint at 0; otherwise the usual two-sided
 normal interval around beta_hat applies.  When a case (ii)/(iii) quantile
 argument leaves (0, 1) in floating point, the code falls back to the
 two-sided case and flags the point (the fallback is conservative).
+
+Every computed curve set, thresholded or not and spline or constant Cox,
+is built here by ``_curve_set``: levels and standard errors in, effect,
+zero flags and intervals out.
 """
 
 from __future__ import annotations
@@ -105,7 +109,11 @@ def curve_variance(model, j: int, grid) -> np.ndarray:
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
     if not 0 <= j < model.p:
         raise ValidationError(f"coefficient index {j} out of range [0, {model.p})")
-    Bg = eval_basis_grid(model.basis, grid)
+    return _variance(model, j, eval_basis_grid(model.basis, grid))
+
+
+def _variance(model, j: int, Bg: np.ndarray) -> np.ndarray:
+    """``curve_variance`` at the grid whose basis rows are Bg."""
     q = model.basis.q
     block = model.sandwich[j * q:(j + 1) * q, j * q:(j + 1) * q]
     var = np.einsum("ga,ab,gb->g", Bg, block, Bg)
@@ -245,3 +253,37 @@ class CurveEstimate:
     level: float
     fallback: np.ndarray
     covariate_names: tuple[str, ...] | None = None
+
+
+def _curve_set(grid, theta, sigma, alphas, level: float, names) -> CurveEstimate:
+    """The curve set of levels theta (p, G) with standard errors sigma on grid.
+
+    With thresholds ``alphas`` (one per covariate) the effect is the soft
+    threshold of theta, flagged zero where it is exactly zero, with
+    ``sparse_ci`` intervals; with ``alphas=None`` it is theta itself, with
+    ``wald_ci`` intervals and no zero or fallback flags.
+    """
+    xi = 1.0 - level
+    if alphas is not None:
+        alphas = alphas[:, None]
+        beta = soft_threshold(theta, alphas)
+        lower, upper, fallback = sparse_ci(theta, alphas, sigma, xi)
+        zero = beta == 0.0
+    else:
+        beta = theta
+        lower, upper = wald_ci(theta, sigma, xi)
+        fallback = np.zeros(theta.shape, dtype=bool)
+        zero = np.zeros(theta.shape, dtype=bool)
+
+    return CurveEstimate(
+        grid=grid,
+        theta_hat=theta,
+        beta_hat=beta,
+        sigma_hat=sigma,
+        ci_lower=lower,
+        ci_upper=upper,
+        zero_flags=zero,
+        level=level,
+        fallback=fallback,
+        covariate_names=names,
+    )

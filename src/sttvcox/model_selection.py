@@ -19,7 +19,6 @@ import numpy as np
 from .dataset import SurvivalDataset, make_dataset
 from .errors import (
     ConvergenceError,
-    StratificationError,
     SttvError,
     ValidationError,
     check_count,
@@ -122,22 +121,10 @@ def cross_validate(
     if ds.n_events == 0:
         raise ValidationError("cannot cross-validate a dataset with zero events")
 
-    assignment = None
-    # with more folds than events some folds must stay eventless (e.g.
-    # leave-one-out on censored data); those folds score 0 and the strict
-    # requirement applies only when it is satisfiable
-    feasible = ds.n_events >= folds
-    for attempt in range(100):
-        trial = assign_folds(ds.n, folds, ds.event, seed + attempt)
-        counts = np.bincount(trial[ds.event], minlength=folds)
-        if not feasible or (counts > 0).all():
-            assignment = trial
-            break
-    if assignment is None:
-        raise StratificationError(
-            f"could not build {folds} folds that all retain an event "
-            f"({ds.n_events} events total)"
-        )
+    # events are dealt first, so with at least as many events as folds every
+    # fold holds one; with fewer (e.g. leave-one-out on censored data) some
+    # folds stay eventless and score 0
+    assignment = assign_folds(ds.n, folds, ds.event, seed)
 
     per_fold = np.full((len(cand), folds), np.nan)
     failed = []

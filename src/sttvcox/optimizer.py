@@ -46,7 +46,7 @@ from .errors import (
     check_count,
     check_positive,
 )
-from .inference import CurveEstimate, curve_variance, sparse_ci, wald_ci
+from .inference import CurveEstimate, _curve_set, _variance
 from .likelihood import (
     CoefficientBlock,
     LikelihoodWorkspace,
@@ -56,7 +56,6 @@ from .likelihood import (
     value_and_derivatives,
 )
 from .splines import SplineBasis, eval_basis_grid, make_basis
-from .threshold import soft_threshold
 
 logger = logging.getLogger(__name__)
 
@@ -364,9 +363,11 @@ def fit(ds: SurvivalDataset, cfg: FitConfig, *, _warm=None) -> FittedModel:
 def estimate_curves(model: FittedModel, grid, level: float = 0.95) -> CurveEstimate:
     """Evaluate effect curves with pointwise errors and intervals on a grid.
 
-    theta_hat_j(t) = B(t)' gamma_hat_j is the spline level; the reported
-    effect is its exact soft threshold for the thresholded variant and
-    theta_hat itself otherwise.
+    theta_hat_j(t) = B(t)' gamma_hat_j is the spline level, with the
+    sandwich standard error of ``inference.curve_variance``; the effect,
+    zero flags and intervals come from ``inference._curve_set``: the exact
+    soft threshold and sparse intervals for the thresholded variant, theta_hat
+    itself and normal intervals otherwise.
     """
     if not 0.0 < level < 1.0:
         raise ValidationError(f"level must lie in (0, 1), got {level}")
@@ -374,29 +375,6 @@ def estimate_curves(model: FittedModel, grid, level: float = 0.95) -> CurveEstim
     if grid.size == 0:
         raise ValidationError("empty evaluation grid")
     Bg = eval_basis_grid(model.basis, grid)    # validates the range
-    theta = model.gamma_hat @ Bg.T             # (p, G)
-    sig = np.sqrt([curve_variance(model, j, grid) for j in range(model.p)])
-    xi = 1.0 - level
-
-    if model.alphas is not None:
-        beta = soft_threshold(theta, model.alphas[:, None])
-        lower, upper, fallback = sparse_ci(theta, model.alphas[:, None], sig, xi)
-        zero = beta == 0.0
-    else:
-        beta = theta
-        lower, upper = wald_ci(theta, sig, xi)
-        fallback = np.zeros(theta.shape, dtype=bool)
-        zero = np.zeros(theta.shape, dtype=bool)
-
-    return CurveEstimate(
-        grid=grid,
-        theta_hat=theta,
-        beta_hat=beta,
-        sigma_hat=sig,
-        ci_lower=lower,
-        ci_upper=upper,
-        zero_flags=zero,
-        level=level,
-        fallback=fallback,
-        covariate_names=model.covariate_names,
-    )
+    sig = np.sqrt([_variance(model, j, Bg) for j in range(model.p)])
+    return _curve_set(grid, model.gamma_hat @ Bg.T, sig, model.alphas, level,
+                      model.covariate_names)

@@ -198,7 +198,8 @@ def read_curve_table(path, level: float = 0.95) -> CurveEstimate:
     """One curve CSV as a curve set, arrays shaped (p, grid).
 
     The table carries no fallback column, so ``fallback`` is all False;
-    ``level`` is recorded as given.
+    ``level`` is recorded as given.  A NaN cell is a ``ValidationError``;
+    an infinite one (the standard error of a constant covariate) is kept.
     """
     if not 0.0 < level < 1.0:
         raise ValidationError(f"level must lie in (0, 1), got {level}")
@@ -214,11 +215,14 @@ def read_curve_table(path, level: float = 0.95) -> CurveEstimate:
 
     def column(field: str, conv) -> np.ndarray:
         try:
-            return np.array(
+            values = np.array(
                 [[conv(r[at[field]]) for r in group] for group in by_name.values()]
             )
         except ValueError as exc:
             raise ValidationError(f"{path}: bad value in column {field}: {exc}") from exc
+        if values.dtype == float and np.isnan(values).any():
+            raise ValidationError(f"{path}: NaN in column {field}")
+        return values
 
     def parse_flag(text: str) -> bool:
         t = text.strip().lower()

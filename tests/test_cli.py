@@ -97,6 +97,17 @@ def repeated_curves100(curves100):
     return path
 
 
+@pytest.fixture(scope="module")
+def nan_curves100(curves100):
+    # a scorable curve table with beta_hat = nan in its first row
+    lines = curves100.read_text().splitlines()
+    cells = lines[1].split(",")
+    cells[CURVE_COLUMNS.index("beta_hat")] = "nan"
+    path = curves100.with_name("nan_curves100.csv")
+    path.write_text("\n".join([lines[0], ",".join(cells), *lines[2:]]) + "\n")
+    return path
+
+
 SCORE_CONFIG = {"covariance": "ind", "n": 100}
 
 # command, input fixture, flags, config (a simulate config overrides write_study)
@@ -125,8 +136,10 @@ EXIT_2_CASES = {
     "cv_refit_string": ("cv", "data60", ["--folds", 2], {"refit": "false"}),
     "cv_unknown_key": ("cv", "data60", ["--folds", 2], {"refitt": True}),
     "cv_grid_points_zero_without_refit": ("cv", "data60", ["--folds", 2], {"grid_points": 0}),
+    "cv_K_setting": ("cv", "data60", ["--folds", 2, "--candidates", "2,3"], {"K": 7}),
     "score_unknown_key": ("score", "curves100", [], {**SCORE_CONFIG, "varaint": "x"}),
     "score_repeated_column": ("score", "repeated_curves100", [], SCORE_CONFIG),
+    "score_nan_cell": ("score", "nan_curves100", [], SCORE_CONFIG),
     "simulate_K_zero": ("simulate", None, [], {"fit": {"K": 0}}),
     "simulate_level": ("simulate", None, [], {"level": 1.5}),
     "simulate_fractional_n": ("simulate", None, [], {"scenario": {"n": 10.5}}),
@@ -230,6 +243,29 @@ class TestFit:
         assert np.all(table.beta_hat == table.beta_hat[:, :1])
         doc = json.loads((out / "model.json").read_text())
         assert len(doc["beta"]) == 3
+        # the Cox beta with its Wald interval at every grid point, no zeros
+        beta = np.array(doc["beta"])[:, None]
+        se = np.sqrt(np.diag(doc["covariance"]))[:, None]
+        lower, upper = sx.wald_ci(beta, se, 1.0 - 0.95)
+        for got, want in ((table.theta_hat, beta), (table.beta_hat, beta),
+                          (table.sigma_hat, se), (table.ci_lower, lower),
+                          (table.ci_upper, upper)):
+            np.testing.assert_array_equal(got, np.broadcast_to(want, got.shape))
+        assert not table.zero_flags.any()
+
+    def test_coxph_constant_covariate_reads_back_with_inf(self, tmp_path):
+        ds = sx.generate(sx.Scenario(n=60, covariance="ind", seed=9))
+        Z = ds.covariates.copy()
+        Z[:, 2] = 1.0
+        data = tmp_path / "const.csv"
+        sx.save_csv(sx.make_dataset(ds.time, ds.event, Z), data)
+        out = tmp_path / "out"
+        assert run("fit", "--input", data, "--output", out,
+                   "--variant", "coxph", "--grid-points", 10) == 0
+        table = read_curve_table(out / "curves.csv")
+        assert np.isfinite(table.sigma_hat[:2]).all()
+        assert np.all(table.sigma_hat[2] == np.inf)
+        assert np.all(table.ci_lower[2] == -np.inf) and np.all(table.ci_upper[2] == np.inf)
 
     def test_standardize_round_trip(self, tmp_path):
         # reported on the original covariate scale, a standardized refit has
@@ -316,6 +352,14 @@ class TestCv:
             run("cv", "--input", data60, "--output", tmp_path / "out",
                 "--candidates", "")
         assert err.value.code == 2
+
+    def test_K_flag_rejected(self, data60, tmp_path):
+        # cv takes K only from its candidates
+        with pytest.raises(SystemExit) as err:
+            run("cv", "--input", data60, "--output", tmp_path / "out",
+                "--candidates", "2,3", "--folds", 2, "--K", 7)
+        assert err.value.code == 2
+        assert not (tmp_path / "out").exists()
 
     def test_non_numeric_setting_rejected_before_output(self, data60, tmp_path):
         config = tmp_path / "cv.json"

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sttvcox as sx
 from sttvcox.model_selection import _heldout_error, _subset
@@ -40,6 +42,16 @@ class TestAssignFolds:
         folds = sx.assign_folds(20, 5, events, seed=7)
         for r in range(5):
             assert np.sum(events[folds == r]) >= 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(events=st.lists(st.booleans(), min_size=2, max_size=79).filter(any),
+           data=st.data(), seed=st.integers(0, 2**32 - 1))
+    def test_every_fold_gets_an_event_when_events_suffice(self, events, data, seed):
+        # the property cross_validate relies on when it uses one draw
+        events = np.array(events)
+        folds = data.draw(st.integers(1, int(events.sum())))
+        assignment = sx.assign_folds(events.size, folds, events, seed)
+        assert (np.bincount(assignment[events], minlength=folds) > 0).all()
 
 
 class TestCrossValidate:
@@ -128,6 +140,8 @@ class TestFoldSharing:
     def test_errors_match_separate_fits(self, ds60):
         cfg = sx.FitConfig(K=3, variant="sttv", seed=19)
         cv = sx.cross_validate(ds60, cfg, candidates=[2, 3], folds=3, seed=5)
+        np.testing.assert_array_equal(cv.fold_assignments,
+                                      sx.assign_folds(ds60.n, 3, ds60.event, 5))
         for ci, K in enumerate(cv.candidates):
             for r in range(3):
                 train = _subset(ds60, np.flatnonzero(cv.fold_assignments != r))

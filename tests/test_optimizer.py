@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import sttvcox as sx
-from sttvcox import optimizer
+from sttvcox import inference, optimizer, splines
 
 
 class TestFit:
@@ -298,6 +298,43 @@ class TestEstimateCurves:
         curves = sx.estimate_curves(fitted_sttv_200, grid)
         assert np.all(curves.ci_lower <= curves.beta_hat + 1e-12)
         assert np.all(curves.beta_hat <= curves.ci_upper + 1e-12)
+
+    def test_basis_evaluated_once(self, fitted_sttv_200, monkeypatch):
+        calls = []
+
+        def counted(basis, grid):
+            calls.append(len(grid))
+            return splines.eval_basis_grid(basis, grid)
+
+        for module in (optimizer, inference):
+            monkeypatch.setattr(module, "eval_basis_grid", counted)
+        sx.estimate_curves(fitted_sttv_200, np.linspace(0, 3, 30))
+        assert calls == [30]
+
+    @pytest.mark.parametrize("variant", ["sttv", "regtv"])
+    def test_equals_curve_set_from_public_pieces(self, dataset_200, variant):
+        m = sx.fit(dataset_200, sx.FitConfig(K=3, variant=variant, seed=11))
+        grid = np.linspace(0, dataset_200.tau, 57)
+        curves = sx.estimate_curves(m, grid, level=0.9)
+        xi = 1.0 - 0.9
+        theta = m.gamma_hat @ sx.eval_basis_grid(m.basis, grid).T
+        sig = np.sqrt([sx.curve_variance(m, j, grid) for j in range(m.p)])
+        if variant == "sttv":
+            beta = sx.soft_threshold(theta, m.alphas[:, None])
+            lower, upper, fallback = sx.sparse_ci(theta, m.alphas[:, None], sig, xi)
+            zero = beta == 0.0
+        else:
+            beta = theta
+            lower, upper = sx.wald_ci(theta, sig, xi)
+            fallback = zero = np.zeros(theta.shape, dtype=bool)
+        want = {"grid": grid, "theta_hat": theta, "beta_hat": beta, "sigma_hat": sig,
+                "ci_lower": lower, "ci_upper": upper, "zero_flags": zero,
+                "fallback": fallback}
+        for field, value in want.items():
+            got = getattr(curves, field)
+            assert (got.dtype, got.shape) == (value.dtype, value.shape), field
+            assert got.tobytes() == value.tobytes(), field
+        assert (curves.level, curves.covariate_names) == (0.9, m.covariate_names)
 
     def test_sigma_positive(self, fitted_sttv_200):
         curves = sx.estimate_curves(fitted_sttv_200, np.linspace(0.1, 2.9, 30))

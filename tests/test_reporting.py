@@ -231,12 +231,14 @@ class TestReadCurveTable:
         with pytest.raises(sx.SchemaError, match="ci_lower"):
             read_curve_table(path)
 
-    @pytest.mark.parametrize("header, extra, error", [
-        (CURVE_COLUMNS + ("beta_hat",), ["5.0"], "repeated column 'beta_hat'"),
-        (CURVE_COLUMNS, ["99"], "row 1: 9 cells, expected 8"),
-    ], ids=["repeated_column", "long_row"])
-    def test_malformed_table_rejected(self, tmp_path, header, extra, error):
-        row = ["z1", "0.0", "1.0", "1.0", "1.0", "0.0", "2.0", "false"] + extra
+    ROW = ["z1", "0.0", "1.0", "1.0", "1.0", "0.0", "2.0", "false"]
+
+    @pytest.mark.parametrize("header, row, error", [
+        (CURVE_COLUMNS + ("beta_hat",), ROW + ["5.0"], "repeated column 'beta_hat'"),
+        (CURVE_COLUMNS, ROW + ["99"], "row 1: 9 cells, expected 8"),
+        (CURVE_COLUMNS, ROW[:3] + ["nan"] + ROW[4:], "NaN in column beta_hat"),
+    ], ids=["repeated_column", "long_row", "nan_cell"])
+    def test_malformed_table_rejected(self, tmp_path, header, row, error):
         path = write_table(tmp_path / "c.csv", header, [row])
         with pytest.raises(sx.ValidationError, match=error):
             read_curve_table(path)
