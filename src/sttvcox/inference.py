@@ -30,11 +30,11 @@ zero flags and intervals out.
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc
 
 from .errors import NumericError, ValidationError
 from .splines import eval_basis_grid
@@ -49,8 +49,77 @@ Interval = namedtuple("Interval", ["lower", "upper"])
 def normal_cdf(x):
     """Standard normal Phi via the complementary error function."""
     x = np.asarray(x, dtype=float)
-    out = 0.5 * erfc(-x / _SQRT2)
+    out = 0.5 * _erfc(-x / _SQRT2)
     return float(out[()]) if out.ndim == 0 else out
+
+
+# Cephes ndtr.c, the code scipy.special.erfc runs: erf(x) = x T(x^2)/U(x^2)
+# on |x| < 1, erfc(x) = exp(-x^2) P(|x|)/Q(|x|) on [1, 8) and
+# exp(-x^2) R(|x|)/S(|x|) beyond; Q, S and U have an implicit leading 1.
+_ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1,
+           7.46321056442269912687e0, 4.86371970985681366614e1,
+           1.96520832956077098242e2, 5.26445194995477358631e2,
+           9.34528527171957607540e2, 1.02755188689515710272e3,
+           5.57535335369399327526e2)
+_ERFC_Q = (1.32281951154744992508e1, 8.67072140885989742329e1,
+           3.54937778887819891062e2, 9.75708501743205489753e2,
+           1.82390916687909736289e3, 2.24633760818710981792e3,
+           1.65666309194161350182e3, 5.57535340817727675546e2)
+_ERFC_R = (5.64189583547755073984e-1, 1.27536670759978104416e0,
+           5.01905042251180477414e0, 6.16021097993053585195e0,
+           7.40974269950448939160e0, 2.97886665372100240670e0)
+_ERFC_S = (2.26052863220117276590e0, 9.39603524938001434673e0,
+           1.20489539808096656605e1, 1.70814450747565897222e1,
+           9.60896809063285878198e0, 3.36907645100081516050e0)
+_ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1,
+          2.23200534594684319226e3, 7.00332514112805075473e3,
+          5.55923013010394962768e4)
+_ERF_U = (3.35617141647503099647e1, 5.21357949780152679795e2,
+          4.59432382970980127987e3, 2.26290000613890934246e4,
+          4.92673942608635921086e4)
+_MAXLOG = 7.09782712893383996843e2
+
+
+def _polevl(x, coef, monic=False):
+    """Horner's rule in Cephes order: a = a*x + c, multiply and add apart."""
+    a = x + coef[0] if monic else coef[0]
+    for c in coef[1:]:
+        a = a * x + c
+    return a
+
+
+def _erfc(x: np.ndarray) -> np.ndarray:
+    """Elementwise erfc with the bits of scipy.special.erfc (Cephes).
+
+    Each branch runs only on its own elements, so no input warns.  exp is
+    the C library's (``math.exp``), as in Cephes: numpy's own vectorized
+    exp can differ in the last bit (numpy 2.4 on an AVX-512 CPU did on
+    about one input in a hundred).
+    """
+    flat = x.reshape(-1)
+    out = np.full(flat.shape, np.nan)            # NaN stays NaN
+    ax = np.abs(flat)
+
+    near = ax < 1.0                              # 1 - erf(x)
+    s = flat[near]
+    z = s * s
+    out[near] = 1.0 - s * _polevl(z, _ERF_T) / _polevl(z, _ERF_U, monic=True)
+
+    far = np.flatnonzero(ax >= 1.0)
+    v = flat[far]
+    with np.errstate(over="ignore"):             # -inf past |x| = 1.3e154, as in C
+        z = -v * v
+    under = z < -_MAXLOG
+    out[far[under]] = np.where(v[under] < 0.0, 2.0, 0.0)
+    far, v, z, av = far[~under], v[~under], z[~under], ax[far[~under]]
+    y = np.fromiter(map(math.exp, z.tolist()), float, z.size)
+    mid = av < 8.0
+    tail = ~mid
+    y[mid] = y[mid] * _polevl(av[mid], _ERFC_P) / _polevl(av[mid], _ERFC_Q, monic=True)
+    y[tail] = y[tail] * _polevl(av[tail], _ERFC_R) / _polevl(av[tail], _ERFC_S, monic=True)
+    # Cephes maps y == 0 to 0 as well, which y already is
+    out[far] = np.where(v < 0.0, 2.0 - y, y)
+    return out.reshape(x.shape)
 
 
 def _normal_pdf(x):

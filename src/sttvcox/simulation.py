@@ -34,7 +34,6 @@ enough late events that the spline fit stays stable near the horizon.
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -327,12 +326,14 @@ def _run_one_rep(args):
     sc_r = replace(scenario, seed=rep_seed(scenario.seed, rep))
     ds = generate(sc_r)
     warm = None   # the dataset's Cox warm start, fitted once when first needed
+    fold_warm = {}   # each CV fold's warm start, shared by every config
     out = {}
     errors = []
     for cfg in configs:
         try:
             if candidates is not None:
-                cv = cross_validate(ds, cfg, candidates, folds, seed=sc_r.seed)
+                cv = cross_validate(ds, cfg, candidates, folds, seed=sc_r.seed,
+                                    _fold_warm=fold_warm)
                 cfg = replace(cfg, K=cv.chosen_K)
             if warm is None:
                 warm = _cox_warm_start(ds)
@@ -401,7 +402,8 @@ def replicate(
     records the choice.  Each replication fits the Cox warm start of its
     dataset once and shares it among the configs' fits, each of which
     applies its variant's fallback rule; the fits are those of separate
-    ``fit`` calls.  Every setting is checked before the first rep.
+    ``fit`` calls.  The configs' cross-validations draw the same folds, so
+    they share each fold's warm start the same way.  Every setting is checked before the first rep.
     Failed reps, in cross-validation or in the fit, are recorded and
     excluded from aggregates.  Results are identical for any jobs value
     because every rep derives its own seed.
@@ -417,6 +419,9 @@ def replicate(
         for r in range(reps)
     ]
     if jobs > 1:
+        # imported here: fit, cv and score never start a pool
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_run_one_rep, tasks))
     else:

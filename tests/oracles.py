@@ -11,6 +11,7 @@ import math
 import numpy as np
 from scipy.interpolate import BSpline
 from scipy.optimize import minimize
+from scipy.special import erfc
 
 
 # ----------------------------------------------------------------------
@@ -405,3 +406,18 @@ def invert_cumhaz_full_grid_ref(Z, targets, sc):
         for row, target in enumerate(targets[chunk]):
             out[s + row] = np.interp(target, cum[row], t_grid)
     return out
+
+
+# ----------------------------------------------------------------------
+# The standard normal CDF through scipy's erfc, as the package computed
+# it while it depended on scipy
+# ----------------------------------------------------------------------
+
+def erfc_ref(x):
+    return erfc(np.asarray(x, dtype=float))
+
+
+def normal_cdf_ref(x):
+    """0.5 * erfc(-x / sqrt 2) with scipy's erfc; arrays in, arrays out."""
+    x = np.asarray(x, dtype=float)
+    return 0.5 * erfc(-x / np.sqrt(2.0))

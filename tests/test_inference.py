@@ -1,12 +1,19 @@
 """Pointwise variance, limiting distribution, and sparse intervals."""
 
+import math
+import os
+import subprocess
+import sys
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import sttvcox as sx
-from oracles import mc_threshold_cdf
+from oracles import erfc_ref, mc_threshold_cdf, normal_cdf_ref
+from sttvcox import inference
 
 
 class TestNormalFunctions:
@@ -31,6 +38,86 @@ class TestNormalFunctions:
         # classic table entries
         assert sx.normal_cdf(1.0) == pytest.approx(0.8413447460685429, abs=1e-12)
         assert sx.normal_cdf(-2.0) == pytest.approx(0.02275013194817921, abs=1e-12)
+
+
+def assert_same_bits(ours, ref):
+    """Equal shapes, NaN where ref is NaN, and the same bytes everywhere else."""
+    ours, ref = np.asarray(ours), np.asarray(ref)
+    assert ours.shape == ref.shape
+    nan = np.isnan(ref)
+    np.testing.assert_array_equal(np.isnan(ours), nan)
+    mismatch = ours[~nan].view(np.int64) != ref[~nan].view(np.int64)
+    assert not mismatch.any(), (
+        f"{mismatch.sum()} of {mismatch.size} differ, first at non-NaN positions "
+        f"{np.flatnonzero(mismatch)[:5]}"
+    )
+
+
+def neighbours(points, ulps=4):
+    """Each point and its ``ulps`` nearest floats on either side."""
+    out = []
+    for v in points:
+        lo = hi = float(v)
+        out.append(lo)
+        for _ in range(ulps):
+            lo, hi = math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
+            out += [lo, hi]
+    return np.array(out)
+
+
+class TestNormalCdfBits:
+    """normal_cdf equals 0.5 * scipy.special.erfc(-x / sqrt 2) bit for bit."""
+
+    # erfc's branch edges |x| = 1, 8 and sqrt(MAXLOG), and both signed zeros
+    EDGES = [s * v for v in (1.0, 8.0, math.sqrt(inference._MAXLOG), 0.0)
+             for s in (1.0, -1.0)]
+    SPECIAL = [0.0, -0.0, np.inf, -np.inf, np.nan, 1.3e154, -1.3e154, 1.4e154,
+               -1.4e154, 1e300, -1e300, np.finfo(float).max, -np.finfo(float).max,
+               5e-324, -5e-324]
+
+    def test_seeded_draws(self):
+        rng = np.random.default_rng(20260)
+        x = np.concatenate([rng.normal(0.0, 1.0, 400_000), rng.normal(0.0, 4.0, 300_000),
+                            rng.uniform(-30.0, 30.0, 300_003)])
+        assert_same_bits(sx.normal_cdf(x), normal_cdf_ref(x))
+
+    def test_erfc_branch_edges(self):
+        # the edges of erfc's own argument, and of normal_cdf's (x = -sqrt 2 * edge)
+        x = neighbours(self.EDGES + self.SPECIAL)
+        assert_same_bits(inference._erfc(x), erfc_ref(x))
+        x = neighbours([-math.sqrt(2.0) * e for e in self.EDGES], ulps=8)
+        args = -x / math.sqrt(2.0)
+        for edge in (1.0, 8.0, math.sqrt(inference._MAXLOG)):
+            assert (np.abs(args) < edge).any() and (np.abs(args) >= edge).any()
+        assert_same_bits(sx.normal_cdf(x), normal_cdf_ref(x))
+
+    def test_special_values_warn_nothing(self):
+        x = np.array(self.SPECIAL)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = sx.normal_cdf(x)
+        assert_same_bits(out, normal_cdf_ref(x))
+        assert np.isnan(out[4]) and out[2] == 1.0 and out[3] == 0.0
+        assert list(out[5:9]) == [1.0, 0.0, 1.0, 0.0]
+
+    def test_shapes(self):
+        out = sx.normal_cdf(0.3)
+        assert type(out) is float and out == float(normal_cdf_ref(0.3))
+        assert type(sx.normal_cdf(np.float64(-9.0))) is float
+        for shape in ((0,), (2, 0), (3, 4)):
+            x = np.linspace(-5.0, 5.0, math.prod(shape)).reshape(shape)
+            out = sx.normal_cdf(x)
+            assert isinstance(out, np.ndarray)
+            assert_same_bits(out, normal_cdf_ref(x))
+
+    def test_import_loads_no_scipy_and_no_process_pool(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(sx.__file__)))
+        code = ("import sys; sys.path.insert(0, sys.argv[1]); import sttvcox; "
+                "print(sorted(m for m in sys.modules if m == 'scipy' "
+                "or m.startswith('scipy.') or m == 'concurrent.futures.process'))")
+        out = subprocess.run([sys.executable, "-c", code, src], capture_output=True,
+                             text=True, timeout=120, check=True)
+        assert out.stdout.strip() == "[]"
 
 
 class TestWaldCi:

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import sttvcox as sx
-from oracles import invert_cumhaz_full_grid_ref
+from oracles import invert_cumhaz_full_grid_ref, normal_cdf_ref
+from sttvcox import inference
 from sttvcox import optimizer as opt
 from sttvcox import simulation as sim
 
@@ -199,6 +200,19 @@ class TestGenerate:
             a, b = getattr(got, name), getattr(want, name)
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
         assert got.tau == want.tau == admin_censor
+
+    # the normal draws go through normal_cdf in normal_quantile's Newton step
+    @pytest.mark.parametrize("sc", [
+        sx.Scenario(n=1000, covariance=cov, seed=0) for cov in sim.COVARIANCES
+    ] + [sx.Scenario(n=500, covariance="ar1", seed=sx.rep_seed(0, rep)) for rep in (0, 1)],
+        ids=["ind", "ar1", "cs", "ar1_500_rep0", "ar1_500_rep1"])
+    def test_bytes_equal_with_scipy_normal_cdf(self, sc, monkeypatch):
+        got = sx.generate(sc)
+        monkeypatch.setattr(inference, "normal_cdf", normal_cdf_ref)
+        want = sx.generate(sc)
+        for name in ("time", "event", "covariates", "sort_index"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
 
 class TestScore:
@@ -440,6 +454,32 @@ class TestOneWarmStartPerDataset:
         assert sizes.count(self.SCENARIO.n) == 2
         if not setting:
             assert len(sizes) == 2
+
+    def test_cv_folds_share_warm_starts_across_variants(self, monkeypatch):
+        folds, candidates = 3, (2, 3)
+        calls = []
+        real = opt.fit_coxph
+        monkeypatch.setattr(opt, "fit_coxph", lambda ds: calls.append(ds.n) or real(ds))
+        res = sx.replicate(self.SCENARIO, self.CONFIGS, reps=1, jobs=1, keep_curves=True,
+                           candidates=candidates, folds=folds)
+        assert res.failures == ()
+        # one per fold and one for the full data, not one per variant and fold
+        assert len(calls) == folds + 1
+        monkeypatch.undo()
+
+        sc_r = replace(self.SCENARIO, seed=sx.rep_seed(17, 0))
+        ds = sx.generate(sc_r)
+        for cfg in self.CONFIGS:
+            cv = sx.cross_validate(ds, cfg, candidates, folds, seed=sc_r.seed)
+            assert res.chosen_K[cfg.variant] == {0: cv.chosen_K}
+            curves = sx.estimate_curves(sx.fit(ds, replace(cfg, K=cv.chosen_K)),
+                                        sx.metric_grid(sc_r))
+            assert_reports_equal(res.reports[cfg.variant][0], sx.score(curves, sc_r))
+            kept = res.curves[cfg.variant][0]
+            for name in ("theta_hat", "beta_hat", "sigma_hat", "ci_lower", "ci_upper"):
+                assert getattr(kept, name).tobytes() == getattr(curves, name).tobytes()
+            mean, sd = res.aggregates[cfg.variant]["aise"]
+            assert mean == sx.score(curves, sc_r).aise and sd == 0.0
 
     def test_reports_equal_separate_fits(self):
         res = sx.replicate(self.SCENARIO, self.CONFIGS, reps=2, keep_curves=True)
