@@ -9,13 +9,12 @@ seeded simulation harness.
 """
 
 from .coxph import CoxFit, fit_coxph, initial_gamma
-from .dataset import SurvivalDataset, load_csv, make_dataset, risk_set, save_csv
+from .dataset import SurvivalDataset, load_csv, make_dataset, save_csv
 from .errors import (
     ConvergenceError,
     NumericError,
     SchemaError,
     SeparationError,
-    StratificationError,
     SttvError,
     ValidationError,
 )
@@ -27,7 +26,6 @@ from .inference import (
     limiting_cdf,
     normal_cdf,
     normal_quantile,
-    sigma_nj,
     sparse_ci,
     wald_ci,
 )
@@ -36,7 +34,6 @@ from .likelihood import (
     LikelihoodWorkspace,
     gradient,
     hessian,
-    linear_predictor,
     make_workspace,
     penalized_loglik,
     score_covariance,
@@ -65,7 +62,6 @@ from .simulation import (
     Scenario,
     StudyResult,
     draw_covariates,
-    draw_event_time,
     generate,
     metric_grid,
     replicate,
@@ -73,7 +69,7 @@ from .simulation import (
     score,
     true_beta,
 )
-from .splines import SplineBasis, eval_basis, eval_basis_grid, make_basis
+from .splines import SplineBasis, eval_basis_grid, make_basis
 from .threshold import (
     smooth_threshold,
     smooth_threshold_d1,
@@ -100,7 +96,6 @@ __all__ = [
     "SeparationError",
     "SparseInterval",
     "SplineBasis",
-    "StratificationError",
     "StudyResult",
     "StudySummary",
     "SttvError",
@@ -116,9 +111,7 @@ __all__ = [
     "cross_validate",
     "curve_variance",
     "draw_covariates",
-    "draw_event_time",
     "estimate_curves",
-    "eval_basis",
     "eval_basis_grid",
     "fit",
     "fit_coxph",
@@ -127,7 +120,6 @@ __all__ = [
     "hessian",
     "initial_gamma",
     "limiting_cdf",
-    "linear_predictor",
     "load_csv",
     "make_basis",
     "make_dataset",
@@ -142,11 +134,9 @@ __all__ = [
     "render_markdown",
     "rep_seed",
     "replicate",
-    "risk_set",
     "save_csv",
     "score",
     "score_covariance",
-    "sigma_nj",
     "smooth_threshold",
     "smooth_threshold_d1",
     "smooth_threshold_d2",

@@ -1,4 +1,4 @@
-"""Right-censored survival data: validation, CSV ingestion, risk sets.
+"""Right-censored survival data: validation and CSV ingestion.
 
 Observations are triples (time, event flag, covariate vector) observed on a
 study horizon [0, tau].  A dataset stores them sorted by ascending time
@@ -85,7 +85,7 @@ def make_dataset(
     as censored at ``tau``.
     """
     time = np.asarray(time, dtype=float).ravel()
-    event = np.asarray(event)
+    event = np.asarray(event).ravel()
     covariates = np.asarray(covariates, dtype=float)
     if covariates.ndim < 2:
         covariates = covariates.reshape(-1, 1)
@@ -106,7 +106,7 @@ def make_dataset(
         raise ValidationError(f"nonpositive time at observation {bad}")
     if not np.isfinite(covariates).all():
         raise ValidationError("covariates must be finite")
-    ev = np.asarray(event, dtype=float).ravel()
+    ev = np.asarray(event, dtype=float)
     if not np.isin(ev, (0.0, 1.0)).all():
         bad = int(np.flatnonzero(~np.isin(ev, (0.0, 1.0)))[0])
         raise ValidationError(f"event flag not in {{0, 1}} at observation {bad}")
@@ -176,23 +176,17 @@ def _table_text(header, rows) -> str:
     return "".join(line[:-2] + "\n" for line in lines)
 
 
-def load_csv(
-    path,
-    time_col: str = "time",
-    event_col: str = "event",
-    covariate_cols=None,
-    tau: float | None = None,
-) -> SurvivalDataset:
+def load_csv(path, covariate_cols=None, tau: float | None = None) -> SurvivalDataset:
     """Read a survival CSV (see README "Tables") into a dataset.
 
-    ``covariate_cols`` defaults to every column other than the time and
-    event ones, in header order.  Row numbers in error messages count data
+    ``covariate_cols`` defaults to every column other than ``time`` and
+    ``event``, in header order.  Row numbers in error messages count data
     rows from 1 (the header is row 0).
     """
     names = None if covariate_cols is None else list(covariate_cols)
-    header, rows = _read_table(path, (time_col, event_col, *(names or ())))
+    header, rows = _read_table(path, ("time", "event", *(names or ())))
     if names is None:
-        names = [c for c in header if c not in (time_col, event_col)]
+        names = [c for c in header if c not in ("time", "event")]
     if not names:
         raise SchemaError(f"{path}: no covariate columns")
     if not rows:
@@ -212,10 +206,10 @@ def load_csv(
                     f"{path} row {rownum}: non-numeric value {raw!r} in {col!r}"
                 ) from None
 
-        t = cell(time_col)
+        t = cell("time")
         if t <= 0:
             raise ValidationError(f"{path} row {rownum}: nonpositive time {t}")
-        e = cell(event_col)
+        e = cell("event")
         if e not in (0.0, 1.0):
             raise ValidationError(
                 f"{path} row {rownum}: event value {e} not in {{0, 1}}"
@@ -233,7 +227,7 @@ def load_csv(
     )
 
 
-def save_csv(ds: SurvivalDataset, path, time_col: str = "time", event_col: str = "event") -> None:
+def save_csv(ds: SurvivalDataset, path) -> None:
     """Write a dataset back to CSV in storage order.
 
     Floats are written with ``repr`` so a reload reproduces them exactly.
@@ -242,15 +236,5 @@ def save_csv(ds: SurvivalDataset, path, time_col: str = "time", event_col: str =
     columns = [ds.time, ds.event.astype(int), *ds.covariates.T]
     rows = zip(*([repr(v) for v in col.tolist()] for col in columns))
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(_table_text([time_col, event_col, *names], rows))
+        fh.write(_table_text(["time", "event", *names], rows))
 
-
-def risk_set(ds: SurvivalDataset, i: int) -> np.ndarray:
-    """Storage-order indices of every subject still at risk at ``T_i``.
-
-    The set is ``{l : T_l >= T_i}``, which always contains ``i`` itself,
-    and tied times share one risk set.
-    """
-    if not 0 <= i < ds.n:
-        raise ValidationError(f"observation index {i} out of range [0, {ds.n})")
-    return np.arange(ds.risk_start(i), ds.n)

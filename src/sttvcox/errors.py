@@ -14,11 +14,6 @@ class SchemaError(ValidationError):
     """An input file lacks a promised column."""
 
 
-class StratificationError(ValidationError):
-    """A cross-validation fold without an event; kept as a public name, but
-    nothing raises it since ``assign_folds`` deals the events first."""
-
-
 class NumericError(SttvError):
     """A computation produced non-finite or degenerate values."""
 

@@ -194,14 +194,6 @@ def _variance(model, j: int, Bg: np.ndarray) -> np.ndarray:
     return var
 
 
-def sigma_nj(model, j: int, t: float) -> float:
-    """Pointwise standard error of the unthresholded curve level at t."""
-    if np.all(model.score_cov == 0.0):
-        raise NumericError("score covariance is identically zero (no events): "
-                           "sigma is degenerate")
-    return float(np.sqrt(curve_variance(model, j, [float(t)])[0]))
-
-
 def limiting_cdf(x, theta_tilde: float, alpha: float, sigma: float):
     """Distribution function of the soft-thresholded Gaussian limit."""
     alpha = float(alpha)

@@ -135,18 +135,6 @@ def _check_dims(cb: CoefficientBlock, ds: SurvivalDataset, ws: LikelihoodWorkspa
         raise ValidationError("workspace was built from a different dataset")
 
 
-def linear_predictor(cb: CoefficientBlock, z, Bt) -> float:
-    """g(z, t) = sum_j z_j h_eta(B(t)' gamma_j, alpha_j) for one subject."""
-    z = np.asarray(z, dtype=float).ravel()
-    Bt = np.asarray(Bt, dtype=float).ravel()
-    if z.shape[0] != cb.p:
-        raise ValidationError(f"covariate vector of length {z.shape[0]}, expected {cb.p}")
-    if Bt.shape[0] != cb.q:
-        raise ValidationError(f"basis vector of length {Bt.shape[0]}, expected {cb.q}")
-    h, _, _ = _effect(cb.gamma @ Bt, cb.thresholds, cb.eta)
-    return float(z @ h)
-
-
 def _risk_weights(G: np.ndarray, starts: np.ndarray):
     """Yields (W, row max, s0) per block of _BLOCK_EVENTS events (fewer in the last).
 

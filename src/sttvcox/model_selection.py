@@ -114,13 +114,14 @@ def cross_validate(
     folds: int = 10,
     seed: int = 0,
     *,
-    _fold_warm: dict | None = None,
+    _folds: dict | None = None,
 ) -> CvResult:
     """Mean held-out error per candidate K; deterministic given the seed.
 
-    ``_fold_warm`` is private: a dict from fold index to that fold's
-    ``_cox_warm_start`` result, filled on first use, which lets calls that
-    draw the same folds (same dataset, folds and seed) share warm starts.
+    ``_folds`` is private: a dict from fold index to that fold's train and
+    held-out datasets and the train set's ``_cox_warm_start`` result, filled
+    on first use, which lets calls that draw the same folds (same dataset,
+    folds and seed) share them.
     """
     cand = cv_candidates(
         DEFAULT_CANDIDATES if candidates is None else candidates, folds, ds.n
@@ -143,17 +144,17 @@ def cross_validate(
 
     # folds run outside the candidates: each fold's datasets and warm start
     # are built once and serve every candidate that has not failed yet
-    fold_warm = {} if _fold_warm is None else _fold_warm
+    fold_data = {} if _folds is None else _folds
     for r in range(folds):
         live = [ci for ci, K in enumerate(cand) if K not in failed]
         if not live:
             break
         try:
-            train = _subset(ds, np.flatnonzero(assignment != r))
-            held = _subset(ds, np.flatnonzero(assignment == r))
-            if r not in fold_warm:
-                fold_warm[r] = _cox_warm_start(train)
-            warm = fold_warm[r]
+            if r not in fold_data:
+                train = _subset(ds, np.flatnonzero(assignment != r))
+                held = _subset(ds, np.flatnonzero(assignment == r))
+                fold_data[r] = (train, held, _cox_warm_start(train))
+            train, held, warm = fold_data[r]
         except SttvError as exc:
             for ci in live:
                 exclude(ci, exc)

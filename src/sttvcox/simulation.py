@@ -16,7 +16,7 @@ come from inverse-transform sampling of the cumulative hazard, integrated
 by the composite trapezoid rule on a fixed fine grid up to the censoring
 cap (a later event time is censored whatever its value); censoring is
 uniform(0, 10) capped administratively at t = 3, which is also the
-analysis horizon.
+analysis horizon.  The grid ends at t = 20, so the cap must lie below it.
 
 Every random quantity derives from a counter-based generator (Philox)
 seeded through named streams, with normal draws produced by applying the
@@ -126,6 +126,11 @@ class Scenario:
         check_positive(self.baseline_hazard, "baseline hazard")
         check_positive(self.censor_upper, "censor_upper")
         check_positive(self.admin_censor, "admin_censor")
+        if self.admin_censor >= _T_MAX:
+            raise ValidationError(
+                f"admin_censor must be below {_T_MAX}, where the event-time grid "
+                f"ends, got {self.admin_censor}"
+            )
         if not self.beta_functions or not all(map(callable, self.beta_functions)):
             raise ValidationError("beta_functions must be a non-empty tuple of callables")
 
@@ -172,24 +177,19 @@ def draw_covariates(n: int, structure: str, seed: int, p: int = 3) -> np.ndarray
 
 
 def _invert_cumhaz(Z: np.ndarray, targets: np.ndarray, sc: Scenario,
-                   cap: float = np.inf) -> np.ndarray:
+                   cap: float) -> np.ndarray:
     """Solve Lambda(T | z) = target per subject on the trapezoid grid.
 
     The cumulative hazard is piecewise-linearly interpolated between grid
     points, so the inversion is exact for the interpolant.  The hazard is
-    integrated up to the censoring cap only: the grid is the prefix of the
-    fixed [0, t_max] grid through one point past the first grid point at or
-    after ``cap``, and targets beyond its last value return inf.  Any time
-    past the cap is censored either way, so the observed data are those of
-    the full grid.  Without a cap below t_max the whole grid is used and
-    targets beyond Lambda(t_max) return t_max (such subjects are always
-    censored because t_max is far past the administrative cap).
+    integrated up to the censoring cap (below t_max) only: the grid is the
+    prefix of the fixed [0, t_max] grid through one point past the first
+    grid point at or after ``cap``, and targets beyond its last value
+    return inf.  Any time past the cap is censored either way, so the
+    observed data are those of the full grid.
     """
     t_grid = np.linspace(0.0, _T_MAX, int(round(_T_MAX / _T_STEP)) + 1)
-    right = None
-    if cap < _T_MAX:
-        t_grid = t_grid[:int(np.searchsorted(t_grid, cap)) + 2]
-        right = np.inf
+    t_grid = t_grid[:int(np.searchsorted(t_grid, cap)) + 2]
     curves = sc.true_curves(t_grid)
     out = np.empty(Z.shape[0])
     log_lam0 = np.log(sc.baseline_hazard)
@@ -202,20 +202,8 @@ def _invert_cumhaz(Z: np.ndarray, targets: np.ndarray, sc: Scenario,
             [np.zeros((lam.shape[0], 1)), np.cumsum(steps, axis=1)], axis=1
         )
         for row, target in enumerate(targets[chunk]):
-            out[s + row] = np.interp(target, cum[row], t_grid, right=right)
+            out[s + row] = np.interp(target, cum[row], t_grid, right=np.inf)
     return out
-
-
-def draw_event_time(z, sc: Scenario, u: float) -> float:
-    """Inverse-transform event time for one subject from uniform draw u."""
-    u = float(u)
-    if not 0.0 < u < 1.0:
-        raise ValidationError(f"u must lie strictly in (0, 1), got {u}")
-    z = np.asarray(z, dtype=float).reshape(1, -1)
-    if z.shape[1] != sc.p:
-        raise ValidationError(f"covariate vector of length {z.shape[1]}, expected {sc.p}")
-    target = -np.log1p(-u)
-    return float(_invert_cumhaz(z, np.array([target]), sc)[0])
 
 
 def generate(sc: Scenario) -> SurvivalDataset:
@@ -326,14 +314,14 @@ def _run_one_rep(args):
     sc_r = replace(scenario, seed=rep_seed(scenario.seed, rep))
     ds = generate(sc_r)
     warm = None   # the dataset's Cox warm start, fitted once when first needed
-    fold_warm = {}   # each CV fold's warm start, shared by every config
+    cv_folds = {}   # each CV fold's datasets and warm start, shared by every config
     out = {}
     errors = []
     for cfg in configs:
         try:
             if candidates is not None:
                 cv = cross_validate(ds, cfg, candidates, folds, seed=sc_r.seed,
-                                    _fold_warm=fold_warm)
+                                    _folds=cv_folds)
                 cfg = replace(cfg, K=cv.chosen_K)
             if warm is None:
                 warm = _cox_warm_start(ds)
@@ -403,7 +391,7 @@ def replicate(
     dataset once and shares it among the configs' fits, each of which
     applies its variant's fallback rule; the fits are those of separate
     ``fit`` calls.  The configs' cross-validations draw the same folds, so
-    they share each fold's warm start the same way.  Every setting is checked before the first rep.
+    they share each fold's datasets and warm start the same way.  Every setting is checked before the first rep.
     Failed reps, in cross-validation or in the fit, are recorded and
     excluded from aggregates.  Results are identical for any jobs value
     because every rep derives its own seed.

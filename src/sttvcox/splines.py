@@ -74,14 +74,6 @@ def _design(knots: np.ndarray, degree: int, t: np.ndarray) -> np.ndarray:
     return work[:, :q]
 
 
-def eval_basis(basis: SplineBasis, t: float) -> np.ndarray:
-    """Basis vector B(t) of length q; requires 0 <= t <= tau."""
-    t = float(t)
-    if not 0.0 <= t <= basis.tau:
-        raise ValidationError(f"t={t} outside [0, {basis.tau}]")
-    return _design(basis.knots, basis.degree, np.array([t]))[0]
-
-
 def eval_basis_grid(basis: SplineBasis, grid) -> np.ndarray:
     """Rows of basis vectors, one per grid point (len(grid) x q)."""
     grid = np.asarray(grid, dtype=float).ravel()

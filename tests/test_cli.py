@@ -145,6 +145,8 @@ EXIT_2_CASES = {
     "simulate_fractional_n": ("simulate", None, [], {"scenario": {"n": 10.5}}),
     "simulate_infinite_horizon":
         ("simulate", None, [], {"scenario": {"n": 30, "admin_censor": float("inf")}}),
+    "simulate_horizon_past_grid":
+        ("simulate", None, [], {"scenario": {"n": 30, "admin_censor": 25.0}}),
     "simulate_no_variants": ("simulate", None, [], {"variants": []}),
     "simulate_variants_string": ("simulate", None, [], {"variants": "sttv"}),
     "simulate_coxph_variant": ("simulate", None, [], {"variants": ["coxph"]}),

@@ -96,7 +96,7 @@ class TestInitialGamma:
         basis = sx.make_basis(3, 3, 2.0)
         g = sx.initial_gamma(fit, basis.q)
         for t in np.linspace(0, 2, 10):
-            theta = float(sx.eval_basis(basis, t) @ g[0])
+            theta = float(sx.eval_basis_grid(basis, [t])[0] @ g[0])
             assert theta == pytest.approx(0.7, abs=1e-12)
 
     def test_zero_estimate_gives_zero_row(self):

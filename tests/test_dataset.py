@@ -134,6 +134,10 @@ class TestMakeDataset:
         # a (p, n) matrix is an error, not silently transposed
         with pytest.raises(sx.ValidationError, match="length mismatch"):
             sx.make_dataset([1.0, 2.0, 3.0], [1, 0, 1], [[1.0, 2.0, 3.0], [0.0, 0.0, 1.0]])
+        # so are an (n, 2) event array, which holds 2n flags, and a 0-d one
+        for event in ([[1, 0], [0, 1], [1, 1]], np.array(1)):
+            with pytest.raises(sx.ValidationError, match="length mismatch"):
+                sx.make_dataset([1.0, 2.0, 3.0], event, [[0.0], [1.0], [2.0]])
         ds = sx.make_dataset([1.0, 2.0, 3.0], [1, 0, 1], [5.0, 6.0, 7.0])
         assert ds.covariates.shape == (3, 1)
 
@@ -147,19 +151,24 @@ class TestMakeDataset:
         assert np.all(np.diff(ds.time) >= 0)
 
 
+def risk_set(ds, i):
+    """Storage-order indices of every subject still at risk at T_i."""
+    return np.arange(ds.risk_start(i), ds.n)
+
+
 class TestRiskSet:
     def test_earliest_sees_everyone(self):
         ds = sx.make_dataset([1.0, 2.0, 3.0], [1, 1, 1], [[0.0]] * 3)
-        assert set(sx.risk_set(ds, 0).tolist()) == {0, 1, 2}
+        assert set(risk_set(ds, 0).tolist()) == {0, 1, 2}
 
     def test_latest_sees_itself(self):
         ds = sx.make_dataset([1.0, 2.0, 3.0], [1, 1, 1], [[0.0]] * 3)
-        assert set(sx.risk_set(ds, 2).tolist()) == {2}
+        assert set(risk_set(ds, 2).tolist()) == {2}
 
     def test_ties_share_risk_set(self):
         ds = sx.make_dataset([1.0, 1.0, 2.0], [1, 1, 1], [[0.0]] * 3)
-        assert set(sx.risk_set(ds, 0).tolist()) == {0, 1, 2}
-        assert set(sx.risk_set(ds, 1).tolist()) == {0, 1, 2}
+        assert set(risk_set(ds, 0).tolist()) == {0, 1, 2}
+        assert set(risk_set(ds, 1).tolist()) == {0, 1, 2}
 
     def test_contains_self_and_shrinks(self):
         rng = np.random.default_rng(2)
@@ -168,7 +177,7 @@ class TestRiskSet:
         )
         sizes = []
         for i in range(ds.n):
-            rs = sx.risk_set(ds, i).tolist()
+            rs = risk_set(ds, i).tolist()
             assert i in rs
             sizes.append(len(rs))
         assert all(a >= b for a, b in zip(sizes, sizes[1:]))

