@@ -141,7 +141,8 @@ def _risk_weights(G: np.ndarray, starts: np.ndarray):
     W is the block's (k, n + 1 - r0) matrix of exp(predictor - row max)
     behind one leading zero column, where r0 = n + 1 - W.shape[1] is the
     block's first risk-set start; s0 holds its risk-set sums.  See
-    ``_risk_set_totals``.
+    ``_risk_set_totals``.  G[block, r0:] is copied whole, and only the
+    columns left of the block's last start are then masked.
     """
     m, n = G.shape
     for b0 in range(0, m, _BLOCK_EVENTS):
@@ -149,8 +150,10 @@ def _risk_weights(G: np.ndarray, starts: np.ndarray):
         k, r0 = rs.shape[0], int(rs.min())
         width = n - r0 + 1
         rel = rs - r0                         # column of the zero before each suffix
-        W = np.full((k, width), -np.inf)
-        np.copyto(W[:, 1:], G[b0:b0 + k, r0:], where=np.arange(r0, n) >= rs[:, None])
+        W = np.empty((k, width))
+        W[:, 1:] = G[b0:b0 + k, r0:]
+        pre = int(rel.max()) + 1
+        np.copyto(W[:, :pre], -np.inf, where=np.arange(pre) <= rel[:, None])
         top = W.max(axis=1)
         W -= top[:, None]
         np.exp(W, out=W)
@@ -177,7 +180,8 @@ def _risk_set_totals(G: np.ndarray | None, starts: np.ndarray, Z: np.ndarray, or
     Every float equals that of a loop over single events.  A block of k
     events whose first risk-set start is r0 copies G[block, r0:] into a
     (k, n - r0 + 1) matrix behind one leading column, and masks each row
-    left of its own start with -inf.  The row max and W = exp(row - max)
+    left of its own start with -inf; the mask touches only the columns
+    left of the block's last start.  The row max and W = exp(row - max)
     are elementwise, and masked entries become exp(-inf) = 0.
     ``np.add.reduceat`` over [a, b) gives x[a] + pairwise(x[a+1:b]) where
     ``ndarray.sum`` gives pairwise(x), so each row's segment starts on the
@@ -220,31 +224,40 @@ def _risk_set_totals(G: np.ndarray | None, starts: np.ndarray, Z: np.ndarray, or
     return logS0, Ebar, V
 
 
-def _event_totals(H: np.ndarray, Z: np.ndarray, events: np.ndarray, starts: np.ndarray,
-                  order: int, weights: list | None = None):
+def _event_totals(H: np.ndarray, ds: SurvivalDataset, events: np.ndarray,
+                  starts: np.ndarray, order: int, weights: list | None = None):
     """Own predictors and risk-set totals for per-event effect rows H (m, p).
 
-    The predictors H @ Z.T are built in chunks of events so the matrix
-    stays within _CHUNK_BUDGET floats.  Returns own_g (m,) and the
-    ``_risk_set_totals`` triple.  ``weights`` holds the (own_g, weight
-    blocks) of one chunk: an empty list is filled by this scan, which must
-    then be of one chunk, and a filled one, kept from a scan of the same H,
-    stands in for the predictors and their weights.
+    The predictors H @ Z.T of the dataset's covariates Z are built in chunks
+    of events so the matrix stays within _CHUNK_BUDGET floats.  Returns
+    own_g (m,) and the ``_risk_set_totals`` triple.  ``weights`` holds the
+    (own_g, weight blocks) of one chunk: an empty list is filled by this
+    scan, which must then be of one chunk, and a filled one, kept from a
+    scan of the same H, stands in for the predictors and their weights.
+
+    Each predictor is a sum of p products, so when p max|H| max|Z| is below
+    1e300 all are finite and the finite check of each chunk is skipped.  A
+    NaN or inf in H or Z makes that bound NaN or inf, and the check runs; a
+    non-finite predictor raises NumericError naming input rows.
     """
+    Z = ds.covariates
     if weights:
         own_g, blocks = weights
         return [own_g, *_risk_set_totals(None, starts, Z, order, blocks)]
     chunk = max(1, _CHUNK_BUDGET // max(Z.shape[0], 1))
+    # Python floats: inf * 0 gives NaN and an overflow gives inf, without warnings
+    bound = Z.shape[1] * float(np.abs(H).max(initial=0.0)) * float(np.abs(Z).max(initial=0.0))
     parts = []
     # without events one empty chunk still runs and gives the output shapes
     for s in range(0, max(H.shape[0], 1), chunk):
         rows = slice(s, s + chunk)
-        G = H[rows] @ Z.T                           # (c, n) predictors at event times
-        if not np.isfinite(G).all():
-            bad = np.argwhere(~np.isfinite(G))[0]
+        with np.errstate(over="ignore", invalid="ignore"):
+            G = H[rows] @ Z.T                       # (c, n) predictors at event times
+        if not bound < 1e300 and not np.isfinite(G).all():
+            e, col = np.argwhere(~np.isfinite(G))[0]
             raise NumericError(
-                f"non-finite linear predictor at observation {int(bad[1])} "
-                f"(event {int(s + bad[0])})"
+                f"non-finite linear predictor of input row {int(ds.sort_index[col])} "
+                f"at the event time of input row {int(ds.sort_index[events[s + e]])}"
             )
         own_g = G[np.arange(G.shape[0]), events[rows]]
         blocks = None
@@ -284,8 +297,8 @@ def _scan(cb: CoefficientBlock, ds: SurvivalDataset, ws: LikelihoodWorkspace, or
         del kept   # the last trial's blocks are freed before this scan forms its own
         if order == 0 and ws.event_rows.shape[0] * ds.n <= _CHUNK_BUDGET:
             weights = []
-    own_g, logS0, Ebar, V = _event_totals(h, ds.covariates, ws.event_rows,
-                                          ws.risk_starts, order, weights)
+    own_g, logS0, Ebar, V = _event_totals(h, ds, ws.event_rows, ws.risk_starts,
+                                          order, weights)
     if order == 0 and weights is not None:
         state["weights"] = (cb, weights)
     return own_g, logS0, Ebar, h1, V, h2, B_ev

@@ -78,8 +78,8 @@ def _heldout_error(model: FittedModel, held: SurvivalDataset) -> float:
         return 0.0
     B_ev = eval_basis_grid(model.basis, held.time[events])
     beta, _, _ = _effect(B_ev @ model.gamma_hat.T, model.alphas, 0.0)   # (m, p)
-    own, logS0, _, _ = _event_totals(beta, held.covariates, events,
-                                     held.risk_start(events), order=0)
+    own, logS0, _, _ = _event_totals(beta, held, events, held.risk_start(events),
+                                     order=0)
     return -float(own.sum() - logS0.sum())
 
 

@@ -187,21 +187,35 @@ def _invert_cumhaz(Z: np.ndarray, targets: np.ndarray, sc: Scenario,
     grid point at or after ``cap``, and targets beyond its last value
     return inf.  Any time past the cap is censored either way, so the
     observed data are those of the full grid.
+
+    Subjects are taken in chunks of _SUBJECT_CHUNK, and each chunk's
+    hazards and cumulative hazards are written into two (chunk, grid)
+    buffers allocated once, so memory does not grow with n.  The chunk size is fixed because
+    the rows of a gemm round differently when its row count changes.  The
+    in-place steps keep the order of ``0.5 * (lam[1:] + lam[:-1]) * dt``
+    and of a row-wise cumsum behind a leading zero.
     """
     t_grid = np.linspace(0.0, _T_MAX, int(round(_T_MAX / _T_STEP)) + 1)
     t_grid = t_grid[:int(np.searchsorted(t_grid, cap)) + 2]
     curves = sc.true_curves(t_grid)
-    out = np.empty(Z.shape[0])
+    dt = np.diff(t_grid)
+    n = Z.shape[0]
+    out = np.empty(n)
     log_lam0 = np.log(sc.baseline_hazard)
-    for s in range(0, Z.shape[0], _SUBJECT_CHUNK):
-        chunk = slice(s, min(s + _SUBJECT_CHUNK, Z.shape[0]))
-        log_lam = log_lam0 + Z[chunk] @ curves            # (c, T)
-        lam = np.exp(log_lam)
-        steps = 0.5 * (lam[:, 1:] + lam[:, :-1]) * np.diff(t_grid)
-        cum = np.concatenate(
-            [np.zeros((lam.shape[0], 1)), np.cumsum(steps, axis=1)], axis=1
-        )
-        for row, target in enumerate(targets[chunk]):
+    lam = np.empty((min(n, _SUBJECT_CHUNK), t_grid.shape[0]))
+    cum = np.empty_like(lam)
+    cum[:, 0] = 0.0
+    for s in range(0, n, _SUBJECT_CHUNK):
+        k = min(_SUBJECT_CHUNK, n - s)
+        lk, steps = lam[:k], cum[:k, 1:]
+        np.matmul(Z[s:s + k], curves, out=lk)
+        np.add(lk, log_lam0, out=lk)
+        np.exp(lk, out=lk)
+        np.add(lk[:, 1:], lk[:, :-1], out=steps)
+        steps *= 0.5
+        steps *= dt
+        np.cumsum(steps, axis=1, out=steps)
+        for row, target in enumerate(targets[s:s + k]):
             out[s + row] = np.interp(target, cum[row], t_grid, right=np.inf)
     return out
 

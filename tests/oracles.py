@@ -388,9 +388,11 @@ def mc_threshold_cdf(theta_tilde, alpha, sigma, xs, n_draws, seed):
 def invert_cumhaz_full_grid_ref(Z, targets, sc):
     """Solve Lambda(T | z) = target per subject on the whole trapezoid grid.
 
-    Same grid (20001 points on [0, 20]), same 128-subject chunks and the
-    same numpy calls as the generator, so the floats agree wherever the
-    event time is not censored; targets beyond Lambda(20) return 20.
+    Same grid (20001 points on [0, 20]) and same 128-subject chunks as the
+    generator, with fresh arrays for each chunk's hazards, steps and
+    cumulative hazards where the generator reuses two buffers.  The
+    arithmetic is the same, so the floats agree wherever the event time is
+    not censored; targets beyond Lambda(20) return 20.
     """
     t_grid = np.linspace(0.0, 20.0, 20001)
     curves = sc.true_curves(t_grid)
@@ -405,6 +407,32 @@ def invert_cumhaz_full_grid_ref(Z, targets, sc):
         )
         for row, target in enumerate(targets[chunk]):
             out[s + row] = np.interp(target, cum[row], t_grid)
+    return out
+
+
+# ----------------------------------------------------------------------
+# Risk-set weight blocks with every column masked, as the kernel built
+# them before it masked only the prefix left of a block's last start
+# ----------------------------------------------------------------------
+
+def risk_weights_full_mask_ref(G, starts, block):
+    """(W, row max, s0) per block of ``block`` events, W filled with -inf
+    and G copied in only right of each row's own risk-set start."""
+    m, n = G.shape
+    out = []
+    for b0 in range(0, m, block):
+        rs = starts[b0:b0 + block]
+        k, r0 = rs.shape[0], int(rs.min())
+        width = n - r0 + 1
+        rel = rs - r0
+        W = np.full((k, width), -np.inf)
+        np.copyto(W[:, 1:], G[b0:b0 + k, r0:], where=np.arange(r0, n) >= rs[:, None])
+        top = W.max(axis=1)
+        W -= top[:, None]
+        np.exp(W, out=W)
+        row = np.arange(k) * width
+        idx = np.stack([row + rel, row + width], axis=1).ravel()[:-1]
+        out.append((W, top, np.add.reduceat(W.ravel(), idx)[0::2]))
     return out
 
 

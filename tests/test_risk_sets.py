@@ -9,6 +9,9 @@ per-event loop it replaced, also on seeded cases up to n = 20000, and the
 value of an order-0 scan against the value of the order-2 scan, which the
 Newton line search relies on.  A derivative scan that reuses the weights of
 an order-0 scan at the same coefficients is checked against a fresh one.
+The weight blocks are checked bit for bit against blocks masked in full,
+and predictors that overflow or come from NaN effects raise NumericError,
+also where the finite check of the predictors could be skipped.
 """
 
 import math
@@ -27,6 +30,7 @@ from oracles import (
     coxph_loglik_ref,
     penalized_loglik_ref,
     risk_set_ref,
+    risk_weights_full_mask_ref,
     scipy_basis_matrix,
     soft_threshold_ref,
 )
@@ -158,6 +162,21 @@ class TestKernel:
     @pytest.mark.parametrize("n, m, p, starts", SCALE_CASES)
     def test_risk_set_totals_match_per_event_loop_at_scale(self, n, m, p, starts):
         assert_totals_match_loop(*scale_case(n, m, p, starts, seed=n + m))
+
+    # besides SCALE_CASES: one event, and 400 events on 50 rows, so that
+    # most events share their start with others
+    @pytest.mark.parametrize("n, m, p, starts",
+                             SCALE_CASES + [(400, 1, 1, "spread"), (50, 400, 2, "spread")])
+    def test_risk_weights_match_full_mask_bitwise(self, n, m, p, starts):
+        G, r, _ = scale_case(n, m, p, starts, seed=n + m)
+        # the warm start hands the kernel one broadcast row of predictors
+        for g in (G, np.broadcast_to(G[:1], G.shape)) if m else (G,):
+            got = list(likelihood._risk_weights(g, r))
+            want = risk_weights_full_mask_ref(g, r, likelihood._BLOCK_EVENTS)
+            assert len(got) == len(want) == -(-m // likelihood._BLOCK_EVENTS)
+            for got_block, want_block in zip(got, want):
+                for a, b in zip(got_block, want_block):
+                    assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
     def test_warm_start_loglik_matches_per_event_loop_at_scale(self):
         # _loglik_parts hands the kernel one broadcast row of predictors
@@ -412,3 +431,43 @@ class TestReusedWeights:
         with pytest.raises(sx.NumericError), np.errstate(over="ignore", invalid="ignore"):
             sx.penalized_loglik(huge, ds, ws, _state=state)
         assert state == {}
+
+
+class TestNonFinitePredictors:
+    """Non-finite predictors raise NumericError naming input rows.
+
+    The suite turns a RuntimeWarning into an error, so these also check
+    that the overflow in the product does not warn ahead of the typed error.
+    """
+
+    @staticmethod
+    def shuffled_case(big):
+        # storage order is input rows 1, 3, 2, 4, 0: the large covariate of
+        # input row 0 is the last stored row, in every risk set
+        ds = sx.make_dataset([5.0, 1.0, 3.0, 2.0, 4.0], [True] * 5,
+                             [[big], [1.0], [2.0], [-1.0], [0.5]])
+        return ds, sx.make_workspace(ds, sx.make_basis(K, D, ds.tau), 0.5)
+
+    def test_overflowing_product_names_input_rows(self):
+        ds, ws = self.shuffled_case(1e306)
+        cb = sx.CoefficientBlock(gamma=np.full((1, Q), 1e3), thresholds=None, eta=0.01)
+        with pytest.raises(sx.NumericError,
+                           match="input row 0 at the event time of input row 1$"):
+            sx.penalized_loglik(cb, ds, ws)
+
+    def test_large_finite_product_scans(self):
+        # p max|H| max|Z| = 1e303 fails the bound, so the full check runs
+        ds, ws = self.shuffled_case(1e300)
+        cb = sx.CoefficientBlock(gamma=np.full((1, Q), 1e3), thresholds=None, eta=0.01)
+        assert np.isfinite(sx.penalized_loglik(cb, ds, ws))
+
+    @pytest.mark.parametrize("event", [0, 2, 4])
+    def test_nan_effect_row_names_input_rows(self, event):
+        ds, _ = self.shuffled_case(1.0)
+        events = ds.event_rows
+        H = np.ones((events.shape[0], 1))
+        H[event, 0] = np.nan
+        owner = int(ds.sort_index[events[event]])
+        with pytest.raises(sx.NumericError,
+                           match=f"input row 1 at the event time of input row {owner}$"):
+            likelihood._event_totals(H, ds, events, ds.risk_start(events), 0)

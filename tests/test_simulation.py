@@ -1,5 +1,6 @@
 """Data generation for the benchmark scenarios and metric scoring."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -191,7 +192,9 @@ class TestGenerate:
     # the cap falls in the last cell of the grid, which ends at 20
     @pytest.mark.parametrize("covariance", sim.COVARIANCES)
     @pytest.mark.parametrize("admin_censor", [0.5, 2.5, 3.0, 19.9995])
-    @pytest.mark.parametrize("n", [129, 300])      # partial last 128-subject chunk
+    # one subject; one full 128-subject chunk; a partial last chunk after one
+    # and after two full ones
+    @pytest.mark.parametrize("n", [1, 128, 129, 257, 300])
     def test_bytes_equal_full_grid_inversion(self, covariance, admin_censor, n,
                                              monkeypatch):
         sc = sx.Scenario(n=n, covariance=covariance, seed=n + 7,
@@ -205,6 +208,19 @@ class TestGenerate:
             a, b = getattr(got, name), getattr(want, name)
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
         assert got.tau == want.tau == admin_censor
+
+    # the hazards of each 128-subject chunk go into two reused (128, 3002)
+    # buffers of about 3 MB each, whatever n is
+    @pytest.mark.parametrize("n", [1000, 5000])
+    def test_memory_peak_does_not_grow_with_n(self, n):
+        sc = sx.Scenario(n=n, covariance="ar1", seed=0)
+        tracemalloc.start()
+        try:
+            sx.generate(sc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
 
     # the normal draws go through normal_cdf in normal_quantile's Newton step
     @pytest.mark.parametrize("sc", [
