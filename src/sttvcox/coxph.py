@@ -4,6 +4,13 @@ Supplies the warm start for the spline fits (initial coefficient rows and
 the per-covariate threshold scales) and the plain comparison model for
 reports.  Ties are handled Breslow style: tied event times share one
 risk-set denominator.
+
+Each fit builds one risk-set plan of its dataset, so the per-event views
+of the scan are made once per fit.  A line-search trial whose
+event-by-subject predictors fit the likelihood's budget of
+``likelihood._CHUNK_BUDGET`` floats keeps its risk-set weights, and the
+derivative scan at the accepted trial uses them in place of fresh ones,
+with the same floats; past the budget nothing is kept.
 """
 
 from __future__ import annotations
@@ -13,9 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import likelihood
 from .dataset import SurvivalDataset
 from .errors import ConvergenceError, SeparationError, ValidationError
-from .likelihood import _risk_set_totals
 
 logger = logging.getLogger(__name__)
 
@@ -44,17 +51,23 @@ class CoxFit:
     zero_information: np.ndarray
 
 
-def _loglik_parts(ds: SurvivalDataset, beta: np.ndarray, order: int):
+def _loglik_parts(ds: SurvivalDataset, plan: likelihood._RiskSets, beta: np.ndarray,
+                  order: int, weights: list | None = None):
     """Breslow partial log likelihood with gradient and Hessian.
 
     Risk sets are suffixes of the time-sorted rows, visited per event with
     a local max subtraction, so the value is stable for any bounded beta.
+    ``plan`` is the risk-set plan of ds.  An empty ``weights`` list
+    receives this scan's risk-set weight blocks; a filled one, kept from a
+    scan at the same beta, stands in for them.
     """
     Z = ds.covariates
     events = ds.event_rows
     eta = Z @ beta
     G = np.broadcast_to(eta, (events.shape[0], ds.n))
-    logS0, Ebar, V = _risk_set_totals(G, ds.risk_start(events), Z, order)
+    if weights is not None and not weights:
+        weights[:] = likelihood._risk_weights(G, plan.starts)
+    logS0, Ebar, V = likelihood._risk_set_totals(G, plan, order, weights)
     # event terms are added one after another, not in the pairwise order of
     # np.sum: the sttv thresholds scale the warm start, and a one-ulp change
     # of a threshold can move a fitted curve by 0.1
@@ -70,11 +83,12 @@ def fit_coxph(ds: SurvivalDataset) -> CoxFit:
         raise ValidationError("constant Cox fit needs at least one event")
     spread = ds.covariates.max(axis=0) - ds.covariates.min(axis=0)
     active = spread > 0
+    plan = likelihood._RiskSets(ds.covariates, ds.risk_start(ds.event_rows))
     if not active.any():
         zero_info = ~active
         cov = np.full((ds.p, ds.p), 0.0)
         np.fill_diagonal(cov, np.inf)
-        value, _, _ = _loglik_parts(ds, np.zeros(ds.p), order=0)
+        value, _, _ = _loglik_parts(ds, plan, np.zeros(ds.p), order=0)
         logger.warning("all covariate columns are constant; nothing to fit")
         return CoxFit(np.zeros(ds.p), cov, float(value), 0, True, zero_info)
     if (~active).any():
@@ -83,8 +97,9 @@ def fit_coxph(ds: SurvivalDataset) -> CoxFit:
             np.flatnonzero(~active).tolist(),
         )
 
+    keep = ds.n_events * ds.n <= likelihood._CHUNK_BUDGET
     beta = np.zeros(ds.p)
-    value, grad, hess = _loglik_parts(ds, beta, order=2)
+    value, grad, hess = _loglik_parts(ds, plan, beta, order=2)
     iterations = 0
     converged = False
     for _ in range(_MAX_ITER):
@@ -103,7 +118,9 @@ def fit_coxph(ds: SurvivalDataset) -> CoxFit:
         slack = 64.0 * np.finfo(float).eps * (abs(value) + 1.0)
         for _ in range(_MAX_HALVINGS + 1):
             new_beta[active] = beta[active] + scale * step
-            new_value, _, _ = _loglik_parts(ds, new_beta, order=0)
+            # the last trial's blocks are freed before this trial forms its own
+            weights = [] if keep else None
+            new_value, _, _ = _loglik_parts(ds, plan, new_beta, 0, weights)
             if new_value >= value - slack:
                 break
             scale *= 0.5
@@ -120,7 +137,7 @@ def fit_coxph(ds: SurvivalDataset) -> CoxFit:
                 f"{_SEPARATION_BOUND} (separation)",
                 last_iterate=beta.copy(),
             )
-        value, grad, hess = _loglik_parts(ds, beta, order=2)
+        value, grad, hess = _loglik_parts(ds, plan, beta, 2, weights)
     if not converged and np.max(np.abs(grad[active])) >= _TOL:
         raise ConvergenceError(
             f"no convergence in {_MAX_ITER} Newton iterations",

@@ -94,6 +94,49 @@ class CoefficientBlock:
         return self.gamma.shape[1]
 
 
+class _RiskSets:
+    """The data-only part of the risk-set scan of one dataset.
+
+    ``Z`` holds the (n, p) covariates in storage order and ``starts`` the
+    sorted first storage index of each event's risk set.  The plan keeps
+    their Python ints and max|Z| from the start; the per-event views of the
+    moment products are built when an order >= 1 scan first asks for them.
+    Scans of one plan share its (p, n) buffer, so they must not run
+    concurrently.
+    """
+
+    def __init__(self, Z: np.ndarray, starts: np.ndarray):
+        self.Z = Z
+        self.starts = starts
+        self.start_list = starts.tolist()
+        # a Python float: inf * 0 gives NaN and an overflow gives inf, without warnings
+        self.z_max = float(np.abs(Z).max(initial=0.0))
+        self._views = None
+
+    def views(self) -> list:
+        """Per event with risk-set start r: (r, Z[r:], Z[r:].T, ZT[:, r:], t, t.T).
+
+        ZT is a C-contiguous copy of Z.T and t = buf[:, :n - r] a view of
+        one (p, n) buffer; tied events share one tuple.
+        """
+        if self._views is None:
+            Z = self.Z
+            n, p = Z.shape
+            ZT = np.ascontiguousarray(Z.T)
+            buf = np.empty((p, n))
+            by_start = {}
+            for r in self.start_list:
+                if r not in by_start:
+                    Zr, t = Z[r:], buf[:, :n - r]
+                    by_start[r] = (r, Zr, Zr.T, ZT[:, r:], t, t.T)
+            self._views = [by_start[r] for r in self.start_list]
+        return self._views
+
+
+# the Hessian and score covariance assembly, sum_e M[e, j, k] * B_e B_e'
+_BLOCK_SUM = "ejk,ea,eb->jakb"
+
+
 @dataclass(frozen=True)
 class LikelihoodWorkspace:
     """Per-dataset caches shared by repeated objective evaluations."""
@@ -103,10 +146,22 @@ class LikelihoodWorkspace:
     basis_at_times: np.ndarray   # (n, q), row i = B(T_i) in storage order
     penalty_gram: np.ndarray     # (q, q), sum_i B(T_i) B(T_i)'
     event_rows: np.ndarray       # (m,) storage indices of events
-    risk_starts: np.ndarray      # (m,) first storage index of each risk set
+    basis_at_events: np.ndarray  # (m, q), rows event_rows of basis_at_times
+    covariates_at_events: np.ndarray  # (m, p), rows event_rows of the covariates
+    penalty_kron: np.ndarray     # (p q, p q), kron(I_p, penalty_gram)
+    block_sum_path: list | None  # einsum path of _BLOCK_SUM; None without events
+    risk_sets: _RiskSets
 
 
 def make_workspace(ds: SurvivalDataset, basis: SplineBasis, rho: float) -> LikelihoodWorkspace:
+    """Everything about ds and the basis that the scans of one fit share.
+
+    Besides the basis rows and the penalty, the workspace holds the event
+    rows of the basis and covariates, kron(I_p, P), the einsum path of the
+    Hessian assembly and the risk-set plan of ds, whose per-event views are
+    built once, at the first derivative scan.  A dataset without events
+    gets an empty plan and no path.
+    """
     rho = float(rho)
     if not np.isfinite(rho) or rho < 0:
         raise ValidationError(f"rho must be nonnegative and finite, got {rho}")
@@ -115,14 +170,26 @@ def make_workspace(ds: SurvivalDataset, basis: SplineBasis, rho: float) -> Likel
             f"dataset horizon {ds.tau} exceeds basis horizon {basis.tau}"
         )
     B = eval_basis_grid(basis, ds.time)
+    P = B.T @ B
     events = ds.event_rows
+    B_ev = B[events]
+    m, p = events.shape[0], ds.p
+    path = None
+    if m:
+        # the path depends on shapes only
+        path = np.einsum_path(_BLOCK_SUM, np.broadcast_to(0.0, (m, p, p)), B_ev, B_ev,
+                              optimize="greedy")[0]
     return LikelihoodWorkspace(
         basis=basis,
         rho=rho,
         basis_at_times=B,
-        penalty_gram=B.T @ B,
+        penalty_gram=P,
         event_rows=events,
-        risk_starts=ds.risk_start(events),
+        basis_at_events=B_ev,
+        covariates_at_events=ds.covariates[events],
+        penalty_kron=np.kron(np.eye(p), P),
+        block_sum_path=path,
+        risk_sets=_RiskSets(ds.covariates, ds.risk_start(events)),
     )
 
 
@@ -131,7 +198,8 @@ def _check_dims(cb: CoefficientBlock, ds: SurvivalDataset, ws: LikelihoodWorkspa
         raise ValidationError(f"gamma has {cb.p} rows for {ds.p} covariates")
     if cb.q != ws.basis.q:
         raise ValidationError(f"gamma has {cb.q} columns for basis dimension {ws.basis.q}")
-    if ws.basis_at_times.shape[0] != ds.n:
+    Z = ws.risk_sets.Z
+    if ds.covariates is not Z and not np.array_equal(ds.covariates, Z):
         raise ValidationError("workspace was built from a different dataset")
 
 
@@ -164,18 +232,21 @@ def _risk_weights(G: np.ndarray, starts: np.ndarray):
         yield W, top, np.add.reduceat(W.ravel(), idx)[0::2]
 
 
-def _risk_set_totals(G: np.ndarray | None, starts: np.ndarray, Z: np.ndarray, order: int,
-                     blocks: list | None = None):
-    """Breslow risk-set totals of each event, in blocks of _BLOCK_EVENTS events.
+def _risk_set_totals(G: np.ndarray | None, plan: _RiskSets, order: int,
+                     blocks: list | None = None, rows: slice = slice(None)):
+    """Breslow risk-set totals of the plan's events ``rows``, in blocks of
+    _BLOCK_EVENTS events.
 
-    Row e of G holds the linear predictors of all n subjects at event e,
-    whose risk set is the suffix ``starts[e]:`` of the time-sorted rows.
-    Returns logS0 (m,), the log-sum-exp of the risk-set predictors, and
-    for order >= 1 the weighted mean Ebar (m, p) of Z, for order >= 2 the
-    weighted covariance V (m, p, p).  Each event subtracts its own
-    risk-set maximum before exponentiating.  The weight blocks come from
-    ``_risk_weights(G, starts)``, or are ``blocks`` kept from an earlier
-    scan of the same G, which is then not read.
+    Row e of G holds the linear predictors of all n subjects at the e-th
+    of those events, whose risk set is the suffix ``plan.starts[rows][e]:``
+    of the time-sorted rows.  Returns logS0 (m,), the log-sum-exp of the
+    risk-set predictors, and for order >= 1 the weighted mean Ebar (m, p)
+    of the plan's covariates Z, for order >= 2 the weighted covariance V
+    (m, p, p).  Each event subtracts its own risk-set maximum before
+    exponentiating.  The weight blocks come from ``_risk_weights``, or are
+    ``blocks`` kept from an earlier scan of the same G, which is then not
+    read.  This is the only per-event loop: it zips the plan's views with
+    the rows of each weight block.
 
     Every float equals that of a loop over single events.  A block of k
     events whose first risk-set start is r0 copies G[block, r0:] into a
@@ -191,32 +262,33 @@ def _risk_set_totals(G: np.ndarray | None, starts: np.ndarray, Z: np.ndarray, or
     either, so the weighted sums of Z stay one product per event, on views
     of W.  The second moment of event e with risk set Zr = Z[r:] is
     ``Zr.T @ t.T``, where t = Z.T[:, r:] * w is formed from a C-contiguous
-    copy of Z.T into a reused (p, n) buffer: the same products as the loop's
-    ``Zr.T @ (w[:, None] * Zr)`` without its temporaries, and the same gemm
-    result under every OpenBLAS core type tried.  ``Z.T[:, r:] @ t.T``
-    and a Fortran-ordered Z reach other floats and are not used.  The
-    normalizations run once over all events.
+    copy of Z.T into the plan's (p, n) buffer: the same products as the
+    loop's ``Zr.T @ (w[:, None] * Zr)`` without its temporaries, and the
+    same gemm result under every OpenBLAS core type tried.  Each scan
+    writes the buffer before it reads it, so one scan leaves nothing for
+    the next.  ``Z.T[:, r:] @ t.T`` and a Fortran-ordered Z reach other
+    floats and are not used.  The normalizations run once over all events.
     """
-    (n, p), m = Z.shape, starts.shape[0]
+    starts = plan.starts[rows]
+    m, (n, p) = starts.shape[0], plan.Z.shape
     mx, s0 = np.zeros(m), np.zeros(m)
     S1 = np.zeros((m, p)) if order >= 1 else None
     S2 = np.zeros((m, p, p)) if order >= 2 else None
-    if order >= 2:
-        ZT = np.ascontiguousarray(Z.T)
-        t_buf = np.empty((p, n))
-    rs = starts.tolist()
+    views = plan.views()[rows] if order >= 1 else None
     e = 0
     for W, top, s in _risk_weights(G, starts) if blocks is None else blocks:
-        k, r0 = W.shape[0], n + 1 - W.shape[1]
+        k = W.shape[0]
         mx[e:e + k], s0[e:e + k] = top, s
-        for i in range(k if order >= 1 else 0):
-            r = rs[e + i]
-            w = W[i, r - r0 + 1:]
-            Zr = Z[r:]
-            np.matmul(w, Zr, out=S1[e + i])
-            if order >= 2:
-                t = np.multiply(ZT[:, r:], w, out=t_buf[:, :n - r])
-                np.matmul(Zr.T, t.T, out=S2[e + i])
+        if order >= 1:
+            off = n - W.shape[1]            # the column before the block's first start
+            S2_rows = S2[e:e + k] if order >= 2 else [None] * k
+            for Wi, (r, Zr, ZrT, ZTr, t, tT), s1, s2 in zip(W, views[e:e + k], S1[e:e + k],
+                                                            S2_rows):
+                w = Wi[r - off:]
+                np.matmul(w, Zr, out=s1)
+                if s2 is not None:
+                    np.multiply(ZTr, w, out=t)
+                    np.matmul(ZrT, tT, out=s2)
         e += k
     logS0 = mx + np.log(s0)
     Ebar = S1 / s0[:, None] if order >= 1 else None
@@ -225,28 +297,28 @@ def _risk_set_totals(G: np.ndarray | None, starts: np.ndarray, Z: np.ndarray, or
 
 
 def _event_totals(H: np.ndarray, ds: SurvivalDataset, events: np.ndarray,
-                  starts: np.ndarray, order: int, weights: list | None = None):
+                  plan: _RiskSets, order: int, weights: list | None = None):
     """Own predictors and risk-set totals for per-event effect rows H (m, p).
 
-    The predictors H @ Z.T of the dataset's covariates Z are built in chunks
-    of events so the matrix stays within _CHUNK_BUDGET floats.  Returns
-    own_g (m,) and the ``_risk_set_totals`` triple.  ``weights`` holds the
-    (own_g, weight blocks) of one chunk: an empty list is filled by this
-    scan, which must then be of one chunk, and a filled one, kept from a
-    scan of the same H, stands in for the predictors and their weights.
+    ``plan`` is the risk-set plan of ds's covariates Z and ``events``.  The
+    predictors H @ Z.T are built in chunks of events so the matrix stays
+    within _CHUNK_BUDGET floats.  Returns own_g (m,) and the
+    ``_risk_set_totals`` triple.  ``weights`` holds the (own_g, weight
+    blocks) of one chunk: an empty list is filled by this scan, which must
+    then be of one chunk, and a filled one, kept from a scan of the same H,
+    stands in for the predictors and their weights.
 
     Each predictor is a sum of p products, so when p max|H| max|Z| is below
     1e300 all are finite and the finite check of each chunk is skipped.  A
     NaN or inf in H or Z makes that bound NaN or inf, and the check runs; a
     non-finite predictor raises NumericError naming input rows.
     """
-    Z = ds.covariates
     if weights:
         own_g, blocks = weights
-        return [own_g, *_risk_set_totals(None, starts, Z, order, blocks)]
+        return [own_g, *_risk_set_totals(None, plan, order, blocks)]
+    Z = plan.Z
     chunk = max(1, _CHUNK_BUDGET // max(Z.shape[0], 1))
-    # Python floats: inf * 0 gives NaN and an overflow gives inf, without warnings
-    bound = Z.shape[1] * float(np.abs(H).max(initial=0.0)) * float(np.abs(Z).max(initial=0.0))
+    bound = Z.shape[1] * float(np.abs(H).max(initial=0.0)) * plan.z_max
     parts = []
     # without events one empty chunk still runs and gives the output shapes
     for s in range(0, max(H.shape[0], 1), chunk):
@@ -262,9 +334,11 @@ def _event_totals(H: np.ndarray, ds: SurvivalDataset, events: np.ndarray,
         own_g = G[np.arange(G.shape[0]), events[rows]]
         blocks = None
         if weights is not None:
-            blocks = list(_risk_weights(G, starts[rows]))
+            blocks = list(_risk_weights(G, plan.starts[rows]))
             weights[:] = own_g, blocks
-        parts.append((own_g, *_risk_set_totals(G, starts[rows], Z, order, blocks)))
+        parts.append((own_g, *_risk_set_totals(G, plan, order, blocks, rows)))
+    if len(parts) == 1:
+        return list(parts[0])
     return [None if part[0] is None else np.concatenate(part) for part in zip(*parts)]
 
 
@@ -286,8 +360,7 @@ def _scan(cb: CoefficientBlock, ds: SurvivalDataset, ws: LikelihoodWorkspace, or
     if cb.thresholds is not None and order >= 1 and cb.eta == 0.0:
         raise ValidationError("derivatives need eta > 0 (exact operator is kinked)")
 
-    B_ev = ws.basis_at_times[ws.event_rows]
-    theta = B_ev @ cb.gamma.T                       # (m, p)
+    theta = ws.basis_at_events @ cb.gamma.T         # (m, p)
     h, h1, h2 = _effect(theta, cb.thresholds, cb.eta, order)
     weights = None
     if state is not None:
@@ -297,23 +370,23 @@ def _scan(cb: CoefficientBlock, ds: SurvivalDataset, ws: LikelihoodWorkspace, or
         del kept   # the last trial's blocks are freed before this scan forms its own
         if order == 0 and ws.event_rows.shape[0] * ds.n <= _CHUNK_BUDGET:
             weights = []
-    own_g, logS0, Ebar, V = _event_totals(h, ds, ws.event_rows, ws.risk_starts,
-                                          order, weights)
+    own_g, logS0, Ebar, V = _event_totals(h, ds, ws.event_rows, ws.risk_sets, order, weights)
     if order == 0 and weights is not None:
         state["weights"] = (cb, weights)
-    return own_g, logS0, Ebar, h1, V, h2, B_ev
+    return own_g, logS0, Ebar, h1, V, h2
 
 
 def _penalty(cb: CoefficientBlock, ws: LikelihoodWorkspace) -> float:
     return float(np.einsum("ja,ab,jb->", cb.gamma, ws.penalty_gram, cb.gamma))
 
 
-def _einsum_blocks(M: np.ndarray, B_ev: np.ndarray, p: int, q: int) -> np.ndarray:
-    """sum_e M[e, j, k] * B_e B_e' assembled into a (p q, p q) matrix."""
-    if B_ev.shape[0] == 0:
-        return np.zeros((p * q, p * q))
-    out = np.einsum("ejk,ea,eb->jakb", M, B_ev, B_ev, optimize=True)
-    return out.reshape(p * q, p * q)
+def _einsum_blocks(M: np.ndarray, ws: LikelihoodWorkspace) -> np.ndarray:
+    """sum_e M[e, j, k] * B_e B_e' over the workspace's events, a (p q, p q) matrix."""
+    pq = ws.penalty_kron.shape[0]
+    if ws.block_sum_path is None:
+        return np.zeros((pq, pq))
+    B_ev = ws.basis_at_events
+    return np.einsum(_BLOCK_SUM, M, B_ev, B_ev, optimize=ws.block_sum_path).reshape(pq, pq)
 
 
 def _evaluate(cb: CoefficientBlock, ds: SurvivalDataset, ws: LikelihoodWorkspace, order: int,
@@ -321,24 +394,24 @@ def _evaluate(cb: CoefficientBlock, ds: SurvivalDataset, ws: LikelihoodWorkspace
     """(value, gradient or None, Hessian or None) from one scan of the given order.
 
     ``state`` is passed on to ``_scan``; an order-2 scan also stores its
-    (h', V, event basis rows) there as "meat".
+    (h', V) there as "meat".
     """
-    own_g, logS0, Ebar, h1, V, h2, B_ev = _scan(cb, ds, ws, order, state)
+    own_g, logS0, Ebar, h1, V, h2 = _scan(cb, ds, ws, order, state)
     if order == 2 and state is not None:
-        state["meat"] = (h1, V, B_ev)
-    p, q = cb.p, cb.q
+        state["meat"] = (h1, V)
+    p = cb.p
     value = float(own_g.sum() - logS0.sum() - ws.rho * _penalty(cb, ws))
     if order == 0:
         return value, None, None
-    Z_ev = ds.covariates[ws.event_rows]
+    Z_ev = ws.covariates_at_events
     C = (Z_ev - Ebar) * h1                          # (m, p)
-    grad = (C.T @ B_ev - 2.0 * ws.rho * (cb.gamma @ ws.penalty_gram)).reshape(-1)
+    grad = (C.T @ ws.basis_at_events - 2.0 * ws.rho * (cb.gamma @ ws.penalty_gram)).reshape(-1)
     if order == 1:
         return value, grad, None
     M = -V * h1[:, :, None] * h1[:, None, :]
     M[:, np.arange(p), np.arange(p)] += (Z_ev - Ebar) * h2
-    H = _einsum_blocks(M, B_ev, p, q)
-    H -= 2.0 * ws.rho * np.kron(np.eye(p), ws.penalty_gram)
+    H = _einsum_blocks(M, ws)
+    H -= 2.0 * ws.rho * ws.penalty_kron
     return value, grad, H
 
 
@@ -371,13 +444,13 @@ def score_covariance(cb: CoefficientBlock, ds: SurvivalDataset, ws: LikelihoodWo
     No 1/n normalization is applied; the variance formula downstream
     consumes this raw sum directly.
     """
-    _, _, _, h1, V, _, B_ev = _scan(cb, ds, ws, order=2)
-    return _score_cov(h1, V, B_ev, cb.p, cb.q)
+    _, _, _, h1, V, _ = _scan(cb, ds, ws, order=2)
+    return _score_cov(h1, V, ws)
 
 
-def _score_cov(h1: np.ndarray, V: np.ndarray, B_ev: np.ndarray, p: int, q: int) -> np.ndarray:
-    """The score covariance from the h', V and event basis rows of one order-2 scan."""
-    return _einsum_blocks(V * h1[:, :, None] * h1[:, None, :], B_ev, p, q)
+def _score_cov(h1: np.ndarray, V: np.ndarray, ws: LikelihoodWorkspace) -> np.ndarray:
+    """The score covariance from the h' and V of one order-2 scan with workspace ws."""
+    return _einsum_blocks(V * h1[:, :, None] * h1[:, None, :], ws)
 
 
 def value_and_derivatives(cb: CoefficientBlock, ds: SurvivalDataset, ws: LikelihoodWorkspace,
@@ -388,8 +461,7 @@ def value_and_derivatives(cb: CoefficientBlock, ds: SurvivalDataset, ws: Likelih
     its weights in.  The scan removes its "weights" entry and, when that
     holds the weights of this very cb, builds no predictors and adds only
     the effect derivatives and the weighted moments, with the same floats.
-    It then stores its (h', V, event basis rows) as "meat", so that the
-    sandwich meat at the optimum comes from the optimizer's last scan, not
-    from one more.
+    It then stores its (h', V) as "meat", so that the sandwich meat at the
+    optimum comes from the optimizer's last scan, not from one more.
     """
     return _evaluate(cb, ds, ws, order=2, state=_state)

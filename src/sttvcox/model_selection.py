@@ -23,7 +23,7 @@ from .errors import (
     ValidationError,
     check_count,
 )
-from .likelihood import _event_totals
+from .likelihood import _event_totals, _RiskSets
 from .optimizer import FitConfig, FittedModel, _cox_warm_start, fit
 from .splines import eval_basis_grid
 from .threshold import _effect
@@ -78,8 +78,8 @@ def _heldout_error(model: FittedModel, held: SurvivalDataset) -> float:
         return 0.0
     B_ev = eval_basis_grid(model.basis, held.time[events])
     beta, _, _ = _effect(B_ev @ model.gamma_hat.T, model.alphas, 0.0)   # (m, p)
-    own, logS0, _, _ = _event_totals(beta, held, events, held.risk_start(events),
-                                     order=0)
+    plan = _RiskSets(held.covariates, held.risk_start(events))
+    own, logS0, _, _ = _event_totals(beta, held, events, plan, order=0)
     return -float(own.sum() - logS0.sum())
 
 

@@ -19,10 +19,12 @@ start holds one private state dict that every scan of the start is given.
 An order-0 trial keeps its risk-set weights (own predictors, row maxima,
 sums and exponentials) there, and the derivative pass at the accepted trial
 takes them out, adds only the effect derivatives and the weighted moments,
-and leaves its h', V and event basis rows for the sandwich meat.  A trial
-whose event-by-subject predictors pass the likelihood's chunk budget keeps
-no weights, and the derivative pass forms them afresh with the same
-floats.  Iteration stops when the gradient max-norm drops below tol_grad,
+and leaves its h' and V for the sandwich meat.  A trial whose
+event-by-subject predictors pass the likelihood's chunk budget keeps no
+weights, and the derivative pass forms them afresh with the same floats.
+Every scan of a fit takes the data-only parts of the event scan (event
+rows, per-event risk-set views, the einsum path of the Hessian) from the
+fit's one workspace.  Iteration stops when the gradient max-norm drops below tol_grad,
 or when the objective stalls (relative change below 1e-10 on three
 consecutive iterations); only the gradient criterion sets ``converged``.
 Each accepted iteration logs one DEBUG line: objective, gradient max-norm,
@@ -157,8 +159,8 @@ def _newton(cb0: CoefficientBlock, ds: SurvivalDataset, ws: LikelihoodWorkspace,
             cfg: FitConfig):
     """Maximize from one starting point; returns (gamma, path, diagnostics).
 
-    The last entry is the "meat" (h', V, event basis rows) of the scan at
-    the returned gamma, from which ``fit`` forms the score covariance.
+    The last entry is the "meat" (h', V) of the scan at the returned gamma,
+    from which ``fit`` forms the score covariance.
     """
     p, q = cb0.p, cb0.q
     gamma = cb0.gamma.copy()
@@ -334,7 +336,7 @@ def fit(ds: SurvivalDataset, cfg: FitConfig, *, _warm=None) -> FittedModel:
     if cond > _COND_WARN:
         logger.warning("ill-conditioned negative Hessian (cond %.2e)", cond)
     neg_h_inv = np.linalg.inv(neg_h)
-    sigma = _score_cov(*meat, ds.p, basis.q)
+    sigma = _score_cov(*meat, ws)
     sandwich = neg_h_inv @ sigma @ neg_h_inv
     sandwich = 0.5 * (sandwich + sandwich.T)
 

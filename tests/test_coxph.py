@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import sttvcox as sx
+from sttvcox import likelihood
 from conftest import make_random_dataset
 from oracles import coxph_loglik_ref, golden_section_max, plain_spline_loglik_ref
 
@@ -68,6 +69,35 @@ class TestFitCoxph:
         B = sx.eval_basis_grid(basis, ds.time)
         value = plain_spline_loglik_ref(gamma, ds, 0.0, B)
         assert value == pytest.approx(fit.loglik, rel=1e-10)
+
+
+class TestKeptWeights:
+    """The accepted trial's weight blocks serve the derivative scan at that step."""
+
+    def test_kept_weights_match_fit_with_nothing_kept(self, dataset_200, monkeypatch):
+        ds = dataset_200
+        real = likelihood._risk_weights
+        formed = []
+        monkeypatch.setattr(likelihood, "_risk_weights",
+                            lambda *a: formed.append(1) or real(*a))
+        fits, counts = [], []
+        # None keeps the default; m n is the last budget that keeps the weights,
+        # and past it, as at 0, every scan forms its own
+        for budget in (None, ds.n_events * ds.n, ds.n_events * ds.n - 1, 0):
+            if budget is not None:
+                monkeypatch.setattr(likelihood, "_CHUNK_BUDGET", budget)
+            formed.clear()
+            fits.append(sx.fit_coxph(ds))
+            counts.append(len(formed))
+        iterations = fits[0].iterations
+        assert iterations > 0
+        # every derivative scan but the first reuses its trial's weights
+        assert counts[0] == counts[1] == counts[2] - iterations == counts[3] - iterations
+        for fit in fits[1:]:
+            assert fit.iterations == iterations
+            assert fit.beta.tobytes() == fits[0].beta.tobytes()
+            assert fit.covariance.tobytes() == fits[0].covariance.tobytes()
+            assert fit.loglik.hex() == fits[0].loglik.hex()
 
 
 class TestInitialGamma:

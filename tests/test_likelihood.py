@@ -296,3 +296,23 @@ class TestWorkspace:
         ws = sx.make_workspace(ds, basis, 1e-4)
         B = sx.eval_basis_grid(basis, ds.time)
         np.testing.assert_allclose(ws.penalty_gram, B.T @ B, atol=1e-12)
+
+    def test_dataset_of_same_size_with_other_covariates_rejected(self):
+        ds = make_random_dataset(15, n=10, p=2)
+        basis, ws = build(ds)
+        other = sx.make_dataset(ds.time, ds.event, ds.covariates + 1.0)
+        cb = sx.CoefficientBlock(gamma=np.zeros((2, basis.q)), thresholds=None, eta=0.01)
+        with pytest.raises(sx.ValidationError, match="different dataset"):
+            sx.penalized_loglik(cb, other, ws)
+        with pytest.raises(sx.ValidationError, match="different dataset"):
+            sx.value_and_derivatives(cb, other, ws)
+        # equal covariates in another array are the same dataset
+        same = sx.make_dataset(ds.time, ds.event, ds.covariates.copy())
+        assert same.covariates is not ds.covariates
+        assert sx.penalized_loglik(cb, same, ws) == sx.penalized_loglik(cb, ds, ws)
+
+    def test_dataset_without_events_gets_an_empty_plan(self):
+        ds = sx.make_dataset([1.0, 2.0], [False, False], [[1.0], [0.5]], tau=2.0)
+        _, ws = build(ds)
+        assert ws.block_sum_path is None
+        assert ws.risk_sets.start_list == [] and ws.risk_sets.views() == []

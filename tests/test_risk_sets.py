@@ -5,9 +5,11 @@ events and censorings share times), a single event, and covariates up to
 1e3 in magnitude, and compares the penalized likelihood, the warm-start
 partial likelihood and the held-out CV error with the loop references in
 ``oracles.py``.  The kernel itself is checked bit for bit against the
-per-event loop it replaced, also on seeded cases up to n = 20000, and the
-value of an order-0 scan against the value of the order-2 scan, which the
-Newton line search relies on.  A derivative scan that reuses the weights of
+per-event loop it replaced, also on seeded cases up to n = 20000, through
+one risk-set plan per case that serves all its scans; a plan scanned again
+with other predictors must equal fresh plans.  The value of an order-0
+scan is checked against the value of the order-2 scan, which the Newton
+line search relies on.  A derivative scan that reuses the weights of
 an order-0 scan at the same coefficients is checked against a fresh one.
 The weight blocks are checked bit for bit against blocks masked in full,
 and predictors that overflow or come from NaN effects raise NumericError,
@@ -35,7 +37,7 @@ from oracles import (
     soft_threshold_ref,
 )
 from sttvcox.coxph import _loglik_parts
-from sttvcox.likelihood import _risk_set_totals
+from sttvcox.likelihood import _risk_set_totals, _RiskSets
 from sttvcox.model_selection import _heldout_error
 
 K, D = 2, 2
@@ -146,22 +148,42 @@ def scale_case(n, m, p, starts, seed):
     return G, r, Z
 
 
+def plan_of(ds):
+    return _RiskSets(ds.covariates, ds.risk_start(ds.event_rows))
+
+
+def assert_same_totals(got, want):
+    for g, w in zip(got, want):
+        if w is None:
+            assert g is None
+        else:
+            assert g.shape == w.shape and g.tobytes() == w.tobytes()
+
+
 def assert_totals_match_loop(G, starts, Z):
-    """The kernel equals the per-event loop bit for bit at orders 0, 1 and 2."""
+    """The kernel, given one plan of (Z, starts) for all its scans, equals
+    the per-event loop bit for bit at orders 0, 1 and 2."""
+    plan = _RiskSets(Z, starts)
     for order in (0, 1, 2):
-        got = _risk_set_totals(G, starts, Z, order)
-        want = risk_set_totals_loop(G, starts, Z, order)
-        for g, w in zip(got, want):
-            if w is None:
-                assert g is None
-            else:
-                assert g.shape == w.shape and g.tobytes() == w.tobytes()
+        assert_same_totals(_risk_set_totals(G, plan, order),
+                           risk_set_totals_loop(G, starts, Z, order))
 
 
 class TestKernel:
     @pytest.mark.parametrize("n, m, p, starts", SCALE_CASES)
     def test_risk_set_totals_match_per_event_loop_at_scale(self, n, m, p, starts):
         assert_totals_match_loop(*scale_case(n, m, p, starts, seed=n + m))
+
+    @pytest.mark.parametrize("n, m, p, starts", SCALE_CASES)
+    def test_plan_scanned_again_matches_fresh_plans_bitwise(self, n, m, p, starts):
+        # scans of one plan share its views and (p, n) buffer; nothing of
+        # one scan may reach the next
+        G, r, Z = scale_case(n, m, p, starts, seed=n + m)
+        G2 = np.random.default_rng(n).normal(0.0, 3.0, G.shape)
+        plan = _RiskSets(Z, r)
+        for g, order in ((G, 2), (G2, 0), (G2, 2)):
+            assert_same_totals(_risk_set_totals(g, plan, order),
+                               _risk_set_totals(g, _RiskSets(Z, r), order))
 
     # besides SCALE_CASES: one event, and 400 events on 50 rows, so that
     # most events share their start with others
@@ -187,7 +209,7 @@ class TestKernel:
         event[time > 90] = False                        # censored tail
         ds = sx.make_dataset(time, event, 1e3 * rng.uniform(-1.0, 1.0, (n, 2)))
         beta = np.array([4e-4, -7e-4])
-        got = _loglik_parts(ds, beta, order=2)
+        got = _loglik_parts(ds, plan_of(ds), beta, order=2)
         want = loglik_parts_loop(ds, beta)
         assert got[0] == want[0]
         for g, w in zip(got[1:], want[1:]):
@@ -235,7 +257,7 @@ class TestKernelCallers:
     def test_warm_start_loglik_matches_reference(self, case):
         ds, gamma, _ = case
         beta = gamma[:, 0]
-        value, grad, hess = _loglik_parts(ds, beta, order=2)
+        value, grad, hess = _loglik_parts(ds, plan_of(ds), beta, order=2)
         assert value == pytest.approx(
             coxph_loglik_ref(beta, ds), rel=1e-10, abs=tolerance(ds, gamma)
         )
@@ -470,4 +492,4 @@ class TestNonFinitePredictors:
         owner = int(ds.sort_index[events[event]])
         with pytest.raises(sx.NumericError,
                            match=f"input row 1 at the event time of input row {owner}$"):
-            likelihood._event_totals(H, ds, events, ds.risk_start(events), 0)
+            likelihood._event_totals(H, ds, events, plan_of(ds), 0)
