@@ -5,12 +5,10 @@ the per-covariate threshold scales) and the plain comparison model for
 reports.  Ties are handled Breslow style: tied event times share one
 risk-set denominator.
 
-Each fit builds one risk-set plan of its dataset, so the per-event views
-of the scan are made once per fit.  A line-search trial whose
-event-by-subject predictors fit the likelihood's budget of
-``likelihood._CHUNK_BUDGET`` floats keeps its risk-set weights, and the
-derivative scan at the accepted trial uses them in place of fresh ones,
-with the same floats; past the budget nothing is kept.
+Each fit scans through one risk-set plan of its dataset,
+``likelihood._RiskSets``, so the per-event views of the scan are made
+once per fit, and the derivative scan at an accepted line-search trial
+reuses what the plan kept of that trial's scan, by the plan's rule.
 """
 
 from __future__ import annotations
@@ -52,26 +50,23 @@ class CoxFit:
 
 
 def _loglik_parts(ds: SurvivalDataset, plan: likelihood._RiskSets, beta: np.ndarray,
-                  order: int, weights: list | None = None):
+                  order: int):
     """Breslow partial log likelihood with gradient and Hessian.
 
     Risk sets are suffixes of the time-sorted rows, visited per event with
     a local max subtraction, so the value is stable for any bounded beta.
-    ``plan`` is the risk-set plan of ds.  An empty ``weights`` list
-    receives this scan's risk-set weight blocks; a filled one, kept from a
-    scan at the same beta, stands in for them.
+    ``plan`` is the risk-set plan of ds, and the scan runs through its
+    entry under beta's bytes (see ``likelihood._RiskSets``).
     """
     Z = ds.covariates
     events = ds.event_rows
     eta = Z @ beta
     G = np.broadcast_to(eta, (events.shape[0], ds.n))
-    if weights is not None and not weights:
-        weights[:] = likelihood._risk_weights(G, plan.starts)
-    logS0, Ebar, V = likelihood._risk_set_totals(G, plan, order, weights)
+    own, logS0, Ebar, V = plan.scan(beta.tobytes(), order, [(eta[events], G, slice(None))])
     # event terms are added one after another, not in the pairwise order of
     # np.sum: the sttv thresholds scale the warm start, and a one-ulp change
     # of a threshold can move a fitted curve by 0.1
-    value = np.add.accumulate(eta[events] - logS0)[-1]
+    value = np.add.accumulate(own - logS0)[-1]
     grad = np.add.accumulate(Z[events] - Ebar)[-1] if order >= 1 else None
     hess = -np.add.accumulate(V)[-1] if order >= 2 else None
     return value, grad, hess
@@ -97,7 +92,6 @@ def fit_coxph(ds: SurvivalDataset) -> CoxFit:
             np.flatnonzero(~active).tolist(),
         )
 
-    keep = ds.n_events * ds.n <= likelihood._CHUNK_BUDGET
     beta = np.zeros(ds.p)
     value, grad, hess = _loglik_parts(ds, plan, beta, order=2)
     iterations = 0
@@ -118,9 +112,7 @@ def fit_coxph(ds: SurvivalDataset) -> CoxFit:
         slack = 64.0 * np.finfo(float).eps * (abs(value) + 1.0)
         for _ in range(_MAX_HALVINGS + 1):
             new_beta[active] = beta[active] + scale * step
-            # the last trial's blocks are freed before this trial forms its own
-            weights = [] if keep else None
-            new_value, _, _ = _loglik_parts(ds, plan, new_beta, 0, weights)
+            new_value, _, _ = _loglik_parts(ds, plan, new_beta, 0)
             if new_value >= value - slack:
                 break
             scale *= 0.5
@@ -137,7 +129,7 @@ def fit_coxph(ds: SurvivalDataset) -> CoxFit:
                 f"{_SEPARATION_BOUND} (separation)",
                 last_iterate=beta.copy(),
             )
-        value, grad, hess = _loglik_parts(ds, plan, beta, 2, weights)
+        value, grad, hess = _loglik_parts(ds, plan, beta, 2)
     if not converged and np.max(np.abs(grad[active])) >= _TOL:
         raise ConvergenceError(
             f"no convergence in {_MAX_ITER} Newton iterations",

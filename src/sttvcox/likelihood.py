@@ -95,14 +95,24 @@ class CoefficientBlock:
 
 
 class _RiskSets:
-    """The data-only part of the risk-set scan of one dataset.
+    """The risk-set scans of one dataset: their data-only part and the last
+    scan's kept entry.
 
     ``Z`` holds the (n, p) covariates in storage order and ``starts`` the
     sorted first storage index of each event's risk set.  The plan keeps
     their Python ints and max|Z| from the start; the per-event views of the
     moment products are built when an order >= 1 scan first asks for them.
-    Scans of one plan share its (p, n) buffer, so they must not run
-    concurrently.
+
+    ``scan`` keeps one entry for the plan's last scan, under the bytes of
+    that scan's predictor inputs (the per-event effect rows of a spline
+    scan, beta of a Cox scan), so equal values find it whatever object
+    holds them.  An order-0 scan that ``keeps`` stores its own predictors
+    and weight blocks; an order-2 scan stores its totals and drops the
+    blocks.  A scan under the entry's key uses it in place of predictors
+    and weights, with the same floats; a scan under another key drops it
+    before forming its own weights, so at most one scan's blocks are held.
+    Scans of one plan share its (p, n) buffer and its entry, so they must
+    not run concurrently.
     """
 
     def __init__(self, Z: np.ndarray, starts: np.ndarray):
@@ -112,6 +122,40 @@ class _RiskSets:
         # a Python float: inf * 0 gives NaN and an overflow gives inf, without warnings
         self.z_max = float(np.abs(Z).max(initial=0.0))
         self._views = None
+        self._kept = None   # (key, own predictors, weight blocks or None, totals or None)
+
+    def keeps(self) -> bool:
+        """Whether an order-0 scan keeps its weight blocks: when its m x n
+        predictors fit in _CHUNK_BUDGET floats, one chunk."""
+        return len(self.start_list) * self.Z.shape[0] <= _CHUNK_BUDGET
+
+    def scan(self, key: bytes, order: int, chunks):
+        """[own, logS0, Ebar, V] of the predictors whose inputs have bytes ``key``.
+
+        ``chunks`` yields (own, G, rows) per chunk of events: the predictors
+        G of the events ``rows`` and each event's own predictor.  It is read
+        only when the kept entry cannot serve.  The totals reach at least
+        the asked order, as in ``_risk_set_totals``.
+        """
+        if self._kept is not None and self._kept[0] != key:
+            self._kept = None
+        if self._kept is None:
+            keep = order == 0 and self.keeps()
+            parts = []
+            for own, G, rows in chunks:
+                blocks = list(_risk_weights(G, self.starts)) if keep else None
+                parts.append((own, *_risk_set_totals(G, self, order, blocks, rows)))
+            own, *totals = parts[0] if len(parts) == 1 else [
+                None if part[0] is None else np.concatenate(part) for part in zip(*parts)]
+            if keep:
+                self._kept = (key, own, blocks, None)
+        else:
+            _, own, blocks, totals = self._kept
+            if totals is None:
+                totals = _risk_set_totals(None, self, order, blocks)
+        if order == 2:
+            self._kept = (key, own, None, totals)
+        return [own, *totals]
 
     def views(self) -> list:
         """Per event with risk-set start r: (r, Z[r:], Z[r:].T, ZT[:, r:], t, t.T).
@@ -151,6 +195,7 @@ class LikelihoodWorkspace:
     penalty_kron: np.ndarray     # (p q, p q), kron(I_p, penalty_gram)
     block_sum_path: list | None  # einsum path of _BLOCK_SUM; None without events
     risk_sets: _RiskSets
+    dataset: SurvivalDataset     # the dataset the workspace was built from
 
 
 def make_workspace(ds: SurvivalDataset, basis: SplineBasis, rho: float) -> LikelihoodWorkspace:
@@ -159,8 +204,9 @@ def make_workspace(ds: SurvivalDataset, basis: SplineBasis, rho: float) -> Likel
     Besides the basis rows and the penalty, the workspace holds the event
     rows of the basis and covariates, kron(I_p, P), the einsum path of the
     Hessian assembly and the risk-set plan of ds, whose per-event views are
-    built once, at the first derivative scan.  A dataset without events
-    gets an empty plan and no path.
+    built once, at the first derivative scan, and which keeps what its last
+    scan can pass to the next (see ``_RiskSets``).  A dataset without
+    events gets an empty plan and no path.
     """
     rho = float(rho)
     if not np.isfinite(rho) or rho < 0:
@@ -190,6 +236,7 @@ def make_workspace(ds: SurvivalDataset, basis: SplineBasis, rho: float) -> Likel
         penalty_kron=np.kron(np.eye(p), P),
         block_sum_path=path,
         risk_sets=_RiskSets(ds.covariates, ds.risk_start(events)),
+        dataset=ds,
     )
 
 
@@ -198,8 +245,9 @@ def _check_dims(cb: CoefficientBlock, ds: SurvivalDataset, ws: LikelihoodWorkspa
         raise ValidationError(f"gamma has {cb.p} rows for {ds.p} covariates")
     if cb.q != ws.basis.q:
         raise ValidationError(f"gamma has {cb.q} columns for basis dimension {ws.basis.q}")
-    Z = ws.risk_sets.Z
-    if ds.covariates is not Z and not np.array_equal(ds.covariates, Z):
+    built = ws.dataset
+    if ds is not built and not all(map(np.array_equal, (ds.time, ds.event, ds.covariates),
+                                       (built.time, built.event, built.covariates))):
         raise ValidationError("workspace was built from a different dataset")
 
 
@@ -297,64 +345,48 @@ def _risk_set_totals(G: np.ndarray | None, plan: _RiskSets, order: int,
 
 
 def _event_totals(H: np.ndarray, ds: SurvivalDataset, events: np.ndarray,
-                  plan: _RiskSets, order: int, weights: list | None = None):
+                  plan: _RiskSets, order: int):
     """Own predictors and risk-set totals for per-event effect rows H (m, p).
 
-    ``plan`` is the risk-set plan of ds's covariates Z and ``events``.  The
-    predictors H @ Z.T are built in chunks of events so the matrix stays
-    within _CHUNK_BUDGET floats.  Returns own_g (m,) and the
-    ``_risk_set_totals`` triple.  ``weights`` holds the (own_g, weight
-    blocks) of one chunk: an empty list is filled by this scan, which must
-    then be of one chunk, and a filled one, kept from a scan of the same H,
-    stands in for the predictors and their weights.
+    ``plan`` is the risk-set plan of ds's covariates Z and ``events``, and
+    the scan runs through its entry under H's bytes (see ``_RiskSets``).
+    The predictors H @ Z.T are built in chunks of events so the matrix
+    stays within _CHUNK_BUDGET floats.  Returns own_g (m,) and the
+    ``_risk_set_totals`` triple.
 
     Each predictor is a sum of p products, so when p max|H| max|Z| is below
     1e300 all are finite and the finite check of each chunk is skipped.  A
     NaN or inf in H or Z makes that bound NaN or inf, and the check runs; a
     non-finite predictor raises NumericError naming input rows.
     """
-    if weights:
-        own_g, blocks = weights
-        return [own_g, *_risk_set_totals(None, plan, order, blocks)]
     Z = plan.Z
     chunk = max(1, _CHUNK_BUDGET // max(Z.shape[0], 1))
     bound = Z.shape[1] * float(np.abs(H).max(initial=0.0)) * plan.z_max
-    parts = []
-    # without events one empty chunk still runs and gives the output shapes
-    for s in range(0, max(H.shape[0], 1), chunk):
-        rows = slice(s, s + chunk)
-        with np.errstate(over="ignore", invalid="ignore"):
-            G = H[rows] @ Z.T                       # (c, n) predictors at event times
-        if not bound < 1e300 and not np.isfinite(G).all():
-            e, col = np.argwhere(~np.isfinite(G))[0]
-            raise NumericError(
-                f"non-finite linear predictor of input row {int(ds.sort_index[col])} "
-                f"at the event time of input row {int(ds.sort_index[events[s + e]])}"
-            )
-        own_g = G[np.arange(G.shape[0]), events[rows]]
-        blocks = None
-        if weights is not None:
-            blocks = list(_risk_weights(G, plan.starts[rows]))
-            weights[:] = own_g, blocks
-        parts.append((own_g, *_risk_set_totals(G, plan, order, blocks, rows)))
-    if len(parts) == 1:
-        return list(parts[0])
-    return [None if part[0] is None else np.concatenate(part) for part in zip(*parts)]
+
+    def chunks():
+        # without events one empty chunk still runs and gives the output shapes
+        for s in range(0, max(H.shape[0], 1), chunk):
+            rows = slice(s, s + chunk)
+            with np.errstate(over="ignore", invalid="ignore"):
+                G = H[rows] @ Z.T                       # (c, n) predictors at event times
+            if not bound < 1e300 and not np.isfinite(G).all():
+                e, col = np.argwhere(~np.isfinite(G))[0]
+                raise NumericError(
+                    f"non-finite linear predictor of input row {int(ds.sort_index[col])} "
+                    f"at the event time of input row {int(ds.sort_index[events[s + e]])}"
+                )
+            yield G[np.arange(G.shape[0]), events[rows]], G, rows
+
+    return plan.scan(H.tobytes(), order, chunks())
 
 
-def _scan(cb: CoefficientBlock, ds: SurvivalDataset, ws: LikelihoodWorkspace, order: int,
-          state: dict | None = None):
+def _scan(cb: CoefficientBlock, ds: SurvivalDataset, ws: LikelihoodWorkspace, order: int):
     """One pass over events: per-event risk totals up to the given order.
 
     Returns own_g, logS0 (both (m,)), and for order >= 1 also Ebar (m, p),
-    h1 (m, p); for order >= 2 also V (m, p, p), h2 (m, p).
-
-    A ``state`` dict loses its "weights" entry before the scan.  An order-0
-    scan whose m x n predictors fit in _CHUNK_BUDGET floats (one chunk)
-    stores (cb, its own_g and weight blocks) there, and a derivative scan
-    of that very cb uses them in place of predictors.  A larger scan keeps
-    nothing, so it never holds more than one weight block besides its
-    predictors.
+    h1 (m, p); for order >= 2 also V (m, p, p), h2 (m, p).  The totals come
+    from the workspace's risk-set plan, which reuses what its last scan
+    kept at equal effect rows.
     """
     _check_dims(cb, ds, ws)
     if cb.thresholds is not None and order >= 1 and cb.eta == 0.0:
@@ -362,17 +394,7 @@ def _scan(cb: CoefficientBlock, ds: SurvivalDataset, ws: LikelihoodWorkspace, or
 
     theta = ws.basis_at_events @ cb.gamma.T         # (m, p)
     h, h1, h2 = _effect(theta, cb.thresholds, cb.eta, order)
-    weights = None
-    if state is not None:
-        kept = state.pop("weights", None)
-        if order >= 1 and kept is not None and kept[0] is cb:
-            weights = kept[1]
-        del kept   # the last trial's blocks are freed before this scan forms its own
-        if order == 0 and ws.event_rows.shape[0] * ds.n <= _CHUNK_BUDGET:
-            weights = []
-    own_g, logS0, Ebar, V = _event_totals(h, ds, ws.event_rows, ws.risk_sets, order, weights)
-    if order == 0 and weights is not None:
-        state["weights"] = (cb, weights)
+    own_g, logS0, Ebar, V = _event_totals(h, ds, ws.event_rows, ws.risk_sets, order)
     return own_g, logS0, Ebar, h1, V, h2
 
 
@@ -389,16 +411,9 @@ def _einsum_blocks(M: np.ndarray, ws: LikelihoodWorkspace) -> np.ndarray:
     return np.einsum(_BLOCK_SUM, M, B_ev, B_ev, optimize=ws.block_sum_path).reshape(pq, pq)
 
 
-def _evaluate(cb: CoefficientBlock, ds: SurvivalDataset, ws: LikelihoodWorkspace, order: int,
-              state: dict | None = None):
-    """(value, gradient or None, Hessian or None) from one scan of the given order.
-
-    ``state`` is passed on to ``_scan``; an order-2 scan also stores its
-    (h', V) there as "meat".
-    """
-    own_g, logS0, Ebar, h1, V, h2 = _scan(cb, ds, ws, order, state)
-    if order == 2 and state is not None:
-        state["meat"] = (h1, V)
+def _evaluate(cb: CoefficientBlock, ds: SurvivalDataset, ws: LikelihoodWorkspace, order: int):
+    """(value, gradient or None, Hessian or None) from one scan of the given order."""
+    own_g, logS0, Ebar, h1, V, h2 = _scan(cb, ds, ws, order)
     p = cb.p
     value = float(own_g.sum() - logS0.sum() - ws.rho * _penalty(cb, ws))
     if order == 0:
@@ -415,16 +430,9 @@ def _evaluate(cb: CoefficientBlock, ds: SurvivalDataset, ws: LikelihoodWorkspace
     return value, grad, H
 
 
-def penalized_loglik(cb: CoefficientBlock, ds: SurvivalDataset, ws: LikelihoodWorkspace,
-                     *, _state: dict | None = None) -> float:
-    """Value of the smoothed penalized log partial likelihood.
-
-    ``_state`` is internal to the Newton fit: a dict whose "weights" entry
-    this scan replaces with its risk-set weights when its predictors fit in
-    _CHUNK_BUDGET floats, and removes otherwise, for the derivative scan
-    at the accepted trial.
-    """
-    return _evaluate(cb, ds, ws, order=0, state=_state)[0]
+def penalized_loglik(cb: CoefficientBlock, ds: SurvivalDataset, ws: LikelihoodWorkspace) -> float:
+    """Value of the smoothed penalized log partial likelihood."""
+    return _evaluate(cb, ds, ws, order=0)[0]
 
 
 def gradient(cb: CoefficientBlock, ds: SurvivalDataset, ws: LikelihoodWorkspace) -> np.ndarray:
@@ -444,24 +452,24 @@ def score_covariance(cb: CoefficientBlock, ds: SurvivalDataset, ws: LikelihoodWo
     No 1/n normalization is applied; the variance formula downstream
     consumes this raw sum directly.
     """
+    return _score_cov(cb, ds, ws)
+
+
+def _score_cov(cb: CoefficientBlock, ds: SurvivalDataset, ws: LikelihoodWorkspace) -> np.ndarray:
+    """``score_covariance`` under a private name, for ``fit``: it reads the
+    totals that the last derivative scan at cb kept on the workspace's
+    plan (a fresh scan gives the same floats), and a tracer of the public
+    scan functions counts no scan for it."""
     _, _, _, h1, V, _ = _scan(cb, ds, ws, order=2)
-    return _score_cov(h1, V, ws)
-
-
-def _score_cov(h1: np.ndarray, V: np.ndarray, ws: LikelihoodWorkspace) -> np.ndarray:
-    """The score covariance from the h' and V of one order-2 scan with workspace ws."""
     return _einsum_blocks(V * h1[:, :, None] * h1[:, None, :], ws)
 
 
-def value_and_derivatives(cb: CoefficientBlock, ds: SurvivalDataset, ws: LikelihoodWorkspace,
-                          *, _state: dict | None = None):
+def value_and_derivatives(cb: CoefficientBlock, ds: SurvivalDataset, ws: LikelihoodWorkspace):
     """(value, gradient, hessian) sharing a single event scan.
 
-    ``_state`` is internal to ``fit``, the dict ``penalized_loglik`` keeps
-    its weights in.  The scan removes its "weights" entry and, when that
-    holds the weights of this very cb, builds no predictors and adds only
-    the effect derivatives and the weighted moments, with the same floats.
-    It then stores its (h', V) as "meat", so that the sandwich meat at the
-    optimum comes from the optimizer's last scan, not from one more.
+    When the last scan of the workspace ran at the same effect rows, as the
+    value scan of an accepted line-search trial does, the scan uses the
+    weights or totals it kept and adds only what is missing, with the same
+    floats.
     """
-    return _evaluate(cb, ds, ws, order=2, state=_state)
+    return _evaluate(cb, ds, ws, order=2)

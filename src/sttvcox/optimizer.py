@@ -14,17 +14,13 @@ factorization or the solve fails), followed by Armijo backtracking.  Trial
 points of the line search are scored by the objective value alone (an
 order-0 event scan); the gradient and Hessian are formed once per accepted
 iterate.  The value of that scan is the same float the derivative scan
-gives, so scoring trials this way leaves the iterates unchanged.  Each
-start holds one private state dict that every scan of the start is given.
-An order-0 trial keeps its risk-set weights (own predictors, row maxima,
-sums and exponentials) there, and the derivative pass at the accepted trial
-takes them out, adds only the effect derivatives and the weighted moments,
-and leaves its h' and V for the sandwich meat.  A trial whose
-event-by-subject predictors pass the likelihood's chunk budget keeps no
-weights, and the derivative pass forms them afresh with the same floats.
-Every scan of a fit takes the data-only parts of the event scan (event
-rows, per-event risk-set views, the einsum path of the Hessian) from the
-fit's one workspace.  Iteration stops when the gradient max-norm drops below tol_grad,
+gives, so scoring trials this way leaves the iterates unchanged.  Every
+scan of a fit goes through the risk-set plan of the fit's one workspace
+(``likelihood._RiskSets``), which also holds the data-only parts of the
+scan.  The plan keeps what its last scan can pass on, so the derivative
+scan at the accepted trial reuses that trial's risk-set weights, and the
+score covariance at the optimum reuses the last derivative scan's totals.
+Iteration stops when the gradient max-norm drops below tol_grad,
 or when the objective stalls (relative change below 1e-10 on three
 consecutive iterations); only the gradient criterion sets ``converged``.
 Each accepted iteration logs one DEBUG line: objective, gradient max-norm,
@@ -157,16 +153,11 @@ class FittedModel:
 
 def _newton(cb0: CoefficientBlock, ds: SurvivalDataset, ws: LikelihoodWorkspace,
             cfg: FitConfig):
-    """Maximize from one starting point; returns (gamma, path, diagnostics).
-
-    The last entry is the "meat" (h', V) of the scan at the returned gamma,
-    from which ``fit`` forms the score covariance.
-    """
+    """Maximize from one starting point; returns (gamma, path, diagnostics)."""
     p, q = cb0.p, cb0.q
     gamma = cb0.gamma.copy()
     cb = replace(cb0, gamma=gamma)
-    state: dict = {}   # the latest trial's risk-set weights, the latest scan's meat
-    value, grad, hess = value_and_derivatives(cb, ds, ws, _state=state)
+    value, grad, hess = value_and_derivatives(cb, ds, ws)
     gnorm = float(np.max(np.abs(grad)))
     path = [value]
     eye = np.eye(p * q)
@@ -203,7 +194,7 @@ def _newton(cb0: CoefficientBlock, ds: SurvivalDataset, ws: LikelihoodWorkspace,
                 cb_trial = replace(cb, gamma=trial)
                 trials += 1
                 try:
-                    new_value = penalized_loglik(cb_trial, ds, ws, _state=state)
+                    new_value = penalized_loglik(cb_trial, ds, ws)
                 except NumericError:
                     new_value = -np.inf
                 if new_value >= value + _ARMIJO * scale * slope:
@@ -221,7 +212,7 @@ def _newton(cb0: CoefficientBlock, ds: SurvivalDataset, ws: LikelihoodWorkspace,
         rel = abs(new_value - value) / (abs(value) + 1.0)
         stall = stall + 1 if rel < _STALL_REL else 0
         gamma, cb = trial, cb_trial
-        value, grad, hess = value_and_derivatives(cb, ds, ws, _state=state)
+        value, grad, hess = value_and_derivatives(cb, ds, ws)
         gnorm = float(np.max(np.abs(grad)))
         path.append(value)
         n_iter += 1
@@ -241,7 +232,7 @@ def _newton(cb0: CoefficientBlock, ds: SurvivalDataset, ws: LikelihoodWorkspace,
                 path=path,
             )
 
-    return gamma, hess, value, np.array(path), n_iter, gnorm, stop_reason, state["meat"]
+    return gamma, hess, value, np.array(path), n_iter, gnorm, stop_reason
 
 
 def _cox_warm_start(ds: SurvivalDataset) -> CoxFit | ConvergenceError:
@@ -284,9 +275,10 @@ def fit(ds: SurvivalDataset, cfg: FitConfig, *, _warm=None) -> FittedModel:
 
     ``_warm`` is internal to cross-validation and replication studies: the
     ``_cox_warm_start`` result of ds, shared by the fits of every variant
-    and K on ds.  The sandwich meat ``score_cov`` is the score covariance of
-    the winning start's last Newton scan, which ran at ``gamma_hat``; it
-    equals ``score_covariance`` there, and no further event scan runs.
+    and K on ds.  The sandwich meat ``score_cov`` equals
+    ``score_covariance`` at ``gamma_hat``; it reuses the totals of the last
+    Newton scan when that ran at ``gamma_hat``, and otherwise (an earlier
+    start won) scans once more.
     """
     warm = _warm_for(_cox_warm_start(ds) if _warm is None else _warm, cfg)
     rho = cfg.rho if cfg.rho is not None else 1.0 / ds.n**2
@@ -325,7 +317,7 @@ def fit(ds: SurvivalDataset, cfg: FitConfig, *, _warm=None) -> FittedModel:
     if best is None:
         raise first_error
 
-    gamma, hess, value, path, n_iter, gnorm, stop_reason, meat = best
+    gamma, hess, value, path, n_iter, gnorm, stop_reason = best
     neg_h = -hess
     cond = np.linalg.cond(neg_h)
     if cond > _COND_ERROR:
@@ -336,7 +328,7 @@ def fit(ds: SurvivalDataset, cfg: FitConfig, *, _warm=None) -> FittedModel:
     if cond > _COND_WARN:
         logger.warning("ill-conditioned negative Hessian (cond %.2e)", cond)
     neg_h_inv = np.linalg.inv(neg_h)
-    sigma = _score_cov(*meat, ws)
+    sigma = _score_cov(CoefficientBlock(gamma=gamma, thresholds=alphas, eta=cfg.eta), ds, ws)
     sandwich = neg_h_inv @ sigma @ neg_h_inv
     sandwich = 0.5 * (sandwich + sandwich.T)
 

@@ -311,6 +311,23 @@ class TestWorkspace:
         assert same.covariates is not ds.covariates
         assert sx.penalized_loglik(cb, same, ws) == sx.penalized_loglik(cb, ds, ws)
 
+    def test_dataset_with_other_times_or_event_flags_rejected(self):
+        # the same covariates in the same storage order, scored with the
+        # workspace's events and risk sets, would give the other data's value
+        rng = np.random.default_rng(0)
+        n = 30
+        t = np.sort(rng.exponential(1.0, n)) + 0.05
+        e = rng.random(n) > 0.3
+        Z = rng.normal(size=(n, 2))
+        ds = sx.make_dataset(t, e, Z)
+        basis, ws = build(ds)
+        cb = sx.CoefficientBlock(gamma=np.full((2, basis.q), 0.3), thresholds=None, eta=0.01)
+        # flipped event flags; times rounded up to ties, in the same order
+        for other in (sx.make_dataset(t, ~e, Z), sx.make_dataset(np.ceil(2.0 * t) / 2.0, e, Z)):
+            assert other.covariates.tobytes() == ds.covariates.tobytes()
+            with pytest.raises(sx.ValidationError, match="different dataset"):
+                sx.penalized_loglik(cb, other, ws)
+
     def test_dataset_without_events_gets_an_empty_plan(self):
         ds = sx.make_dataset([1.0, 2.0], [False, False], [[1.0], [0.5]], tau=2.0)
         _, ws = build(ds)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import sttvcox as sx
-from sttvcox import inference, optimizer, splines
+from sttvcox import inference, likelihood, optimizer, splines
 
 
 class TestFit:
@@ -135,9 +135,24 @@ class TestFit:
     @pytest.mark.parametrize("variant, seed", [("sttv", 0), ("regtv", 2)])
     @pytest.mark.parametrize("multistart", [1, 3])
     def test_score_cov_is_score_covariance_at_the_optimum(self, dataset_200, variant,
-                                                          seed, multistart):
+                                                          seed, multistart, monkeypatch):
         cfg = sx.FitConfig(K=2, variant=variant, seed=seed, multistart=multistart)
+        real_cov, real_totals = optimizer._score_cov, likelihood._risk_set_totals
+        scans = []
+
+        def score_cov(*args):
+            # counts the event scans fit's score covariance runs
+            with monkeypatch.context() as patch:
+                patch.setattr(likelihood, "_risk_set_totals",
+                              lambda *a: scans.append(1) or real_totals(*a))
+                return real_cov(*args)
+
+        monkeypatch.setattr(optimizer, "_score_cov", score_cov)
         m = sx.fit(dataset_200, cfg)
+        monkeypatch.setattr(optimizer, "_score_cov", real_cov)
+        # one start: the totals of the last Newton scan serve; three starts,
+        # of which the first wins: one fresh scan
+        assert len(scans) == (multistart > 1)
         if multistart > 1:
             # at these seeds the first of three starts wins, so the meat must
             # come from the winning start's scan, not from the last one run
@@ -173,26 +188,27 @@ class TestFit:
 
     @staticmethod
     def line_search(monkeypatch, keep=True, overflow_first=False):
-        """Patch the trial scorer: optionally withhold the fit's state, so no
-        weights are kept and every derivative scan starts afresh, and overflow
-        the first trial.
+        """Patch the trial scorer: optionally turn off the plan's keep rule, so
+        no weights are kept and every derivative scan forms them afresh, and
+        overflow the first trial.
 
-        Returns, for that trial, whether the state held weights after it raised
-        (None when withheld).
+        Returns, for that trial, whether the workspace's plan kept anything
+        after it raised.
         """
+        if not keep:
+            monkeypatch.setattr(likelihood._RiskSets, "keeps", lambda self: False)
         real = optimizer.penalized_loglik
         raised = []
 
-        def trial(cb, ds, ws, _state=None):
-            _state = _state if keep else None
+        def trial(cb, ds, ws):
             if not overflow_first or raised:
-                return real(cb, ds, ws, _state=_state)
+                return real(cb, ds, ws)
             huge = replace(cb, gamma=np.full_like(cb.gamma, np.finfo(float).max))
             try:
                 with np.errstate(over="ignore", invalid="ignore"):
-                    return real(huge, ds, ws, _state=_state)
+                    return real(huge, ds, ws)
             except sx.NumericError:
-                raised.append(None if _state is None else "weights" in _state)
+                raised.append(ws.risk_sets._kept is not None)
                 raise
 
         monkeypatch.setattr(optimizer, "penalized_loglik", trial)
@@ -211,7 +227,7 @@ class TestFit:
         assert "halvings 0," not in first
         raised = self.line_search(monkeypatch, keep=False, overflow_first=True)
         want = sx.fit(dataset_200, cfg)
-        assert raised == [None]
+        assert raised == [False]
         for name in ("gamma_hat", "loglik_path", "sandwich", "score_cov"):
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
 
@@ -219,9 +235,16 @@ class TestFit:
     def test_multistart_fit_matches_fit_with_nothing_kept(self, dataset_200, monkeypatch,
                                                           variant):
         cfg = sx.FitConfig(K=2, variant=variant, seed=5, multistart=3)
+        real = likelihood._risk_weights
+        formed = []
+        monkeypatch.setattr(likelihood, "_risk_weights",
+                            lambda *a: formed.append(1) or real(*a))
         got = sx.fit(dataset_200, cfg)
+        kept_formed = len(formed)
         self.line_search(monkeypatch, keep=False)
         want = sx.fit(dataset_200, cfg)
+        # without kept weights each accepted trial's derivative scan forms them again
+        assert kept_formed < len(formed) - kept_formed
         for name in ("gamma_hat", "loglik_path", "sandwich"):
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
 

@@ -9,8 +9,9 @@ per-event loop it replaced, also on seeded cases up to n = 20000, through
 one risk-set plan per case that serves all its scans; a plan scanned again
 with other predictors must equal fresh plans.  The value of an order-0
 scan is checked against the value of the order-2 scan, which the Newton
-line search relies on.  A derivative scan that reuses the weights of
-an order-0 scan at the same coefficients is checked against a fresh one.
+line search relies on.  A derivative scan that reuses what the plan kept
+of an order-0 scan at equal effect rows, and a score covariance read from
+the derivative scan's kept totals, are checked against a fresh workspace.
 The weight blocks are checked bit for bit against blocks masked in full,
 and predictors that overflow or come from NaN effects raise NumericError,
 also where the finite check of the predictors could be skipped.
@@ -324,35 +325,52 @@ def chunk_count(ds):
     return -(-ds.n_events // max(1, likelihood._CHUNK_BUDGET // ds.n))
 
 
-def scan_and_reuse(cb, ds, ws, monkeypatch):
-    """(1 if weights were kept, else 0, fresh weight formations during the
-    reuse, reused result, its meat)."""
-    state = {}
-    value = sx.penalized_loglik(cb, ds, ws, _state=state)
-    kept = int("weights" in state)
-    if kept:
-        assert state["weights"][0] is cb
+def counting_weights(monkeypatch):
+    """Wrap _risk_weights; returns the list that gets one entry per call."""
     fresh = []
     real = likelihood._risk_weights
-    monkeypatch.setattr(likelihood, "_risk_weights",
-                        lambda *a: fresh.append(1) or real(*a))
-    got = sx.value_and_derivatives(cb, ds, ws, _state=state)
-    monkeypatch.setattr(likelihood, "_risk_weights", real)
-    # the current iterate never pins a trial's weight blocks
-    assert set(state) == {"meat"}
-    assert value.hex() == got[0].hex()
-    return kept, len(fresh), got, state["meat"]
+    monkeypatch.setattr(likelihood, "_risk_weights", lambda *a: fresh.append(1) or real(*a))
+    return fresh
+
+
+def kept_blocks(ws):
+    """The weight blocks the workspace's plan keeps, or None."""
+    entry = ws.risk_sets._kept
+    return None if entry is None else entry[2]
+
+
+def kept_totals(cb, ds, ws):
+    """The plan's kept totals and the score covariance read from them."""
+    return (*ws.risk_sets._kept[3], likelihood._score_cov(cb, ds, ws))
+
+
+def scan_and_reuse(cb, ds, ws, monkeypatch, derivative_cb=None):
+    """(1 if weights were kept, else 0, fresh weight formations during the
+    derivative scan at derivative_cb (default cb) and the score covariance
+    after it, reused result, its kept totals and score covariance)."""
+    value = sx.penalized_loglik(cb, ds, ws)
+    kept = int(kept_blocks(ws) is not None)
+    with monkeypatch.context() as patch:
+        fresh = counting_weights(patch)
+        got = sx.value_and_derivatives(derivative_cb or cb, ds, ws)
+        # the current iterate never pins a trial's weight blocks
+        assert kept_blocks(ws) is None
+        totals = kept_totals(derivative_cb or cb, ds, ws)
+    if derivative_cb is None:
+        assert value.hex() == got[0].hex()
+    return kept, len(fresh), got, totals
 
 
 def fresh_scan(cb, ds, ws):
-    """(value_and_derivatives result, its meat) without kept weights."""
-    state = {}
-    return sx.value_and_derivatives(cb, ds, ws, _state=state), state["meat"]
+    """(value_and_derivatives result, its totals and score covariance) from a
+    new workspace, which has kept nothing."""
+    ws = sx.make_workspace(ds, ws.basis, ws.rho)
+    return sx.value_and_derivatives(cb, ds, ws), kept_totals(cb, ds, ws)
 
 
-def assert_same_scan(got, got_meat, want, want_meat):
+def assert_same_scan(got, got_totals, want, want_totals):
     assert got[0].hex() == want[0].hex()
-    for g, w in zip((*got[1:], *got_meat), (*want[1:], *want_meat)):
+    for g, w in zip((*got[1:], *got_totals), (*want[1:], *want_totals)):
         assert g.shape == w.shape and g.tobytes() == w.tobytes()
 
 
@@ -365,17 +383,18 @@ class TestReusedWeights:
     def test_reused_weights_match_fresh_scan_bitwise(self, monkeypatch, budget, kept,
                                                      thresholded):
         ds, ws, cb = censored_head_case(thresholded)
-        want, want_meat = fresh_scan(cb, ds, ws)
+        want, want_totals = fresh_scan(cb, ds, ws)
         budget = {"fits": ds.n_events * ds.n,
                   "over": (ds.n_events // 2 + 1) * ds.n}.get(budget, budget)
         if budget is not None:
             monkeypatch.setattr(likelihood, "_CHUNK_BUDGET", budget)
         n_chunks = chunk_count(ds)
         assert n_chunks == 1 if kept else n_chunks > 1
-        got_kept, fresh, got, got_meat = scan_and_reuse(cb, ds, ws, monkeypatch)
-        # without kept weights every chunk forms its weights afresh
+        got_kept, fresh, got, got_totals = scan_and_reuse(cb, ds, ws, monkeypatch)
+        # without kept weights every chunk forms its weights afresh; the
+        # score covariance reads the derivative scan's totals either way
         assert (got_kept, fresh) == (kept, 0 if kept else n_chunks)
-        assert_same_scan(got, got_meat, want, want_meat)
+        assert_same_scan(got, got_totals, want, want_totals)
 
     @pytest.mark.parametrize("over", [False, True], ids=["fits", "over"])
     def test_scan_past_budget_stores_no_weights(self, monkeypatch, over):
@@ -393,22 +412,20 @@ class TestReusedWeights:
                 yield W, top, s0
 
         monkeypatch.setattr(likelihood, "_risk_weights", watched)
-        state = {}
-        sx.penalized_loglik(cb, ds, ws, _state=state)
+        sx.penalized_loglik(cb, ds, ws)
         assert len(alive) > 2
         if over:
             # the consumer's loop variable holds only the block before
-            assert state == {} and max(alive) == 1
+            assert ws.risk_sets._kept is None and max(alive) == 1
         else:
-            assert len(state["weights"][1][1]) == len(alive)
+            assert len(kept_blocks(ws)) == len(alive)
             assert alive == list(range(len(alive)))
 
     def test_next_trial_frees_the_last_trials_weights(self, monkeypatch):
         """A trial's kept blocks are freed before the next trial forms its own."""
         ds, ws, cb = censored_head_case(True)
-        state = {}
-        sx.penalized_loglik(cb, ds, ws, _state=state)
-        refs = [weakref.ref(W) for W, _, _ in state["weights"][1][1]]
+        sx.penalized_loglik(cb, ds, ws)
+        refs = [weakref.ref(W) for W, _, _ in kept_blocks(ws)]
         real = likelihood._risk_weights
         alive = []   # per block of the next trial: last trial's blocks still referenced
 
@@ -418,7 +435,7 @@ class TestReusedWeights:
                 yield block
 
         monkeypatch.setattr(likelihood, "_risk_weights", watched)
-        sx.penalized_loglik(replace(cb, gamma=0.5 * cb.gamma), ds, ws, _state=state)
+        sx.penalized_loglik(replace(cb, gamma=0.5 * cb.gamma), ds, ws)
         assert alive and max(alive) == 0
 
     @bounded
@@ -430,29 +447,54 @@ class TestReusedWeights:
         cb = sx.CoefficientBlock(
             gamma=gamma, thresholds=alphas if thresholded else None, eta=0.01
         )
-        want, want_meat = fresh_scan(cb, ds, ws)
+        want, want_totals = fresh_scan(cb, ds, ws)
         with pytest.MonkeyPatch.context() as monkeypatch:
-            kept, fresh, got, got_meat = scan_and_reuse(cb, ds, ws, monkeypatch)
+            kept, fresh, got, got_totals = scan_and_reuse(cb, ds, ws, monkeypatch)
         assert (kept, fresh) == (1, 0)
-        assert_same_scan(got, got_meat, want, want_meat)
+        assert_same_scan(got, got_totals, want, want_totals)
 
-    def test_weights_of_other_coefficients_are_not_used(self):
+    def test_weights_of_other_coefficients_are_not_used(self, monkeypatch):
         ds, ws, cb = censored_head_case(True)
         other = replace(cb, gamma=1.5 * cb.gamma)
-        state = {}
-        sx.penalized_loglik(other, ds, ws, _state=state)
-        assert state["weights"][0] is other
-        got = sx.value_and_derivatives(cb, ds, ws, _state=state)
-        assert set(state) == {"meat"}
-        assert_same_scan(got, state["meat"], *fresh_scan(cb, ds, ws))
+        kept, fresh, got, got_totals = scan_and_reuse(other, ds, ws, monkeypatch,
+                                                      derivative_cb=cb)
+        assert (kept, fresh) == (1, 1)
+        assert_same_scan(got, got_totals, *fresh_scan(cb, ds, ws))
+
+    def test_equal_values_in_another_block_reuse_the_weights(self, monkeypatch):
+        # the plan keys its entry by value, so a distinct block (and array)
+        # holding the same coefficients finds the trial's weights
+        ds, ws, cb = censored_head_case(True)
+        twin = replace(cb, gamma=cb.gamma.copy())
+        assert twin is not cb and twin.gamma is not cb.gamma
+        kept, fresh, got, got_totals = scan_and_reuse(cb, ds, ws, monkeypatch,
+                                                      derivative_cb=twin)
+        assert (kept, fresh) == (1, 0)
+        assert_same_scan(got, got_totals, *fresh_scan(twin, ds, ws))
+
+    @pytest.mark.parametrize("thresholded", [True, False], ids=["sttv", "regtv"])
+    def test_gamma_changed_in_place_forms_fresh_weights(self, monkeypatch, thresholded):
+        # an entry keyed by the block's identity would hand back the weights
+        # of the coefficients before the change
+        ds, ws, cb = censored_head_case(thresholded)
+        sx.penalized_loglik(cb, ds, ws)
+        assert kept_blocks(ws) is not None
+        cb.gamma[:] *= 1.5
+        with monkeypatch.context() as patch:
+            fresh = counting_weights(patch)
+            got = sx.value_and_derivatives(cb, ds, ws)
+            got_totals = kept_totals(cb, ds, ws)
+        assert len(fresh) == 1
+        assert_same_scan(got, got_totals, *fresh_scan(cb, ds, ws))
 
     def test_failed_scan_leaves_nothing_kept(self):
         ds, ws, cb = censored_head_case(False)
-        state = {"weights": "stale"}
+        sx.penalized_loglik(cb, ds, ws)
+        assert kept_blocks(ws) is not None
         huge = replace(cb, gamma=np.full_like(cb.gamma, np.finfo(float).max))
         with pytest.raises(sx.NumericError), np.errstate(over="ignore", invalid="ignore"):
-            sx.penalized_loglik(huge, ds, ws, _state=state)
-        assert state == {}
+            sx.penalized_loglik(huge, ds, ws)
+        assert ws.risk_sets._kept is None
 
 
 class TestNonFinitePredictors:
