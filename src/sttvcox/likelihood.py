@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import SurvivalDataset
+from .dataset import SurvivalDataset, _freeze
 from .errors import NumericError, ValidationError
 from .splines import SplineBasis, eval_basis_grid
 from .threshold import _effect
@@ -183,7 +183,11 @@ _BLOCK_SUM = "ejk,ea,eb->jakb"
 
 @dataclass(frozen=True)
 class LikelihoodWorkspace:
-    """Per-dataset caches shared by repeated objective evaluations."""
+    """Per-dataset caches shared by repeated objective evaluations.
+
+    Its arrays are read-only, so the windows in ``band_runs`` keep
+    covering every nonzero of ``basis_at_events``.
+    """
 
     basis: SplineBasis
     rho: float
@@ -194,8 +198,27 @@ class LikelihoodWorkspace:
     covariates_at_events: np.ndarray  # (m, p), rows event_rows of the covariates
     penalty_kron: np.ndarray     # (p q, p q), kron(I_p, penalty_gram)
     block_sum_path: list | None  # einsum path of _BLOCK_SUM; None without events
+    band_runs: tuple             # see _band_runs; () off the band path
     risk_sets: _RiskSets
     dataset: SurvivalDataset     # the dataset the workspace was built from
+
+
+def _band_runs(B_ev: np.ndarray) -> tuple:
+    """The windows of w columns that hold the nonzeros of the basis rows B_ev.
+
+    w is the widest span from a row's first to its last nonzero, and event
+    e's window starts at its first nonzero column lo_e, clamped to q - w.
+    Returns one (a, b, lo_e, lo_e + w) per maximal run a..b-1 of events
+    with one window.
+    """
+    m, q = B_ev.shape
+    nz = B_ev != 0.0
+    first = nz.argmax(axis=1)
+    last = q - 1 - nz[:, ::-1].argmax(axis=1)
+    w = int((last - first).max()) + 1
+    lo = np.minimum(first, q - w)
+    cut = (np.flatnonzero(np.diff(lo)) + 1).tolist()
+    return tuple((a, b, int(lo[a]), int(lo[a]) + w) for a, b in zip([0, *cut], [*cut, m]))
 
 
 def make_workspace(ds: SurvivalDataset, basis: SplineBasis, rho: float) -> LikelihoodWorkspace:
@@ -205,8 +228,12 @@ def make_workspace(ds: SurvivalDataset, basis: SplineBasis, rho: float) -> Likel
     rows of the basis and covariates, kron(I_p, P), the einsum path of the
     Hessian assembly and the risk-set plan of ds, whose per-event views are
     built once, at the first derivative scan, and which keeps what its last
-    scan can pass to the next (see ``_RiskSets``).  A dataset without
-    events gets an empty plan and no path.
+    scan can pass to the next (see ``_RiskSets``).  When that path
+    contracts all three operands at once, as it does for the p >= 2 shapes
+    of the paper and the benchmark, the workspace also keeps the windows
+    of nonzero basis columns that ``_block_sum`` sums over.  A dataset
+    without events gets an empty plan and no path.  All arrays are
+    read-only.
     """
     rho = float(rho)
     if not np.isfinite(rho) or rho < 0:
@@ -220,21 +247,24 @@ def make_workspace(ds: SurvivalDataset, basis: SplineBasis, rho: float) -> Likel
     events = ds.event_rows
     B_ev = B[events]
     m, p = events.shape[0], ds.p
-    path = None
+    path, runs = None, ()
     if m:
         # the path depends on shapes only
         path = np.einsum_path(_BLOCK_SUM, np.broadcast_to(0.0, (m, p, p)), B_ev, B_ev,
                               optimize="greedy")[0]
+        if path[1:] == [(0, 1, 2)]:
+            runs = _band_runs(B_ev)
     return LikelihoodWorkspace(
         basis=basis,
         rho=rho,
-        basis_at_times=B,
-        penalty_gram=P,
-        event_rows=events,
-        basis_at_events=B_ev,
-        covariates_at_events=ds.covariates[events],
-        penalty_kron=np.kron(np.eye(p), P),
+        basis_at_times=_freeze(B),
+        penalty_gram=_freeze(P),
+        event_rows=_freeze(events),
+        basis_at_events=_freeze(B_ev),
+        covariates_at_events=_freeze(ds.covariates[events]),
+        penalty_kron=_freeze(np.kron(np.eye(p), P)),
         block_sum_path=path,
+        band_runs=runs,
         risk_sets=_RiskSets(ds.covariates, ds.risk_start(events)),
         dataset=ds,
     )
@@ -402,13 +432,40 @@ def _penalty(cb: CoefficientBlock, ws: LikelihoodWorkspace) -> float:
     return float(np.einsum("ja,ab,jb->", cb.gamma, ws.penalty_gram, cb.gamma))
 
 
-def _einsum_blocks(M: np.ndarray, ws: LikelihoodWorkspace) -> np.ndarray:
-    """sum_e M[e, j, k] * B_e B_e' over the workspace's events, a (p q, p q) matrix."""
+def _block_sum(M: np.ndarray, ws: LikelihoodWorkspace) -> np.ndarray:
+    """sum_e M[e, j, k] * B_e B_e' over the workspace's events, a (p q, p q)
+    matrix, with the floats of ``np.einsum`` on the workspace's path.
+
+    On the path that contracts all three operands at once, einsum adds
+    (B_eb B_ea) M_ejk into a zeroed output, event by event.  The band sum
+    makes the same sum over each event's window of basis columns (see
+    ``_band_runs``): per run of events sharing a window, one reduction
+    along the leading axis of [window's running total, the run's products]
+    adds them in event order.  The terms it skips are products with a zero
+    basis entry, so ±0 for finite M, and adding ±0 never changes a sum that
+    starts at +0.0.  Other paths contract pairwise through BLAS, whose
+    floats the band sum cannot reproduce, and run through ``np.einsum``.
+    """
     pq = ws.penalty_kron.shape[0]
     if ws.block_sum_path is None:
         return np.zeros((pq, pq))
     B_ev = ws.basis_at_events
-    return np.einsum(_BLOCK_SUM, M, B_ev, B_ev, optimize=ws.block_sum_path).reshape(pq, pq)
+    if not ws.band_runs:
+        return np.einsum(_BLOCK_SUM, M, B_ev, B_ev, optimize=ws.block_sum_path).reshape(pq, pq)
+    p, q = M.shape[1], B_ev.shape[1]
+    w = ws.band_runs[0][3] - ws.band_runs[0][2]
+    out = np.zeros((p, q, p, q))
+    # (j, k, u, v) order: each event's w x w products are one contiguous block
+    buf = np.empty((max(b - a for a, b, _, _ in ws.band_runs) + 1, p, p, w, w))
+    for a, b, lo, hi in ws.band_runs:
+        Bw = B_ev[a:b, lo:hi]
+        win, run = out[:, lo:hi, :, lo:hi].transpose(0, 2, 1, 3), buf[:b - a + 1]
+        run[0] = win
+        # the basis pair first, then M, as einsum groups the product
+        np.multiply(M[a:b, :, :, None, None], (Bw[:, None, :] * Bw[:, :, None])[:, None, None],
+                    out=run[1:])
+        np.add.reduce(run, axis=0, out=win)
+    return out.reshape(pq, pq)
 
 
 def _evaluate(cb: CoefficientBlock, ds: SurvivalDataset, ws: LikelihoodWorkspace, order: int):
@@ -425,7 +482,7 @@ def _evaluate(cb: CoefficientBlock, ds: SurvivalDataset, ws: LikelihoodWorkspace
         return value, grad, None
     M = -V * h1[:, :, None] * h1[:, None, :]
     M[:, np.arange(p), np.arange(p)] += (Z_ev - Ebar) * h2
-    H = _einsum_blocks(M, ws)
+    H = _block_sum(M, ws)
     H -= 2.0 * ws.rho * ws.penalty_kron
     return value, grad, H
 
@@ -461,7 +518,7 @@ def _score_cov(cb: CoefficientBlock, ds: SurvivalDataset, ws: LikelihoodWorkspac
     plan (a fresh scan gives the same floats), and a tracer of the public
     scan functions counts no scan for it."""
     _, _, _, h1, V, _ = _scan(cb, ds, ws, order=2)
-    return _einsum_blocks(V * h1[:, :, None] * h1[:, None, :], ws)
+    return _block_sum(V * h1[:, :, None] * h1[:, None, :], ws)
 
 
 def value_and_derivatives(cb: CoefficientBlock, ds: SurvivalDataset, ws: LikelihoodWorkspace):

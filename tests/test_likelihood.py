@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sttvcox as sx
 from conftest import make_random_dataset
@@ -14,7 +16,7 @@ from oracles import (
     plain_spline_loglik_ref,
     score_covariance_ref,
 )
-from sttvcox import threshold
+from sttvcox import likelihood, threshold
 
 
 def build(ds, K=2, d=2, rho=0.0):
@@ -332,4 +334,119 @@ class TestWorkspace:
         ds = sx.make_dataset([1.0, 2.0], [False, False], [[1.0], [0.5]], tau=2.0)
         _, ws = build(ds)
         assert ws.block_sum_path is None
+        assert ws.band_runs == ()
         assert ws.risk_sets.start_list == [] and ws.risk_sets.views() == []
+
+    def test_arrays_are_read_only(self):
+        # the band windows are cut from basis_at_events once; a write to it
+        # could put a nonzero outside them
+        ds = make_random_dataset(3, n=60, p=3)
+        _, ws = build(ds, K=3, d=3)
+        assert ws.band_runs
+        for name in ("basis_at_times", "penalty_gram", "event_rows", "basis_at_events",
+                     "covariates_at_events", "penalty_kron"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(ws, name).flat[0] = 1.0
+
+
+def einsum_block_sum(M, ws):
+    """sum_e M[e, j, k] * B_e B_e' as np.einsum forms it on the workspace's path."""
+    B_ev = ws.basis_at_events
+    pq = ws.penalty_kron.shape[0]
+    return np.einsum(likelihood._BLOCK_SUM, M, B_ev, B_ev,
+                     optimize=ws.block_sum_path).reshape(pq, pq)
+
+
+@st.composite
+def block_sum_cases(draw):
+    """(workspace, M) for m from 1 to a few thousand events, p from 1 to 5.
+
+    Times may sit on a grid of half segments, so that events tie and land
+    on the knots; the latest time is an event at tau.  M may hold zeros of
+    either sign or take one sign throughout.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.sampled_from([1, 2, 5, 29, 30, 31, 120, 400, 1000, 3000]))
+    # p = 1 and wide p with few basis functions take the einsum fallback
+    p = draw(st.sampled_from([1, 2, 3, 3, 3, 4, 5]))
+    K, d = draw(st.integers(1, 15)), draw(st.integers(1, 3))
+    tau = 2.0
+    if draw(st.booleans()):
+        time = tau * rng.integers(1, 2 * K + 1, n) / (2 * K)
+    else:
+        time = np.minimum(rng.exponential(0.7, n) + 0.01, tau)
+    time[rng.integers(n)] = tau
+    event = (rng.random(n) > 0.3) | (time == tau)
+    ds = sx.make_dataset(time, event, rng.normal(size=(n, p)), tau=tau)
+    ws = sx.make_workspace(ds, sx.make_basis(K, d, tau), 0.0)
+    M = rng.normal(size=(ds.n_events, p, p))
+    kind = draw(st.sampled_from(["dense", "zeros", "signed zeros", "negative", "all zero"]))
+    if kind == "zeros":
+        M[rng.random(M.shape) < 0.5] = 0.0
+    elif kind == "signed zeros":
+        M[rng.random(M.shape) < 0.5] = -0.0
+    elif kind == "negative":
+        M = -np.abs(M)
+    elif kind == "all zero":
+        M[:] = 0.0
+    return ws, M
+
+
+class TestBlockSum:
+    """The Hessian assembly must give np.einsum's bytes, signed zeros too,
+    whether it sums over the basis band or falls back to einsum."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=block_sum_cases())
+    def test_block_sum_bytes_equal_einsum(self, case):
+        ws, M = case
+        assert likelihood._block_sum(M, ws).tobytes() == einsum_block_sum(M, ws).tobytes()
+
+    @pytest.mark.parametrize("n, p, K, band", [(400, 3, 13, True), (5000, 3, 13, True),
+                                               (400, 3, 3, True), (400, 1, 3, False),
+                                               (400, 4, 1, False)])
+    def test_block_sum_branches_bytes_equal_einsum(self, n, p, K, band):
+        # p = 1 and p = 4 with q = 4 contract pairwise, the others all at once
+        ds = make_random_dataset(21, n=n, p=p)
+        _, ws = build(ds, K=K, d=3)
+        assert bool(ws.band_runs) == band
+        M = np.random.default_rng(5).normal(size=(ds.n_events, p, p))
+        assert likelihood._block_sum(M, ws).tobytes() == einsum_block_sum(M, ws).tobytes()
+
+    @pytest.mark.parametrize("p, K", [(3, 13), (2, 3), (1, 3), (4, 1)])
+    def test_block_sum_hessian_and_score_covariance_equal_einsum(self, p, K):
+        ds = make_random_dataset(8, n=300, p=p)
+        basis, ws = build(ds, K=K, d=3, rho=1e-3)
+        rng = np.random.default_rng(p + K)
+        cb = sx.CoefficientBlock(gamma=rng.normal(scale=0.3, size=(p, basis.q)),
+                                 thresholds=np.full(p, 0.2), eta=0.01)
+        _, _, Ebar, h1, V, h2 = likelihood._scan(cb, ds, ws, order=2)
+        meat = V * h1[:, :, None] * h1[:, None, :]
+        M = -meat
+        M[:, np.arange(p), np.arange(p)] += (ws.covariates_at_events - Ebar) * h2
+        want = einsum_block_sum(M, ws) - 2.0 * ws.rho * ws.penalty_kron
+        assert sx.hessian(cb, ds, ws).tobytes() == want.tobytes()
+        assert sx.value_and_derivatives(cb, ds, ws)[2].tobytes() == want.tobytes()
+        assert sx.score_covariance(cb, ds, ws).tobytes() == einsum_block_sum(meat, ws).tobytes()
+
+    @pytest.mark.parametrize("n", [400, 1000])
+    @pytest.mark.parametrize("K", [3, 13])
+    def test_benchmark_shapes_take_the_band(self, n, K):
+        # a numpy whose greedy path no longer contracts these shapes at
+        # once would quietly put every fit back on the dense einsum
+        for covariance in ("ind", "ar1", "cs"):
+            ds = sx.generate(sx.Scenario(n=n, covariance=covariance, seed=0))
+            ws = sx.make_workspace(ds, sx.make_basis(K, 3, ds.tau), 1.0 / n**2)
+            assert ws.band_runs, covariance
+
+    def test_cross_validation_fold_shapes_take_the_band(self):
+        # the training folds of a 3-fold CV of an n = 400 study
+        ds = sx.generate(sx.Scenario(n=400, covariance="ar1", seed=0))
+        assignment = sx.assign_folds(ds.n, 3, ds.event, 0)
+        for r in range(3):
+            rows = assignment != r
+            train = sx.make_dataset(ds.time[rows], ds.event[rows], ds.covariates[rows],
+                                    tau=ds.tau)
+            for K in (3, 13):
+                ws = sx.make_workspace(train, sx.make_basis(K, 3, ds.tau), 1.0 / train.n**2)
+                assert ws.band_runs, (r, K)
