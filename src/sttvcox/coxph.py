@@ -20,7 +20,7 @@ import numpy as np
 
 from . import likelihood
 from .dataset import SurvivalDataset
-from .errors import ConvergenceError, SeparationError, ValidationError
+from .errors import ConvergenceError, NumericError, SeparationError, ValidationError
 
 logger = logging.getLogger(__name__)
 
@@ -138,7 +138,14 @@ def fit_coxph(ds: SurvivalDataset) -> CoxFit:
 
     cov = np.zeros((ds.p, ds.p))
     H = hess[np.ix_(active, active)]
-    cov[np.ix_(active, active)] = np.linalg.inv(-H)
+    try:
+        cov[np.ix_(active, active)] = np.linalg.inv(-H)
+    except np.linalg.LinAlgError:
+        raise NumericError(
+            "singular information matrix at the constant Cox estimate: covariate "
+            f"columns {', '.join(_dependent_columns(ds, active, H))} are constant or "
+            "linearly dependent within the risk sets"
+        ) from None
     for idx in np.flatnonzero(~active):
         cov[idx, idx] = np.inf
     return CoxFit(
@@ -149,6 +156,23 @@ def fit_coxph(ds: SurvivalDataset) -> CoxFit:
         converged=True,
         zero_information=~active,
     )
+
+
+def _dependent_columns(ds: SurvivalDataset, active: np.ndarray, H: np.ndarray) -> list:
+    """Names of the active columns in the null space of the information H.
+
+    A column counts when its entry of a singular vector of H, for a
+    singular value at numpy's rank tolerance or below, is not negligible.
+    All active columns are named if no singular value falls that low.
+    """
+    _, s, vt = np.linalg.svd(H)
+    null = vt[s <= s.max(initial=0.0) * H.shape[0] * np.finfo(float).eps]
+    cols = np.flatnonzero(active)
+    if null.size:
+        size = np.abs(null)
+        cols = cols[(size > 1e-8 * size.max(axis=1, keepdims=True)).any(axis=0)]
+    names = ds.covariate_names or tuple(f"z{j + 1}" for j in range(ds.p))
+    return [names[j] for j in cols]
 
 
 def initial_gamma(fit: CoxFit, q: int) -> np.ndarray:

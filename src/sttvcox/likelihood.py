@@ -101,7 +101,10 @@ class _RiskSets:
     ``Z`` holds the (n, p) covariates in storage order and ``starts`` the
     sorted first storage index of each event's risk set.  The plan keeps
     their Python ints and max|Z| from the start; the per-event views of the
-    moment products are built when an order >= 1 scan first asks for them.
+    moment products are built when an order >= 1 scan first asks for them,
+    and the block geometry of a chunk of events (see ``geometry``) when a
+    scan of that chunk first asks for it.  Both depend on Z and ``starts``
+    alone and are kept for the life of the plan.
 
     ``scan`` keeps one entry for the plan's last scan, under the bytes of
     that scan's predictor inputs (the per-event effect rows of a spline
@@ -122,6 +125,7 @@ class _RiskSets:
         # a Python float: inf * 0 gives NaN and an overflow gives inf, without warnings
         self.z_max = float(np.abs(Z).max(initial=0.0))
         self._views = None
+        self._geometry = {}   # (first event, stop event) of a chunk -> its blocks
         self._kept = None   # (key, own predictors, weight blocks or None, totals or None)
 
     def keeps(self) -> bool:
@@ -143,7 +147,7 @@ class _RiskSets:
             keep = order == 0 and self.keeps()
             parts = []
             for own, G, rows in chunks:
-                blocks = list(_risk_weights(G, self.starts)) if keep else None
+                blocks = list(_risk_weights(G, self.geometry(rows))) if keep else None
                 parts.append((own, *_risk_set_totals(G, self, order, blocks, rows)))
             own, *totals = parts[0] if len(parts) == 1 else [
                 None if part[0] is None else np.concatenate(part) for part in zip(*parts)]
@@ -156,6 +160,38 @@ class _RiskSets:
         if order == 2:
             self._kept = (key, own, None, totals)
         return [own, *totals]
+
+    def geometry(self, rows: slice = slice(None)) -> tuple:
+        """The ``_risk_weights`` blocks of the events ``rows``, built once per
+        event range: one (b0, k, r0, width, pre, mask, idx) per block of
+        _BLOCK_EVENTS events from the range's first event (fewer in the last).
+
+        The block holds the k events b0 .. b0 + k - 1 of the range, whose
+        first risk-set start is r0; width = n + 1 - r0 is the width of its
+        weight matrix, whose first ``pre`` columns hold every masked entry,
+        marked True in the read-only (k, pre) ``mask``.
+        ``idx`` holds the ``np.add.reduceat`` indices of the flattened
+        matrix: each row's segment start, the masked zero just before its
+        risk set, interleaved with the start of the next row.
+        """
+        key = rows.indices(len(self.start_list))[:2]
+        if key not in self._geometry:
+            n = self.Z.shape[0]
+            blocks = []
+            starts = self.starts[rows]
+            for b0 in range(0, starts.shape[0], _BLOCK_EVENTS):
+                rs = starts[b0:b0 + _BLOCK_EVENTS]
+                k, r0 = rs.shape[0], int(rs.min())
+                width = n - r0 + 1
+                rel = rs - r0                     # column of the zero before each suffix
+                pre = int(rel.max()) + 1
+                # the odd segments, masked prefixes of the next row, are dropped
+                row = np.arange(k) * width
+                idx = np.stack([row + rel, row + width], axis=1).ravel()[:-1]
+                blocks.append((b0, k, r0, width, pre,
+                               _freeze(np.arange(pre) <= rel[:, None]), _freeze(idx)))
+            self._geometry[key] = tuple(blocks)
+        return self._geometry[key]
 
     def views(self) -> list:
         """Per event with risk-set start r: (r, Z[r:], Z[r:].T, ZT[:, r:], t, t.T).
@@ -281,32 +317,25 @@ def _check_dims(cb: CoefficientBlock, ds: SurvivalDataset, ws: LikelihoodWorkspa
         raise ValidationError("workspace was built from a different dataset")
 
 
-def _risk_weights(G: np.ndarray, starts: np.ndarray):
-    """Yields (W, row max, s0) per block of _BLOCK_EVENTS events (fewer in the last).
+def _risk_weights(G: np.ndarray, geometry: tuple):
+    """Yields (W, row max, s0) per block of ``geometry`` (``_RiskSets.geometry``).
 
     W is the block's (k, n + 1 - r0) matrix of exp(predictor - row max)
     behind one leading zero column, where r0 = n + 1 - W.shape[1] is the
     block's first risk-set start; s0 holds its risk-set sums.  See
     ``_risk_set_totals``.  G[block, r0:] is copied whole, and only the
-    columns left of the block's last start are then masked.
+    columns left of the block's last start are then masked.  The geometry
+    depends on the risk-set starts alone, so a plan builds it once per
+    chunk of events and every scan of the chunk only fills, exponentiates
+    and sums.
     """
-    m, n = G.shape
-    for b0 in range(0, m, _BLOCK_EVENTS):
-        rs = starts[b0:b0 + _BLOCK_EVENTS]
-        k, r0 = rs.shape[0], int(rs.min())
-        width = n - r0 + 1
-        rel = rs - r0                         # column of the zero before each suffix
+    for b0, k, r0, width, pre, mask, idx in geometry:
         W = np.empty((k, width))
         W[:, 1:] = G[b0:b0 + k, r0:]
-        pre = int(rel.max()) + 1
-        np.copyto(W[:, :pre], -np.inf, where=np.arange(pre) <= rel[:, None])
+        np.copyto(W[:, :pre], -np.inf, where=mask)
         top = W.max(axis=1)
         W -= top[:, None]
         np.exp(W, out=W)
-        # segment starts interleaved with row starts; the odd segments,
-        # masked prefixes of the next row, are dropped
-        row = np.arange(k) * width
-        idx = np.stack([row + rel, row + width], axis=1).ravel()[:-1]
         yield W, top, np.add.reduceat(W.ravel(), idx)[0::2]
 
 
@@ -321,10 +350,11 @@ def _risk_set_totals(G: np.ndarray | None, plan: _RiskSets, order: int,
     risk-set predictors, and for order >= 1 the weighted mean Ebar (m, p)
     of the plan's covariates Z, for order >= 2 the weighted covariance V
     (m, p, p).  Each event subtracts its own risk-set maximum before
-    exponentiating.  The weight blocks come from ``_risk_weights``, or are
-    ``blocks`` kept from an earlier scan of the same G, which is then not
-    read.  This is the only per-event loop: it zips the plan's views with
-    the rows of each weight block.
+    exponentiating.  The weight blocks come from ``_risk_weights`` over the
+    plan's geometry of ``rows``, built once per plan and event range, or
+    are ``blocks`` kept from an earlier scan of the same G, which is then
+    not read.  This is the only per-event loop: it zips the plan's views
+    with the rows of each weight block.
 
     Every float equals that of a loop over single events.  A block of k
     events whose first risk-set start is r0 copies G[block, r0:] into a
@@ -347,14 +377,13 @@ def _risk_set_totals(G: np.ndarray | None, plan: _RiskSets, order: int,
     the next.  ``Z.T[:, r:] @ t.T`` and a Fortran-ordered Z reach other
     floats and are not used.  The normalizations run once over all events.
     """
-    starts = plan.starts[rows]
-    m, (n, p) = starts.shape[0], plan.Z.shape
+    m, (n, p) = plan.starts[rows].shape[0], plan.Z.shape
     mx, s0 = np.zeros(m), np.zeros(m)
     S1 = np.zeros((m, p)) if order >= 1 else None
     S2 = np.zeros((m, p, p)) if order >= 2 else None
     views = plan.views()[rows] if order >= 1 else None
     e = 0
-    for W, top, s in _risk_weights(G, starts) if blocks is None else blocks:
+    for W, top, s in _risk_weights(G, plan.geometry(rows)) if blocks is None else blocks:
         k = W.shape[0]
         mx[e:e + k], s0[e:e + k] = top, s
         if order >= 1:

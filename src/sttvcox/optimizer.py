@@ -40,6 +40,7 @@ from .errors import (
     ConvergenceError,
     NumericError,
     SeparationError,
+    SttvError,
     ValidationError,
     check_count,
     check_positive,
@@ -235,9 +236,9 @@ def _newton(cb0: CoefficientBlock, ds: SurvivalDataset, ws: LikelihoodWorkspace,
     return gamma, hess, value, np.array(path), n_iter, gnorm, stop_reason
 
 
-def _cox_warm_start(ds: SurvivalDataset) -> CoxFit | ConvergenceError:
-    """The constant Cox fit of ds, or the SeparationError or ConvergenceError
-    it raised.
+def _cox_warm_start(ds: SurvivalDataset) -> CoxFit | SttvError:
+    """The constant Cox fit of ds, or the ConvergenceError (SeparationError
+    included) or NumericError (a singular information matrix) it raised.
 
     Nothing here depends on the config, so one result serves every variant
     and every K fitted on ds; ``fit`` applies the config's fallback rule.
@@ -246,17 +247,17 @@ def _cox_warm_start(ds: SurvivalDataset) -> CoxFit | ConvergenceError:
         raise ValidationError("cannot fit a dataset with zero events")
     try:
         return fit_coxph(ds)
-    except ConvergenceError as exc:
+    except (ConvergenceError, NumericError) as exc:
         return exc
 
 
-def _warm_for(warm: CoxFit | ConvergenceError, cfg: FitConfig) -> CoxFit | None:
+def _warm_for(warm: CoxFit | SttvError, cfg: FitConfig) -> CoxFit | None:
     """cfg's warm start from a ``_cox_warm_start`` result; None starts from zeros.
 
     A failed Cox fit is re-raised for sttv, unless it hit separation and the
     thresholds are given explicitly; regtv starts from zeros after any failure.
     """
-    if not isinstance(warm, ConvergenceError):
+    if not isinstance(warm, SttvError):
         return warm
     if cfg.variant == "sttv":
         if cfg.alpha_override is None or not isinstance(warm, SeparationError):

@@ -54,30 +54,41 @@ def _effect(theta, alpha, eta: float, order: int = 0):
                 np.zeros_like(theta) if order >= 2 else None)
     m = theta - alpha
     p = theta + alpha
-    exact = np.where(theta > alpha, m, np.where(theta < -alpha, p, 0.0))
     if eta == 0.0:
-        return exact, None, None
+        return _exact(theta, alpha, m, p), None, None
     # far-field quotients may overflow to inf; the far branch replaces them
     with np.errstate(over="ignore"):
         u = m / eta
         v = p / eta
     far = (np.abs(u) > _FAR) & (np.abs(v) > _FAR)
+    # np.where on an all-False mask returns the formula's values, so without
+    # a far entry the formulas are returned as they are (0-d as an ndarray)
+    any_far = far.any()
     uc = np.clip(u, -_FAR, _FAR)
     vc = np.clip(v, -_FAR, _FAR)
     au = np.arctan(uc)
     av = np.arctan(vc)
-    h = np.where(far, exact, 0.5 * ((1.0 + (2.0 / np.pi) * au) * m
-                                    + (1.0 - (2.0 / np.pi) * av) * p))
+    h = np.asarray(0.5 * ((1.0 + (2.0 / np.pi) * au) * m + (1.0 - (2.0 / np.pi) * av) * p))
+    if any_far:
+        h = np.where(far, _exact(theta, alpha, m, p), h)
     if order == 0:
         return h, None, None
     u1 = 1.0 + uc * uc
     v1 = 1.0 + vc * vc
-    h1 = np.where(far, np.where(np.abs(theta) > alpha, 1.0, 0.0),
-                  1.0 + (au - av) / np.pi + (uc / u1 - vc / v1) / np.pi)
+    h1 = np.asarray(1.0 + (au - av) / np.pi + (uc / u1 - vc / v1) / np.pi)
+    if any_far:
+        h1 = np.where(far, np.where(np.abs(theta) > alpha, 1.0, 0.0), h1)
     if order == 1:
         return h, h1, None
-    h2 = np.where(far, 0.0, (2.0 / (np.pi * eta)) * (1.0 / u1 ** 2 - 1.0 / v1 ** 2))
+    h2 = np.asarray((2.0 / (np.pi * eta)) * (1.0 / u1 ** 2 - 1.0 / v1 ** 2))
+    if any_far:
+        h2 = np.where(far, 0.0, h2)
     return h, h1, h2
+
+
+def _exact(theta, alpha, m, p):
+    """zeta(theta, alpha) from m = theta - alpha and p = theta + alpha."""
+    return np.where(theta > alpha, m, np.where(theta < -alpha, p, 0.0))
 
 
 def _checked(theta, alpha, eta, order: int):

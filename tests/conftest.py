@@ -40,6 +40,17 @@ def make_random_dataset(seed, n=20, p=2, censor=0.3):
     return sx.make_dataset(time, event, Z)
 
 
+def dependent_pairs():
+    """z2 = 2 z1 on 11 tied pairs with z1 = +1 and -1: 8 event pairs, then 3
+    censored ones.  Every risk set is symmetric, so the score at beta = 0 is
+    exactly zero and the information there, 16 [[1, 2], [2, 4]], is exactly
+    singular."""
+    time = np.repeat(np.arange(1.0, 12.0), 2)
+    event = np.repeat(np.arange(11) < 8, 2)
+    z1 = np.tile([1.0, -1.0], 11)
+    return sx.make_dataset(time, event, np.column_stack([z1, 2.0 * z1]))
+
+
 @pytest.fixture(scope="session")
 def scenario_200():
     return sx.Scenario(n=200, covariance="ind", seed=11)

@@ -411,6 +411,49 @@ def invert_cumhaz_full_grid_ref(Z, targets, sc):
 
 
 # ----------------------------------------------------------------------
+# The Breslow risk-set totals one event at a time, and the per-block
+# arrays of the risk-set kernel as each scan built them from the starts
+# ----------------------------------------------------------------------
+
+def risk_set_totals_loop(G, starts, Z, order):
+    """Risk-set totals normalized inside the per-event loop, one event at a time."""
+    m, p = G.shape[0], Z.shape[1]
+    logS0 = np.zeros(m)
+    Ebar = np.zeros((m, p)) if order >= 1 else None
+    V = np.zeros((m, p, p)) if order >= 2 else None
+    for e in range(m):
+        r = starts[e]
+        gr = G[e, r:]
+        mx = gr.max()
+        w = np.exp(gr - mx)
+        s0 = w.sum()
+        logS0[e] = mx + np.log(s0)
+        if order >= 1:
+            Zr = Z[r:]
+            eb = (w @ Zr) / s0
+            Ebar[e] = eb
+            if order >= 2:
+                s2 = Zr.T @ (w[:, None] * Zr)
+                V[e] = s2 / s0 - np.outer(eb, eb)
+    return logS0, Ebar, V
+
+
+def risk_geometry_ref(starts, n, block):
+    """(b0, k, r0, width, pre, mask, idx) per block of ``block`` events."""
+    out = []
+    for b0 in range(0, starts.shape[0], block):
+        rs = starts[b0:b0 + block]
+        k, r0 = rs.shape[0], int(rs.min())
+        width = n - r0 + 1
+        rel = rs - r0
+        pre = int(rel.max()) + 1
+        row = np.arange(k) * width
+        idx = np.stack([row + rel, row + width], axis=1).ravel()[:-1]
+        out.append((b0, k, r0, width, pre, np.arange(pre) <= rel[:, None], idx))
+    return out
+
+
+# ----------------------------------------------------------------------
 # Risk-set weight blocks with every column masked, as the kernel built
 # them before it masked only the prefix left of a block's last start
 # ----------------------------------------------------------------------

@@ -11,6 +11,7 @@ import sttvcox as sx
 from sttvcox import cli
 from sttvcox.cli import main
 from sttvcox.reporting import CURVE_COLUMNS, build_summary, read_curve_table
+from conftest import dependent_pairs
 
 
 def run(*args):
@@ -301,6 +302,27 @@ class TestFit:
         # q = 12 columns per coefficient cannot be identified from 20 rows
         assert run("fit", "--input", data20, "--output", tmp_path / "out",
                    "--K", 9) == 3
+
+    @pytest.mark.parametrize("variant, code", [("sttv", 3), ("coxph", 3), ("regtv", 0)])
+    def test_dependent_columns_exit_code(self, tmp_path, capsys, caplog, variant, code):
+        # a singular warm start fails sttv and coxph; regtv starts from zeros
+        data = tmp_path / "dependent.csv"
+        sx.save_csv(dependent_pairs(), data)
+        out = tmp_path / "out"
+        assert run("fit", "--input", data, "--output", out, "--K", 2,
+                   "--variant", variant) == code
+        said = capsys.readouterr().err + caplog.text
+        assert "columns z1, z2 are constant or linearly dependent" in said
+        assert (out / "model.json").exists() == (code == 0)
+
+    def test_cv_on_dependent_columns_exits_4(self, tmp_path, capsys, caplog):
+        # every candidate is excluded, so cross-validation fails as documented
+        data = tmp_path / "dependent.csv"
+        sx.save_csv(dependent_pairs(), data)
+        assert run("cv", "--input", data, "--output", tmp_path / "out",
+                   "--candidates", "2,3", "--folds", 2) == 4
+        assert caplog.text.count("failed and is excluded: singular information matrix") == 2
+        assert "every candidate K failed" in capsys.readouterr().err
 
     @pytest.mark.parametrize("bad", [{"K": "abc"}, {"rho": [1, 2]}, {"K": 1e400}],
                              ids=["K_text", "rho_list", "K_inf"])

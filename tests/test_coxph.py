@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 import sttvcox as sx
-from sttvcox import likelihood
-from conftest import make_random_dataset
+from sttvcox import coxph, likelihood
+from conftest import dependent_pairs, make_random_dataset
 from oracles import coxph_loglik_ref, golden_section_max, plain_spline_loglik_ref
 
 
@@ -69,6 +69,75 @@ class TestFitCoxph:
         B = sx.eval_basis_grid(basis, ds.time)
         value = plain_spline_loglik_ref(gamma, ds, 0.0, B)
         assert value == pytest.approx(fit.loglik, rel=1e-10)
+
+
+class TestSingularInformation:
+    """A singular information matrix at the optimum raises NumericError naming
+    the dependent columns; the spline fits and cross-validation apply the
+    warm-start rule to it."""
+
+    def test_fit_coxph_names_the_dependent_columns(self):
+        with pytest.raises(sx.NumericError,
+                           match="columns z1, z2 are constant or linearly dependent"):
+            sx.fit_coxph(dependent_pairs())
+
+    def test_column_outside_every_risk_set_is_named(self):
+        # z2 varies only among rows censored before the first event, so it
+        # enters no risk set and carries no information
+        ds = sx.make_dataset([0.5, 0.6, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0],
+                             [False, False, True, True, False, True, True, False],
+                             [[0.3, 1.0], [-0.2, -1.0], [1.0, 0.0], [-1.0, 0.0],
+                              [0.5, 0.0], [0.2, 0.0], [-0.7, 0.0], [0.1, 0.0]])
+        with pytest.raises(sx.NumericError, match="columns z2 are constant or linearly"):
+            sx.fit_coxph(ds)
+
+    def test_only_the_dependent_columns_are_named(self):
+        ds = sx.make_dataset([1.0, 2.0, 3.0], [True] * 3, np.zeros((3, 4)),
+                             covariate_names=["a", "b", "c", "d"])
+        active = np.array([True, True, False, True])
+        # a and d are dependent, b stands alone, c is inactive
+        H = -np.array([[1.0, 0.0, 2.0], [0.0, 3.0, 0.0], [2.0, 0.0, 4.0]])
+        assert coxph._dependent_columns(ds, active, H) == ["a", "d"]
+
+    def test_sttv_fit_raises(self):
+        with pytest.raises(sx.NumericError, match="z1, z2"):
+            sx.fit(dependent_pairs(), sx.FitConfig(K=2))
+
+    def test_regtv_fit_starts_from_zeros(self, caplog):
+        model = sx.fit(dependent_pairs(), sx.FitConfig(K=2, variant="regtv"))
+        assert model.warm_start is None
+        assert np.isfinite(model.gamma_hat).all() and np.isfinite(model.sandwich).all()
+        assert "warm start failed (singular information matrix" in caplog.text
+
+    def test_cross_validate_excludes_the_candidates(self, caplog):
+        ds = dependent_pairs()
+        with pytest.raises(sx.ConvergenceError, match="every candidate K failed"):
+            sx.cross_validate(ds, sx.FitConfig(K=2), candidates=(2, 3), folds=2)
+        assert caplog.text.count("failed and is excluded: singular information") == 2
+        result = sx.cross_validate(ds, sx.FitConfig(K=2, variant="regtv"),
+                                   candidates=(2, 3), folds=2)
+        assert result.failed == () and np.isfinite(result.cv_error).all()
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_dependent_columns_raise_typed_errors(self, seed):
+        # normal z1 on 30 rows with about 70% events: whether the computed
+        # information is exactly singular depends on rounding, so each call
+        # must return finite numbers or raise a package error (cross-validation
+        # raises when every candidate fails, so some cv_error is a number)
+        rng = np.random.default_rng(seed)
+        z1 = rng.normal(size=30)
+        ds = sx.make_dataset(rng.exponential(size=30), rng.random(30) < 0.7,
+                             np.column_stack([z1, 2.0 * z1]))
+        for call in (lambda: sx.fit_coxph(ds).covariance,
+                     lambda: sx.fit(ds, sx.FitConfig(K=2)).gamma_hat,
+                     lambda: sx.fit(ds, sx.FitConfig(K=2, variant="regtv")).gamma_hat,
+                     lambda: np.nanmin(sx.cross_validate(ds, sx.FitConfig(K=2),
+                                                         candidates=(2, 3), folds=3).cv_error)):
+            try:
+                out = call()
+            except sx.SttvError:
+                continue
+            assert np.isfinite(out).all()
 
 
 class TestKeptWeights:

@@ -1,11 +1,14 @@
 """Cross-validated choice of the spline dimension."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sttvcox as sx
+from oracles import risk_set_totals_loop, smooth_threshold_arrays_ref
 from sttvcox.model_selection import _heldout_error, _subset
 
 
@@ -180,3 +183,62 @@ class TestFoldSharing:
         cfg = sx.FitConfig(K=3, variant="sttv", seed=19)
         with pytest.raises(sx.ConvergenceError, match="every candidate"):
             sx.cross_validate(ds60, cfg, candidates=[3, 5], folds=4, seed=19)
+
+
+class TestHeldoutError:
+    """The held-out error, bit for bit against the per-event risk-set loop.
+
+    Folds run through ``_subset`` as in ``cross_validate``; the effect rows
+    are the exact soft threshold (``smooth_threshold_arrays_ref`` at eta = 0)
+    or the spline levels, and the predictors one product with the held-out
+    covariates, as the single chunk of a small fold forms them.
+    """
+
+    @staticmethod
+    def loop_error(model, held):
+        events = held.event_rows
+        if events.size == 0:
+            return 0.0
+        theta = sx.eval_basis_grid(model.basis, held.time[events]) @ model.gamma_hat.T
+        H = theta if model.alphas is None else smooth_threshold_arrays_ref(
+            theta, model.alphas, 0.0)
+        G = H @ held.covariates.T
+        logS0 = risk_set_totals_loop(G, held.risk_start(events), held.covariates, 0)[0]
+        return -float(G[np.arange(events.size), events].sum() - logS0.sum())
+
+    @pytest.mark.parametrize("variant", ["sttv", "regtv"])
+    def test_heldout_error_matches_loop_on_tied_times(self, variant):
+        ds = sx.generate(sx.Scenario(n=150, covariance="ar1", seed=4))
+        # times to one decimal: most held-out event times are tied
+        ds = sx.make_dataset(np.ceil(10.0 * ds.time) / 10.0, ds.event, ds.covariates)
+        assert np.unique(ds.time).size < ds.n // 3
+        folds = sx.assign_folds(ds.n, 4, ds.event, seed=2)
+        model = sx.fit(_subset(ds, np.flatnonzero(folds != 0)),
+                       sx.FitConfig(K=3, variant=variant, seed=2))
+        assert (model.alphas is None) == (variant == "regtv")
+        for r in range(4):
+            held = _subset(ds, np.flatnonzero(folds == r))
+            assert held.n_events > 0
+            assert _heldout_error(model, held).hex() == self.loop_error(model, held).hex()
+
+    @pytest.mark.parametrize("thresholded", [True, False], ids=["sttv", "regtv"])
+    def test_heldout_error_of_folds_with_and_without_events(self, thresholded):
+        rng = np.random.default_rng(6)
+        n = 40
+        time = rng.integers(1, 9, n) * 0.5
+        event = np.zeros(n, dtype=bool)
+        event[:3] = True
+        ds = sx.make_dataset(time, event, rng.normal(0.0, 2.0, (n, 2)))
+        basis = sx.make_basis(3, 2, ds.tau)
+        model = SimpleNamespace(basis=basis, gamma_hat=rng.normal(0.0, 0.8, (2, basis.q)),
+                                alphas=np.array([0.3, 0.6]) if thresholded else None)
+        # three events over five folds leave two folds without one
+        folds = sx.assign_folds(n, 5, ds.event, seed=0)
+        counts = []
+        for r in range(5):
+            held = _subset(ds, np.flatnonzero(folds == r))
+            counts.append(held.n_events)
+            got = _heldout_error(model, held)
+            assert got.hex() == self.loop_error(model, held).hex()
+            assert (got == 0.0) == (held.n_events == 0)
+        assert sorted(counts) == [0, 0, 1, 1, 1]

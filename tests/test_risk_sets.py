@@ -12,9 +12,12 @@ scan is checked against the value of the order-2 scan, which the Newton
 line search relies on.  A derivative scan that reuses what the plan kept
 of an order-0 scan at equal effect rows, and a score covariance read from
 the derivative scan's kept totals, are checked against a fresh workspace.
-The weight blocks are checked bit for bit against blocks masked in full,
-and predictors that overflow or come from NaN effects raise NumericError,
-also where the finite check of the predictors could be skipped.
+The weight blocks, formed over a plan's cached block geometry, are
+checked bit for bit against blocks masked in full; the cached geometry is
+read-only and equals geometry built afresh, for chunks of every event, of
+50 and of 97 events.  Predictors that overflow or come from NaN effects
+raise NumericError, also where the finite check of the predictors could
+be skipped.
 """
 
 import math
@@ -33,6 +36,8 @@ from oracles import (
     coxph_loglik_ref,
     penalized_loglik_ref,
     risk_set_ref,
+    risk_geometry_ref,
+    risk_set_totals_loop,
     risk_weights_full_mask_ref,
     scipy_basis_matrix,
     soft_threshold_ref,
@@ -95,29 +100,6 @@ def loglik_parts_loop(ds, beta):
         grad += Z[e] - ebar
         hess -= Z[r:].T @ (w[:, None] * Z[r:]) / s0 - np.outer(ebar, ebar)
     return value, grad, hess
-
-
-def risk_set_totals_loop(G, starts, Z, order):
-    """Risk-set totals normalized inside the per-event loop, one event at a time."""
-    m, p = G.shape[0], Z.shape[1]
-    logS0 = np.zeros(m)
-    Ebar = np.zeros((m, p)) if order >= 1 else None
-    V = np.zeros((m, p, p)) if order >= 2 else None
-    for e in range(m):
-        r = starts[e]
-        gr = G[e, r:]
-        mx = gr.max()
-        w = np.exp(gr - mx)
-        s0 = w.sum()
-        logS0[e] = mx + np.log(s0)
-        if order >= 1:
-            Zr = Z[r:]
-            eb = (w @ Zr) / s0
-            Ebar[e] = eb
-            if order >= 2:
-                s2 = Zr.T @ (w[:, None] * Zr)
-                V[e] = s2 / s0 - np.outer(eb, eb)
-    return logS0, Ebar, V
 
 
 # Seeded sizes beyond the Hypothesis cases: n around numpy's 8-wide unrolled
@@ -191,10 +173,11 @@ class TestKernel:
     @pytest.mark.parametrize("n, m, p, starts",
                              SCALE_CASES + [(400, 1, 1, "spread"), (50, 400, 2, "spread")])
     def test_risk_weights_match_full_mask_bitwise(self, n, m, p, starts):
-        G, r, _ = scale_case(n, m, p, starts, seed=n + m)
+        G, r, Z = scale_case(n, m, p, starts, seed=n + m)
+        plan = _RiskSets(Z, r)
         # the warm start hands the kernel one broadcast row of predictors
         for g in (G, np.broadcast_to(G[:1], G.shape)) if m else (G,):
-            got = list(likelihood._risk_weights(g, r))
+            got = list(likelihood._risk_weights(g, plan.geometry()))
             want = risk_weights_full_mask_ref(g, r, likelihood._BLOCK_EVENTS)
             assert len(got) == len(want) == -(-m // likelihood._BLOCK_EVENTS)
             for got_block, want_block in zip(got, want):
@@ -236,6 +219,52 @@ class TestKernel:
         )
         value = sx.penalized_loglik(cb, ds, ws)
         assert value.hex() == sx.value_and_derivatives(cb, ds, ws)[0].hex()
+
+
+class TestGeometry:
+    """The block geometry a plan builds once per chunk of events."""
+
+    # chunks of every event, of 50 events and of 97 events
+    @pytest.mark.parametrize("chunk", [None, 50, 97])
+    def test_cached_geometry_matches_fresh_geometry(self, monkeypatch, chunk):
+        ds = sx.generate(sx.Scenario(n=400, covariance="ar1", seed=2))
+        m, n = ds.n_events, ds.n
+        if chunk is not None:
+            monkeypatch.setattr(likelihood, "_CHUNK_BUDGET", chunk * n)
+        ws = sx.make_workspace(ds, sx.make_basis(K, D, ds.tau), 1.0 / n**2)
+        cb = sx.CoefficientBlock(gamma=0.1 * np.ones((ds.p, Q)),
+                                 thresholds=np.full(ds.p, 0.05), eta=0.01)
+        for trial in (cb, replace(cb, gamma=0.5 * cb.gamma), cb):
+            sx.penalized_loglik(trial, ds, ws)
+            sx.value_and_derivatives(trial, ds, ws)
+        plan = ws.risk_sets
+        step = m if chunk is None else chunk
+        ranges = [(s, min(s + step, m)) for s in range(0, m, step)]
+        assert m > 2 * 97 and sorted(plan._geometry) == ranges
+        for s, e in ranges:
+            got = plan._geometry[s, e]
+            want = risk_geometry_ref(plan.starts[s:e], n, likelihood._BLOCK_EVENTS)
+            assert len(got) == len(want) == -(-(e - s) // likelihood._BLOCK_EVENTS)
+            for got_block, want_block in zip(got, want):
+                assert got_block[:5] == want_block[:5]
+                for a, b in zip(got_block[5:], want_block[5:]):
+                    assert a.dtype == b.dtype and a.shape == b.shape
+                    assert a.tobytes() == b.tobytes()
+            # a later scan of the chunk gets the same blocks, not new ones
+            assert plan.geometry(slice(s, s + step)) is got
+
+    def test_cached_geometry_is_read_only(self):
+        G, r, Z = scale_case(129, 70, 3, "spread", seed=199)
+        plan = _RiskSets(Z, r)
+        blocks = plan.geometry()
+        assert len(blocks) == 2
+        for *_, mask, idx in blocks:
+            with pytest.raises(ValueError):
+                mask[0, 0] = False
+            with pytest.raises(ValueError):
+                idx[0] = 1
+        # the scan still reads them
+        assert_same_totals(_risk_set_totals(G, plan, 0), risk_set_totals_loop(G, r, Z, 0))
 
 
 class TestKernelCallers:

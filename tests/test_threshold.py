@@ -221,6 +221,29 @@ class TestEffectKernel:
         for theta in (-3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0):
             assert_matches_refs(theta, 2.0, eta)
 
+    @pytest.mark.parametrize("eta", ETAS)
+    def test_far_and_near_entries(self, eta):
+        # the far-field selects run only when some entry is far; with none
+        # the formula arrays come back as they are, of the same type
+        alpha = np.array([0.5, 1.0, 2.0])
+        near = np.array([alpha - 3.0 * eta, -alpha + 0.5 * eta, alpha + 1e7 * eta])
+        mixed = near.copy()
+        mixed[0, 1], mixed[2, 2] = 1e12, -1e300
+
+        def far(theta, alpha):
+            with np.errstate(over="ignore"):
+                return (np.abs(theta - alpha) / eta > 1e8) & (np.abs(theta + alpha) / eta > 1e8)
+
+        assert not far(near, alpha).any() and far(mixed, alpha).sum() == 2
+        for theta in (near, mixed):
+            assert_matches_refs(theta, alpha, eta)
+            assert_matches_refs(theta[:, 1], 1.0, eta)
+        for theta in (*near[:, 0], 1e12, -1e300, 0.0, -0.0):
+            for order in (0, 1, 2):
+                out = _effect(np.asarray(theta), np.asarray(0.5), eta, order)
+                assert all(type(x) is np.ndarray and x.ndim == 0 for x in out[:order + 1])
+            assert_matches_refs(theta, 0.5, eta)
+
     def test_exact_operator_at_eta_zero(self):
         theta = np.array([-3.0, -1.0, -0.0, 0.0, 0.5, 1.0, 4.0])
         h, h1, h2 = _effect(theta, 1.0, 0.0, order=0)
