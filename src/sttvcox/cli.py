@@ -30,7 +30,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
-from .coxph import fit_coxph
+from .coxph import _require_variances, fit_coxph
 from .dataset import _table_text, load_csv, make_dataset
 from .errors import ConvergenceError, NumericError, ValidationError
 from .inference import CurveEstimate, _curve_set
@@ -368,6 +368,7 @@ def cmd_fit(args, config: dict) -> int:
 
     if variant == "coxph":
         fitres = fit_coxph(ds_fit)
+        _require_variances(ds_fit, fitres)
         # the constant effects, repeated across the grid, without thresholds
         se = np.sqrt(np.diag(fitres.covariance))
         theta, sig = (np.repeat(a[:, None], grid.size, axis=1) for a in (fitres.beta, se))

@@ -175,6 +175,28 @@ def _dependent_columns(ds: SurvivalDataset, active: np.ndarray, H: np.ndarray) -
     return [names[j] for j in cols]
 
 
+def _require_variances(ds: SurvivalDataset, fit: CoxFit) -> None:
+    """Raise NumericError unless every active column of ``fit``, a fit of
+    ds, has a positive, finite variance.
+
+    An information matrix that is singular in exact arithmetic can still
+    be inverted by LAPACK once rounded, and its inverse then holds
+    variances of either sign.  The columns are named from the information
+    at ``fit.beta`` by ``_dependent_columns``.
+    """
+    active = ~fit.zero_information
+    var = np.diag(fit.covariance)[active]
+    if (np.isfinite(var) & (var > 0)).all():
+        return
+    plan = likelihood._RiskSets(ds.covariates, ds.risk_start(ds.event_rows))
+    H = _loglik_parts(ds, plan, fit.beta, 2)[2][np.ix_(active, active)]
+    raise NumericError(
+        "no positive finite variance at the constant Cox estimate: covariate columns "
+        f"{', '.join(_dependent_columns(ds, active, H))} are constant or linearly "
+        "dependent within the risk sets"
+    )
+
+
 def initial_gamma(fit: CoxFit, q: int) -> np.ndarray:
     """Constant coefficient rows (a_j, ..., a_j): by partition of unity the
     starting curves are theta_j(t) = a_j everywhere."""

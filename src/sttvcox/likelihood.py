@@ -85,6 +85,16 @@ class CoefficientBlock:
             raise ValidationError(f"eta must be nonnegative and finite, got {eta}")
         object.__setattr__(self, "eta", eta)
 
+    def _with_gamma(self, gamma: np.ndarray) -> CoefficientBlock:
+        """This block at ``gamma``, a (p, q) float array.  Only gamma is
+        checked, with the constructor's error for a non-finite entry; the
+        thresholds and eta are this block's, checked when it was built."""
+        if not np.isfinite(gamma).all():
+            raise ValidationError("gamma entries must be finite")
+        cb = object.__new__(CoefficientBlock)
+        cb.__dict__.update(self.__dict__, gamma=gamma)
+        return cb
+
     @property
     def p(self) -> int:
         return self.gamma.shape[0]
@@ -101,10 +111,11 @@ class _RiskSets:
     ``Z`` holds the (n, p) covariates in storage order and ``starts`` the
     sorted first storage index of each event's risk set.  The plan keeps
     their Python ints and max|Z| from the start; the per-event views of the
-    moment products are built when an order >= 1 scan first asks for them,
-    and the block geometry of a chunk of events (see ``geometry``) when a
-    scan of that chunk first asks for it.  Both depend on Z and ``starts``
-    alone and are kept for the life of the plan.
+    moment products, with the (m, p) and (m, p, p) moment rows ``S1`` and
+    ``S2`` that the scans write them into, are built when an order >= 1
+    scan first asks for them, and the block geometry of a chunk of events
+    (see ``geometry``) when a scan of that chunk first asks for it.  Both
+    depend on Z and ``starts`` alone and are kept for the life of the plan.
 
     ``scan`` keeps one entry for the plan's last scan, under the bytes of
     that scan's predictor inputs (the per-event effect rows of a spline
@@ -114,8 +125,8 @@ class _RiskSets:
     blocks.  A scan under the entry's key uses it in place of predictors
     and weights, with the same floats; a scan under another key drops it
     before forming its own weights, so at most one scan's blocks are held.
-    Scans of one plan share its (p, n) buffer and its entry, so they must
-    not run concurrently.
+    Scans of one plan share its (p, n) buffer, its moment rows and its
+    entry, so they must not run concurrently.
     """
 
     def __init__(self, Z: np.ndarray, starts: np.ndarray):
@@ -125,6 +136,7 @@ class _RiskSets:
         # a Python float: inf * 0 gives NaN and an overflow gives inf, without warnings
         self.z_max = float(np.abs(Z).max(initial=0.0))
         self._views = None
+        self.S1 = self.S2 = None   # the moment rows, built with the views
         self._geometry = {}   # (first event, stop event) of a chunk -> its blocks
         self._kept = None   # (key, own predictors, weight blocks or None, totals or None)
 
@@ -194,22 +206,28 @@ class _RiskSets:
         return self._geometry[key]
 
     def views(self) -> list:
-        """Per event with risk-set start r: (r, Z[r:], Z[r:].T, ZT[:, r:], t, t.T).
+        """Per event e with risk-set start r:
+        (r, Z[r:], Z[r:].T, ZT[:, r:], t, t.T, S1[e], S2[e]).
 
         ZT is a C-contiguous copy of Z.T and t = buf[:, :n - r] a view of
-        one (p, n) buffer; tied events share one tuple.
+        one (p, n) buffer, shared by tied events.  S1 (m, p) and S2
+        (m, p, p) are the plan's moment rows, which a scan writes in place
+        of fresh arrays; they are built here, with the views.
         """
         if self._views is None:
             Z = self.Z
             n, p = Z.shape
             ZT = np.ascontiguousarray(Z.T)
             buf = np.empty((p, n))
+            self.S1 = np.empty((len(self.start_list), p))
+            self.S2 = np.empty((len(self.start_list), p, p))
             by_start = {}
             for r in self.start_list:
                 if r not in by_start:
                     Zr, t = Z[r:], buf[:, :n - r]
                     by_start[r] = (r, Zr, Zr.T, ZT[:, r:], t, t.T)
-            self._views = [by_start[r] for r in self.start_list]
+            self._views = [(*by_start[r], s1, s2)
+                           for r, s1, s2 in zip(self.start_list, self.S1, self.S2)]
         return self._views
 
 
@@ -222,7 +240,9 @@ class LikelihoodWorkspace:
     """Per-dataset caches shared by repeated objective evaluations.
 
     Its arrays are read-only, so the windows in ``band_runs`` keep
-    covering every nonzero of ``basis_at_events``.
+    covering every nonzero of ``basis_at_events`` and ``band_products``
+    keeps holding their products: row e is the (1, 1, w, w) array of
+    B_ev B_eu over event e's window, which ``_block_sum`` multiplies by M.
     """
 
     basis: SplineBasis
@@ -235,6 +255,7 @@ class LikelihoodWorkspace:
     penalty_kron: np.ndarray     # (p q, p q), kron(I_p, penalty_gram)
     block_sum_path: list | None  # einsum path of _BLOCK_SUM; None without events
     band_runs: tuple             # see _band_runs; () off the band path
+    band_products: np.ndarray | None  # (m, 1, 1, w, w) basis products; None off the band path
     risk_sets: _RiskSets
     dataset: SurvivalDataset     # the dataset the workspace was built from
 
@@ -267,7 +288,8 @@ def make_workspace(ds: SurvivalDataset, basis: SplineBasis, rho: float) -> Likel
     scan can pass to the next (see ``_RiskSets``).  When that path
     contracts all three operands at once, as it does for the p >= 2 shapes
     of the paper and the benchmark, the workspace also keeps the windows
-    of nonzero basis columns that ``_block_sum`` sums over.  A dataset
+    of nonzero basis columns that ``_block_sum`` sums over and the basis
+    products over each event's window, formed run by run.  A dataset
     without events gets an empty plan and no path.  All arrays are
     read-only.
     """
@@ -283,13 +305,19 @@ def make_workspace(ds: SurvivalDataset, basis: SplineBasis, rho: float) -> Likel
     events = ds.event_rows
     B_ev = B[events]
     m, p = events.shape[0], ds.p
-    path, runs = None, ()
+    path, runs, products = None, (), None
     if m:
         # the path depends on shapes only
         path = np.einsum_path(_BLOCK_SUM, np.broadcast_to(0.0, (m, p, p)), B_ev, B_ev,
                               optimize="greedy")[0]
         if path[1:] == [(0, 1, 2)]:
             runs = _band_runs(B_ev)
+            w = runs[0][3] - runs[0][2]
+            products = np.empty((m, 1, 1, w, w))
+            for a, b, lo, hi in runs:
+                Bw = B_ev[a:b, lo:hi]
+                np.multiply(Bw[:, None, :], Bw[:, :, None], out=products[a:b, 0, 0])
+            products = _freeze(products)
     return LikelihoodWorkspace(
         basis=basis,
         rho=rho,
@@ -301,6 +329,7 @@ def make_workspace(ds: SurvivalDataset, basis: SplineBasis, rho: float) -> Likel
         penalty_kron=_freeze(np.kron(np.eye(p), P)),
         block_sum_path=path,
         band_runs=runs,
+        band_products=products,
         risk_sets=_RiskSets(ds.covariates, ds.risk_start(events)),
         dataset=ds,
     )
@@ -353,8 +382,12 @@ def _risk_set_totals(G: np.ndarray | None, plan: _RiskSets, order: int,
     exponentiating.  The weight blocks come from ``_risk_weights`` over the
     plan's geometry of ``rows``, built once per plan and event range, or
     are ``blocks`` kept from an earlier scan of the same G, which is then
-    not read.  This is the only per-event loop: it zips the plan's views
-    with the rows of each weight block.
+    not read.  This is the only per-event loop: it zips the rows of each
+    weight block with the plan's views, one tuple per event that holds the
+    event's output rows too, and an order-1 scan runs a loop of its own
+    that forms only the first moments.  At a few hundred rows an event's
+    cost is the number of numpy calls it makes, so each call passes its
+    output positionally and nothing is allocated per event.
 
     Every float equals that of a loop over single events.  A block of k
     events whose first risk-set start is r0 copies G[block, r0:] into a
@@ -372,34 +405,37 @@ def _risk_set_totals(G: np.ndarray | None, plan: _RiskSets, order: int,
     ``Zr.T @ t.T``, where t = Z.T[:, r:] * w is formed from a C-contiguous
     copy of Z.T into the plan's (p, n) buffer: the same products as the
     loop's ``Zr.T @ (w[:, None] * Zr)`` without its temporaries, and the
-    same gemm result under every OpenBLAS core type tried.  Each scan
-    writes the buffer before it reads it, so one scan leaves nothing for
-    the next.  ``Z.T[:, r:] @ t.T`` and a Fortran-ordered Z reach other
-    floats and are not used.  The normalizations run once over all events.
+    same gemm result under every OpenBLAS core type tried.  The moments go
+    straight into the plan's rows S1[e] and S2[e].  Each scan writes the
+    buffer and the rows of its events before it reads them, so one scan
+    leaves nothing for the next, and the normalizations, which run once
+    over all events, return fresh arrays, so nothing returned shares
+    memory with the plan.  ``Z.T[:, r:] @ t.T`` and a Fortran-ordered Z
+    reach other floats and are not used.  An order-0 scan forms no moments.
     """
-    m, (n, p) = plan.starts[rows].shape[0], plan.Z.shape
-    mx, s0 = np.zeros(m), np.zeros(m)
-    S1 = np.zeros((m, p)) if order >= 1 else None
-    S2 = np.zeros((m, p, p)) if order >= 2 else None
+    m, n = plan.starts[rows].shape[0], plan.Z.shape[0]
+    mx, s0 = np.empty(m), np.empty(m)
     views = plan.views()[rows] if order >= 1 else None
+    matmul, multiply = np.matmul, np.multiply
     e = 0
     for W, top, s in _risk_weights(G, plan.geometry(rows)) if blocks is None else blocks:
         k = W.shape[0]
         mx[e:e + k], s0[e:e + k] = top, s
-        if order >= 1:
-            off = n - W.shape[1]            # the column before the block's first start
-            S2_rows = S2[e:e + k] if order >= 2 else [None] * k
-            for Wi, (r, Zr, ZrT, ZTr, t, tT), s1, s2 in zip(W, views[e:e + k], S1[e:e + k],
-                                                            S2_rows):
+        off = n - W.shape[1]                # the column before the block's first start
+        if order == 2:
+            for Wi, (r, Zr, ZrT, ZTr, t, tT, s1, s2) in zip(W, views[e:e + k]):
                 w = Wi[r - off:]
-                np.matmul(w, Zr, out=s1)
-                if s2 is not None:
-                    np.multiply(ZTr, w, out=t)
-                    np.matmul(ZrT, tT, out=s2)
+                matmul(w, Zr, s1)
+                multiply(ZTr, w, t)
+                matmul(ZrT, tT, s2)
+        elif order == 1:
+            for Wi, (r, Zr, _, _, _, _, s1, _) in zip(W, views[e:e + k]):
+                matmul(Wi[r - off:], Zr, s1)
         e += k
     logS0 = mx + np.log(s0)
-    Ebar = S1 / s0[:, None] if order >= 1 else None
-    V = S2 / s0[:, None, None] - Ebar[:, :, None] * Ebar[:, None, :] if order >= 2 else None
+    Ebar = plan.S1[rows] / s0[:, None] if order >= 1 else None
+    V = (plan.S2[rows] / s0[:, None, None] - Ebar[:, :, None] * Ebar[:, None, :]
+         if order >= 2 else None)
     return logS0, Ebar, V
 
 
@@ -470,9 +506,11 @@ def _block_sum(M: np.ndarray, ws: LikelihoodWorkspace) -> np.ndarray:
     makes the same sum over each event's window of basis columns (see
     ``_band_runs``): per run of events sharing a window, one reduction
     along the leading axis of [window's running total, the run's products]
-    adds them in event order.  The terms it skips are products with a zero
-    basis entry, so ±0 for finite M, and adding ±0 never changes a sum that
-    starts at +0.0.  Other paths contract pairwise through BLAS, whose
+    adds them in event order.  The basis pairs B_ev B_eu of each window are
+    the workspace's ``band_products``, the same elementwise products that
+    einsum forms, so only their product with M is formed per call.  The
+    terms it skips are products with a zero basis entry, so ±0 for finite
+    M, and adding ±0 never changes a sum that starts at +0.0.  Other paths contract pairwise through BLAS, whose
     floats the band sum cannot reproduce, and run through ``np.einsum``.
     """
     pq = ws.penalty_kron.shape[0]
@@ -481,18 +519,15 @@ def _block_sum(M: np.ndarray, ws: LikelihoodWorkspace) -> np.ndarray:
     B_ev = ws.basis_at_events
     if not ws.band_runs:
         return np.einsum(_BLOCK_SUM, M, B_ev, B_ev, optimize=ws.block_sum_path).reshape(pq, pq)
-    p, q = M.shape[1], B_ev.shape[1]
-    w = ws.band_runs[0][3] - ws.band_runs[0][2]
+    p, q, w = M.shape[1], B_ev.shape[1], ws.band_products.shape[-1]
     out = np.zeros((p, q, p, q))
     # (j, k, u, v) order: each event's w x w products are one contiguous block
     buf = np.empty((max(b - a for a, b, _, _ in ws.band_runs) + 1, p, p, w, w))
     for a, b, lo, hi in ws.band_runs:
-        Bw = B_ev[a:b, lo:hi]
         win, run = out[:, lo:hi, :, lo:hi].transpose(0, 2, 1, 3), buf[:b - a + 1]
         run[0] = win
         # the basis pair first, then M, as einsum groups the product
-        np.multiply(M[a:b, :, :, None, None], (Bw[:, None, :] * Bw[:, :, None])[:, None, None],
-                    out=run[1:])
+        np.multiply(M[a:b, :, :, None, None], ws.band_products[a:b], out=run[1:])
         np.add.reduce(run, axis=0, out=win)
     return out.reshape(pq, pq)
 

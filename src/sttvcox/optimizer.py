@@ -30,7 +30,7 @@ damping lambda, step scale, halvings and trial evaluations.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -154,10 +154,16 @@ class FittedModel:
 
 def _newton(cb0: CoefficientBlock, ds: SurvivalDataset, ws: LikelihoodWorkspace,
             cfg: FitConfig):
-    """Maximize from one starting point; returns (gamma, path, diagnostics)."""
+    """Maximize from one starting point; returns (gamma, path, diagnostics).
+
+    The iterate and each line-search trial are built from cb0 by
+    ``CoefficientBlock._with_gamma``, which checks only the new gamma:
+    their thresholds and eta are cb0's, checked when cb0 was built.  A
+    non-finite trial raises the constructor's ValidationError.
+    """
     p, q = cb0.p, cb0.q
     gamma = cb0.gamma.copy()
-    cb = replace(cb0, gamma=gamma)
+    cb = cb0._with_gamma(gamma)
     value, grad, hess = value_and_derivatives(cb, ds, ws)
     gnorm = float(np.max(np.abs(grad)))
     path = [value]
@@ -192,7 +198,7 @@ def _newton(cb0: CoefficientBlock, ds: SurvivalDataset, ws: LikelihoodWorkspace,
             scale = 1.0
             for halvings in range(_MAX_HALVINGS + 1):
                 trial = gamma + scale * delta.reshape(p, q)
-                cb_trial = replace(cb, gamma=trial)
+                cb_trial = cb._with_gamma(trial)
                 trials += 1
                 try:
                     new_value = penalized_loglik(cb_trial, ds, ws)

@@ -64,8 +64,9 @@ def _effect(theta, alpha, eta: float, order: int = 0):
     # np.where on an all-False mask returns the formula's values, so without
     # a far entry the formulas are returned as they are (0-d as an ndarray)
     any_far = far.any()
-    uc = np.clip(u, -_FAR, _FAR)
-    vc = np.clip(v, -_FAR, _FAR)
+    # np.clip's own arithmetic, NaN and signed zeros alike, without its dispatch
+    uc = np.minimum(np.maximum(u, -_FAR), _FAR)
+    vc = np.minimum(np.maximum(v, -_FAR), _FAR)
     au = np.arctan(uc)
     av = np.arctan(vc)
     h = np.asarray(0.5 * ((1.0 + (2.0 / np.pi) * au) * m + (1.0 - (2.0 / np.pi) * av) * p))

@@ -315,6 +315,23 @@ class TestFit:
         assert "columns z1, z2 are constant or linearly dependent" in said
         assert (out / "model.json").exists() == (code == 0)
 
+    def test_coxph_without_positive_variance_exits_3(self, tmp_path, capsys):
+        # z2 = 2 z1, yet LAPACK inverts the rounded information matrix, and
+        # its inverse holds negative variances: no interval may be written
+        z1 = np.random.default_rng(0).normal(size=30)
+        rng = np.random.default_rng(11)
+        ds = sx.make_dataset(rng.exponential(size=30), rng.random(30) < 0.7,
+                             np.column_stack([z1, 2.0 * z1]))
+        assert (np.diag(sx.fit_coxph(ds).covariance) < 0).all()
+        data = tmp_path / "collinear.csv"
+        sx.save_csv(ds, data)
+        out = tmp_path / "out"
+        assert run("fit", "--input", data, "--output", out, "--variant", "coxph") == 3
+        err = capsys.readouterr().err
+        assert "NumericError" in err and "no positive finite variance" in err
+        assert "columns z1, z2 are constant or linearly dependent" in err
+        assert not (out / "curves.csv").exists() and not (out / "model.json").exists()
+
     def test_cv_on_dependent_columns_exits_4(self, tmp_path, capsys, caplog):
         # every candidate is excluded, so cross-validation fails as documented
         data = tmp_path / "dependent.csv"

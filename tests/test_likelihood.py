@@ -334,7 +334,7 @@ class TestWorkspace:
         ds = sx.make_dataset([1.0, 2.0], [False, False], [[1.0], [0.5]], tau=2.0)
         _, ws = build(ds)
         assert ws.block_sum_path is None
-        assert ws.band_runs == ()
+        assert ws.band_runs == () and ws.band_products is None
         assert ws.risk_sets.start_list == [] and ws.risk_sets.views() == []
 
     def test_arrays_are_read_only(self):
@@ -344,7 +344,7 @@ class TestWorkspace:
         _, ws = build(ds, K=3, d=3)
         assert ws.band_runs
         for name in ("basis_at_times", "penalty_gram", "event_rows", "basis_at_events",
-                     "covariates_at_events", "penalty_kron"):
+                     "covariates_at_events", "penalty_kron", "band_products"):
             with pytest.raises(ValueError, match="read-only"):
                 getattr(ws, name).flat[0] = 1.0
 
@@ -412,6 +412,27 @@ class TestBlockSum:
         assert bool(ws.band_runs) == band
         M = np.random.default_rng(5).normal(size=(ds.n_events, p, p))
         assert likelihood._block_sum(M, ws).tobytes() == einsum_block_sum(M, ws).tobytes()
+
+    @pytest.mark.parametrize("n, p, K, band", [(400, 3, 13, True), (5000, 3, 13, True),
+                                               (400, 2, 3, True), (400, 1, 3, False)])
+    def test_block_sum_band_products_are_read_only_outer_products(self, n, p, K, band):
+        # the basis products are formed once per workspace, run by run, and
+        # must be the products einsum forms per call
+        ds = make_random_dataset(21, n=n, p=p)
+        _, ws = build(ds, K=K, d=3)
+        prod = ws.band_products
+        if not band:
+            assert not ws.band_runs and prod is None
+            return
+        w = ws.band_runs[0][3] - ws.band_runs[0][2]
+        assert prod.shape == (ds.n_events, 1, 1, w, w) and prod.dtype == float
+        assert not prod.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            prod[0, 0, 0, 0, 0] = 1.0
+        for a, b, lo, hi in ws.band_runs:
+            Bw = ws.basis_at_events[a:b, lo:hi]
+            want = Bw[:, None, :] * Bw[:, :, None]
+            assert prod[a:b, 0, 0].tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("p, K", [(3, 13), (2, 3), (1, 3), (4, 1)])
     def test_block_sum_hessian_and_score_covariance_equal_einsum(self, p, K):

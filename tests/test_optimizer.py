@@ -248,6 +248,48 @@ class TestFit:
         for name in ("gamma_hat", "loglik_path", "sandwich"):
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
 
+    @pytest.mark.parametrize("variant", ["sttv", "regtv"])
+    def test_trial_blocks_keep_the_start_blocks_thresholds_and_eta(self, dataset_200,
+                                                                  monkeypatch, variant):
+        # trials skip the constructor's checks of thresholds and eta, so
+        # they must carry the start block's, which passed them
+        trials, starts = [], []
+        real_loglik, real_newton = optimizer.penalized_loglik, optimizer._newton
+
+        def loglik(cb, ds, ws):
+            trials.append(cb)
+            return real_loglik(cb, ds, ws)
+
+        def newton(cb0, *args):
+            starts.append(cb0)
+            return real_newton(cb0, *args)
+
+        monkeypatch.setattr(optimizer, "penalized_loglik", loglik)
+        monkeypatch.setattr(optimizer, "_newton", newton)
+        m = sx.fit(dataset_200, sx.FitConfig(K=2, variant=variant, seed=5))
+        (cb0,) = starts
+        assert m.n_iter > 0 and len(trials) >= m.n_iter
+        assert (cb0.thresholds is None) == (variant == "regtv")
+        for cb in trials:
+            assert type(cb) is sx.CoefficientBlock
+            assert cb.thresholds is cb0.thresholds and cb.eta == cb0.eta
+            assert cb.gamma.shape == cb0.gamma.shape and cb.gamma.dtype == float
+            assert np.isfinite(cb.gamma).all()
+        assert trials[-1].gamma is m.gamma_hat
+
+    @pytest.mark.parametrize("thresholds", [None, np.array([0.1, 0.2])])
+    def test_non_finite_trial_raises_the_constructors_error(self, monkeypatch, thresholds):
+        # a NaN Newton direction makes every trial gamma NaN
+        p, q = 2, 3
+        cb0 = sx.CoefficientBlock(gamma=np.ones((p, q)), thresholds=thresholds, eta=1e-3)
+        monkeypatch.setattr(optimizer, "value_and_derivatives",
+                            lambda cb, ds, ws: (0.0, np.full(p * q, np.nan), -np.eye(p * q)))
+        with pytest.raises(sx.ValidationError) as built:
+            replace(cb0, gamma=np.full((p, q), np.nan))
+        with pytest.raises(sx.ValidationError) as raised:
+            optimizer._newton(cb0, None, None, sx.FitConfig(K=1))
+        assert str(raised.value) == str(built.value) == "gamma entries must be finite"
+
     def test_debug_line_per_accepted_iteration(self, dataset_200, caplog):
         with caplog.at_level("DEBUG", logger="sttvcox.optimizer"):
             m = sx.fit(dataset_200, sx.FitConfig(K=2, variant="sttv", seed=5))

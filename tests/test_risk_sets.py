@@ -15,7 +15,10 @@ the derivative scan's kept totals, are checked against a fresh workspace.
 The weight blocks, formed over a plan's cached block geometry, are
 checked bit for bit against blocks masked in full; the cached geometry is
 read-only and equals geometry built afresh, for chunks of every event, of
-50 and of 97 events.  Predictors that overflow or come from NaN effects
+50 and of 97 events.  The moments are written into the plan's rows, so
+the totals a scan returns must share no memory with them and must
+survive the plan's next scan, and order-1 and order-2 scans in chunks of
+50 and 97 events must equal the per-event loop.  Predictors that overflow or come from NaN effects
 raise NumericError, also where the finite check of the predictors could
 be skipped.
 """
@@ -265,6 +268,61 @@ class TestGeometry:
                 idx[0] = 1
         # the scan still reads them
         assert_same_totals(_risk_set_totals(G, plan, 0), risk_set_totals_loop(G, r, Z, 0))
+
+
+def chunked_predictors(H, Z, chunk):
+    """H @ Z.T formed chunk by chunk, as the event scan forms it."""
+    return np.concatenate([H[s:s + chunk] @ Z.T for s in range(0, H.shape[0], chunk)])
+
+
+class TestMomentRows:
+    """The plan's moment rows S1 and S2, which every derivative scan writes."""
+
+    @pytest.mark.parametrize("n, m, p, starts", SCALE_CASES)
+    def test_returned_totals_do_not_share_the_plans_rows(self, n, m, p, starts):
+        G, r, Z = scale_case(n, m, p, starts, seed=n + m)
+        G2 = np.random.default_rng(n).normal(0.0, 3.0, G.shape)
+        plan = _RiskSets(Z, r)
+        first = _risk_set_totals(G, plan, 2)
+        before = [a.tobytes() for a in first]
+        second = _risk_set_totals(G2, plan, 1)
+        assert [a.tobytes() for a in first] == before
+        for totals in (first, second):
+            for a in totals:
+                assert a is None or not any(
+                    np.shares_memory(a, rows) for rows in (plan.S1, plan.S2))
+
+    def test_order_two_scans_at_two_keys_keep_their_totals(self):
+        # the second scan rewrites every row the first one wrote
+        ds = sx.generate(sx.Scenario(n=400, covariance="ar1", seed=2))
+        events = ds.event_rows
+        H1, H2 = np.random.default_rng(4).normal(0.0, 0.3, (2, events.shape[0], ds.p))
+        plan = plan_of(ds)
+        first = likelihood._event_totals(H1, ds, events, plan, 2)
+        before = [a.tobytes() for a in first]
+        second = likelihood._event_totals(H2, ds, events, plan, 2)
+        assert plan._kept[3] is not None and plan._kept[3][1] is second[2]
+        assert [a.tobytes() for a in first] == before
+        for H, got in ((H1, first), (H2, second)):
+            assert_same_totals(got, likelihood._event_totals(H, ds, events, plan_of(ds), 2))
+
+    # chunks of 50 and 97 events of a 400-row dataset, the last one partial
+    @pytest.mark.parametrize("chunk", [50, 97])
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_chunked_scan_matches_per_event_loop_bitwise(self, monkeypatch, chunk, order):
+        ds = sx.generate(sx.Scenario(n=400, covariance="ar1", seed=2))
+        events, Z = ds.event_rows, ds.covariates
+        monkeypatch.setattr(likelihood, "_CHUNK_BUDGET", chunk * ds.n)
+        H = np.random.default_rng(chunk).normal(0.0, 0.3, (events.shape[0], ds.p))
+        plan = plan_of(ds)
+        G = chunked_predictors(H, Z, chunk)
+        want = risk_set_totals_loop(G, ds.risk_start(events), Z, order)
+        # a second scan of the plan at other rows, then the first rows again
+        for rows in (H, 2.0 * H, H):
+            own, *totals = likelihood._event_totals(rows, ds, events, plan, order)
+        assert events.shape[0] > 2 * 97 and events.shape[0] % chunk
+        assert own.tobytes() == G[np.arange(G.shape[0]), events].tobytes()
+        assert_same_totals(totals, want)
 
 
 class TestKernelCallers:

@@ -244,6 +244,27 @@ class TestEffectKernel:
                 assert all(type(x) is np.ndarray and x.ndim == 0 for x in out[:order + 1])
             assert_matches_refs(theta, 0.5, eta)
 
+    @pytest.mark.parametrize("eta", ETAS)
+    def test_clamp_at_its_edges_and_past_finite_values(self, eta):
+        # u and v are clamped to +-1e8 by maximum then minimum, np.clip's
+        # arithmetic: infinities, NaN, signed zeros, and theta at and one
+        # ulp around 1e8 eta from 0 and from either kink
+        alpha = 0.5
+        edge = np.array([1e8 * eta, alpha + 1e8 * eta, alpha - 1e8 * eta])
+        edge = np.concatenate([edge, -edge])
+        theta = np.concatenate([[np.inf, -np.inf, np.nan, 0.0, -0.0], edge,
+                                np.nextafter(edge, np.inf), np.nextafter(edge, -np.inf)])
+        assert_matches_refs(theta, alpha, eta)
+        for value in theta:
+            assert_matches_refs(float(value), alpha, eta)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for u in ((theta - alpha) / eta, (theta + alpha) / eta):
+                got = np.minimum(np.maximum(u, -1e8), 1e8)
+                assert_same_bits(got, np.clip(u, -1e8, 1e8))
+                for x in u:
+                    assert_same_bits(np.minimum(np.maximum(x, -1e8), 1e8),
+                                     np.clip(x, -1e8, 1e8))
+
     def test_exact_operator_at_eta_zero(self):
         theta = np.array([-3.0, -1.0, -0.0, 0.0, 0.5, 1.0, 4.0])
         h, h1, h2 = _effect(theta, 1.0, 0.0, order=0)
