@@ -18,9 +18,9 @@ read-only and equals geometry built afresh, for chunks of every event, of
 50 and of 97 events.  The moments are written into the plan's rows, so
 the totals a scan returns must share no memory with them and must
 survive the plan's next scan, and order-1 and order-2 scans in chunks of
-50 and 97 events must equal the per-event loop.  Predictors that overflow or come from NaN effects
-raise NumericError, also where the finite check of the predictors could
-be skipped.
+50 and 97 events must equal the per-event loop.  Predictors that
+overflow or come from NaN effects raise NumericError, also where the
+finite check of the predictors could be skipped.
 """
 
 import math
