@@ -7,12 +7,8 @@ and prints the grouped summary.  Squared-error cells are scaled by 100;
 detection ratios stay on [0, 1].  Rerunning gives identical numbers.
 """
 
-import csv
-import tempfile
-from pathlib import Path
-
 import sttvcox as sx
-from sttvcox.reporting import build_summary, metric_rows
+from sttvcox.reporting import study_summary
 
 
 def main():
@@ -27,14 +23,7 @@ def main():
     if result.failures:
         print(f"{len(result.failures)} replications failed")
 
-    header, rows = metric_rows(result)
-    with tempfile.TemporaryDirectory() as td:
-        path = Path(td) / "metrics.csv"
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            writer.writerows(rows)
-        summary = build_summary([path])
+    summary = study_summary(result)
 
     wanted = {("aise", None), ("ise", 1), ("etpr", 1), ("etnr", 1),
               ("itnr", 1)}

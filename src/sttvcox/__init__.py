@@ -54,6 +54,7 @@ from .reporting import (
     read_curve_table,
     render_csv,
     render_markdown,
+    study_summary,
 )
 from .simulation import (
     COVARIANCES,
@@ -142,6 +143,7 @@ __all__ = [
     "smooth_threshold_d2",
     "soft_threshold",
     "sparse_ci",
+    "study_summary",
     "true_beta",
     "value_and_derivatives",
     "wald_ci",

@@ -38,13 +38,13 @@ from .model_selection import DEFAULT_CANDIDATES, cross_validate, cv_candidates
 from .optimizer import VARIANTS, FitConfig, estimate_curves, fit
 from .reporting import (
     SUMMARY_COLUMNS,
-    build_summary,
     curves_csv_text,
     metric_rows,
     metrics_header,
     read_curve_table,
     render_markdown,
     report_row,
+    study_summary,
 )
 from .simulation import Scenario, replicate, score, validate_study
 
@@ -491,12 +491,11 @@ def cmd_simulate(args, config: dict) -> int:
     result = replicate(
         scenario, configs, reps, level=level, jobs=jobs, keep_curves=dump
     )
-    metrics_path = os.path.join(outdir, "metrics.csv")
     header, rows = metric_rows(result)
-    _atomic_write(metrics_path, _table_text(header, rows))
+    _atomic_write(os.path.join(outdir, "metrics.csv"), _table_text(header, rows))
 
     # a study in which every replication failed keeps only its failure record
-    summary = build_summary([metrics_path]) if rows else None
+    summary = study_summary(result) if rows else None
     cells = [dict(zip(SUMMARY_COLUMNS, row)) for row in summary.rows] if summary else []
     _write_json(
         os.path.join(outdir, "summary.json"),

@@ -135,10 +135,10 @@ def cross_validate(
     assignment = assign_folds(ds.n, folds, ds.event, seed)
 
     per_fold = np.full((len(cand), folds), np.nan)
-    failed = []
+    failed = {}   # candidate K -> the error that excluded it
 
     def exclude(ci: int, exc: SttvError) -> None:
-        failed.append(cand[ci])
+        failed[cand[ci]] = exc
         per_fold[ci, :] = np.nan
         logger.warning("candidate K=%d failed and is excluded: %s", cand[ci], exc)
 
@@ -169,7 +169,9 @@ def cross_validate(
     cv_error = per_fold.mean(axis=1)
     usable = [i for i, K in enumerate(cand) if K not in failed]
     if not usable:
-        raise ConvergenceError("every candidate K failed during cross-validation")
+        causes = "; ".join(f"K={K}: {type(exc).__name__}: {exc}"
+                           for K, exc in sorted(failed.items()))
+        raise ConvergenceError(f"every candidate K failed during cross-validation: {causes}")
     best = min(usable, key=lambda i: (cv_error[i], cand[i]))
     return CvResult(
         candidates=cand,

@@ -1,8 +1,10 @@
 """Aggregation of replication artifacts into summary tables.
 
 Raw input is the per-rep metrics CSV written by the simulate command (one
-row per replication per model variant).  Output is a StudySummary with
-grouped mean/sd cells and renderings as Markdown or CSV.  Per-rep curve
+row per replication per model variant), or a ``StudyResult`` in memory.
+Output is a StudySummary with grouped mean/sd cells and renderings as
+Markdown or CSV.  The means and sds of both inputs come from one
+reduction, ``simulation.rep_moments``.  Per-rep curve
 CSVs carrying confidence-interval columns give a pointwise coverage
 profile (``coverage_profile``).
 
@@ -37,10 +39,9 @@ import numpy as np
 from .dataset import _read_table, _table_text
 from .errors import ValidationError
 from .inference import CurveEstimate
-from .simulation import Scenario, StudyResult
+from .simulation import _PER_COEFFICIENT, Scenario, StudyResult, coverage_rate, rep_moments
 
 _BASE_COLUMNS = ("covariance", "n", "variant", "rep")
-_PER_COEFFICIENT = ("ise", "etpr", "etnr", "itpr", "itnr")
 _SCALED = ("aise", "ise")
 
 # one grouped summary cell: the fields of StudySummary.rows, the columns of
@@ -68,10 +69,8 @@ def metrics_header(p: int) -> tuple:
 
 def report_row(report, covariance: str, n: int, variant: str, rep: int) -> tuple:
     """One metrics CSV data row for a single scored replication."""
-    cells = [covariance, str(int(n)), variant, str(int(rep)), repr(float(report.aise))]
-    for name in _PER_COEFFICIENT:
-        cells.extend(repr(float(v)) for v in getattr(report, name))
-    return tuple(cells)
+    values = (repr(float(v)) for v in report.values())
+    return (covariance, str(int(n)), variant, str(int(rep)), *values)
 
 
 def metric_rows(result: StudyResult) -> tuple:
@@ -85,9 +84,43 @@ def metric_rows(result: StudyResult) -> tuple:
     return metrics_header(sc.p), rows
 
 
-def _read_metrics(paths) -> tuple:
-    """Parsed rows from one or more metrics CSVs sharing one schema."""
-    paths = [str(p) for p in paths]
+@dataclass(frozen=True)
+class StudySummary:
+    """Grouped cells: one row per (covariance, n, variant, metric, coefficient)."""
+
+    rows: tuple            # SUMMARY_COLUMNS; coefficient None for aise
+    p: int
+    n_raw_rows: int
+    footnotes: tuple
+
+
+def _summary(moments: dict, p: int) -> StudySummary:
+    """Cells of {(covariance, n, variant): (reps, means, sds)}, ``rep_moments`` columns."""
+    names = metrics_header(p)[len(_BASE_COLUMNS):]
+    rows = []
+    for key in sorted(moments):
+        count, means, sds = moments[key]
+        for col, mean, sd in zip(names, means.tolist(), sds.tolist()):
+            base, _, suffix = col.partition("_")
+            if base in _SCALED:
+                mean, sd = 100.0 * mean, 100.0 * sd
+            rows.append((*key, base, int(suffix) if suffix else None, mean, sd, count))
+    counts = [count for count, _, _ in moments.values()]
+    footnotes = ["ISE and AISE cells are scaled by 100."]
+    if 1 in counts:
+        footnotes.append("sd is reported as 0 for groups with a single replication.")
+    return StudySummary(tuple(rows), p, sum(counts), tuple(footnotes))
+
+
+def build_summary(metrics_paths) -> StudySummary:
+    """Aggregate per-rep metrics CSVs sharing one schema into grouped mean/sd cells.
+
+    Squared-error cells come out multiplied by 100.  Duplicate (group, rep)
+    rows are rejected so every cell is traceable to distinct replications.
+    Floats written by ``metric_rows`` parse back to the same doubles, so the
+    cells of a study's metrics CSV are those of ``study_summary``.
+    """
+    paths = [str(p) for p in metrics_paths]
     if not paths:
         raise ValidationError("no metrics files given")
     header = None
@@ -106,71 +139,31 @@ def _read_metrics(paths) -> tuple:
     p = 1
     while f"ise_{p + 1}" in header:
         p += 1
-    return records, p
-
-
-@dataclass(frozen=True)
-class StudySummary:
-    """Grouped cells: one row per (covariance, n, variant, metric, coefficient)."""
-
-    rows: tuple            # SUMMARY_COLUMNS; coefficient None for aise
-    p: int
-    n_raw_rows: int
-    footnotes: tuple
-
-
-def build_summary(metrics_paths) -> StudySummary:
-    """Aggregate per-rep metrics CSVs into grouped mean/sd cells.
-
-    Squared-error cells come out multiplied by 100.  Duplicate (group, rep)
-    rows are rejected so every cell is traceable to distinct replications.
-    """
-    records, p = _read_metrics(metrics_paths)
-
-    value_cols = ["aise"] + [
-        f"{name}_{j + 1}" for name in _PER_COEFFICIENT for j in range(p)
-    ]
+    value_cols = metrics_header(p)[len(_BASE_COLUMNS):]
     groups: dict = {}
     for rec in records:
         try:
             key = (rec["covariance"], int(rec["n"]), rec["variant"])
             rep = int(rec["rep"])
-            values = {c: float(rec[c]) for c in value_cols}
+            values = [float(rec[c]) for c in value_cols]
         except (KeyError, ValueError) as exc:
             raise ValidationError(f"bad metrics row {rec}: {exc}") from exc
         bucket = groups.setdefault(key, {})
         if rep in bucket:
             raise ValidationError(f"duplicate rep {rep} for group {key}")
         bucket[rep] = values
+    return _summary({key: (len(b), *rep_moments(b)) for key, b in groups.items()}, p)
 
-    rows = []
-    single_rep = False
-    for key in sorted(groups):
-        bucket = groups[key]
-        reps = sorted(bucket)
-        count = len(reps)
-        if count == 1:
-            single_rep = True
-        for col in value_cols:
-            vals = np.array([bucket[r][col] for r in reps], dtype=float)
-            mean = float(vals.mean())
-            sd = float(vals.std(ddof=1)) if count > 1 else 0.0
-            base, _, suffix = col.partition("_")
-            coef = int(suffix) if suffix else None
-            if base in _SCALED:
-                mean, sd = 100.0 * mean, 100.0 * sd
-            rows.append((*key, base, coef, mean, sd, count))
 
-    footnotes = ["ISE and AISE cells are scaled by 100."]
-    if single_rep:
-        footnotes.append("sd is reported as 0 for groups with a single replication.")
-
-    return StudySummary(
-        rows=tuple(rows),
-        p=p,
-        n_raw_rows=len(records),
-        footnotes=tuple(footnotes),
-    )
+def study_summary(result: StudyResult) -> StudySummary:
+    """The cells ``build_summary`` gives for a study's metrics CSV, read off its aggregates."""
+    sc = result.scenario
+    moments = {}
+    for variant, agg in result.aggregates.items():
+        if agg:   # aise, then the per-coefficient metrics: rep_moments' column order
+            means, sds = (np.hstack(part) for part in zip(*agg.values()))
+            moments[(sc.covariance, sc.n, variant)] = (len(result.reports[variant]), means, sds)
+    return _summary(moments, sc.p)
 
 
 def curves_csv_text(curves: CurveEstimate, scales=None) -> str:
@@ -262,9 +255,7 @@ def coverage_profile(curve_paths, scenario: Scenario) -> dict:
     tables = [read_curve_table(p) for p in curve_paths]
     first = tables[0]
     for path, table in zip(curve_paths[1:], tables[1:]):
-        if table.grid.shape != first.grid.shape or not np.array_equal(
-            table.grid, first.grid
-        ):
+        if not np.array_equal(table.grid, first.grid):
             raise ValidationError(f"{path}: grid differs across curve files")
         if table.covariate_names != first.covariate_names:
             raise ValidationError(f"{path}: covariate set differs across curve files")
@@ -274,14 +265,12 @@ def coverage_profile(curve_paths, scenario: Scenario) -> dict:
             f"curve files carry {p} covariates, scenario defines {scenario.p}"
         )
     truth = scenario.true_curves(first.grid)
-    stack = np.array(
-        [(t.ci_lower <= truth) & (truth <= t.ci_upper) for t in tables],
-        dtype=float,
-    )
     return {
         "names": first.covariate_names,
         "grid": first.grid,
-        "coverage": stack.mean(axis=0),
+        "coverage": coverage_rate(
+            [(t.ci_lower <= truth) & (truth <= t.ci_upper) for t in tables]
+        ),
         "n_reps": len(tables),
     }
 

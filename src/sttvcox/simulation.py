@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -84,20 +85,8 @@ def true_beta(j: int, t):
     return float(out[0]) if scalar else out
 
 
-def _beta1(t):
-    return true_beta(1, t)
-
-
-def _beta2(t):
-    return true_beta(2, t)
-
-
-def _beta3(t):
-    return true_beta(3, t)
-
-
-# module-level functions, not lambdas, so scenarios pickle for jobs > 1
-DEFAULT_BETA_FUNCTIONS = (_beta1, _beta2, _beta3)
+# partials of a module-level function, not lambdas, so scenarios pickle for jobs > 1
+DEFAULT_BETA_FUNCTIONS = tuple(partial(true_beta, j) for j in (1, 2, 3))
 
 
 @dataclass(frozen=True)
@@ -236,6 +225,10 @@ def generate(sc: Scenario) -> SurvivalDataset:
     return make_dataset(time, event, Z, tau=sc.admin_censor, covariate_names=names)
 
 
+# the per-coefficient fields of a MetricReport, in metrics-table column order
+_PER_COEFFICIENT = ("ise", "etpr", "etnr", "itpr", "itnr")
+
+
 @dataclass(frozen=True)
 class MetricReport:
     """Scores of one fitted curve set against the generating truth."""
@@ -248,6 +241,29 @@ class MetricReport:
     itnr: np.ndarray
     coverage: np.ndarray   # (p, grid size) indicator of truth inside the interval
     grid: np.ndarray
+
+    def values(self) -> list:
+        """The metrics in metrics-table column order: aise, then p values per metric."""
+        return [self.aise, *(v for name in _PER_COEFFICIENT for v in getattr(self, name))]
+
+
+def rep_moments(by_rep: dict) -> tuple:
+    """(means, sds) of each metric column over one group's replications.
+
+    ``by_rep`` maps rep index to that rep's ``MetricReport.values()``.  Each
+    column of the reps, in index order, is reduced as one 1-D array by
+    ``mean()`` and ``std(ddof=1)`` (sd 0 for one rep).  ``aggregates`` and
+    every summary cell come from this reduction alone.
+    """
+    columns = np.array([by_rep[r] for r in sorted(by_rep)], dtype=float).T.copy()
+    means = np.array([col.mean() for col in columns])
+    sds = np.array([col.std(ddof=1) if col.size > 1 else 0.0 for col in columns])
+    return means, sds
+
+
+def coverage_rate(covered) -> np.ndarray:
+    """Share of replications covering the truth: stacked (p, grid) indicators' mean(axis=0)."""
+    return np.array(covered, dtype=float).mean(axis=0)
 
 
 def score(curves, sc: Scenario) -> MetricReport:
@@ -309,7 +325,7 @@ class StudyResult:
     variants: tuple
     reports: dict          # variant -> {rep index -> MetricReport}
     chosen_K: dict         # variant -> {rep index -> K}
-    aggregates: dict       # variant -> {metric name -> (mean, sd)} arrays
+    aggregates: dict       # variant -> {metric name -> (mean, sd)}, from rep_moments
     coverage_mean: dict    # variant -> (p, grid) mean coverage
     failures: tuple        # (rep, variant, message)
     grid: np.ndarray
@@ -345,13 +361,6 @@ def _run_one_rep(args):
         except SttvError as exc:
             errors.append((rep, cfg.variant, str(exc)))
     return rep, out, errors
-
-
-def _aggregate(values: list) -> tuple:
-    arr = np.asarray(values, dtype=float)
-    mean = arr.mean(axis=0)
-    sd = arr.std(axis=0, ddof=1) if arr.shape[0] > 1 else np.zeros_like(mean)
-    return mean, sd
 
 
 def validate_study(
@@ -442,20 +451,17 @@ def replicate(
             if keep_curves:
                 curve_store[variant][rep] = curves
 
-    aggregates = {}
-    coverage_mean = {}
-    for variant in variants:
-        reps_here = [reports[variant][r] for r in sorted(reports[variant])]
-        if not reps_here:
-            aggregates[variant] = {}
-            coverage_mean[variant] = None
+    aggregates = {v: {} for v in variants}
+    coverage_mean = dict.fromkeys(variants)
+    for variant, by_rep in reports.items():
+        if not by_rep:
             continue
-        agg = {}
-        agg["aise"] = _aggregate([rep.aise for rep in reps_here])
-        for name in ("ise", "etpr", "etnr", "itpr", "itnr"):
-            agg[name] = _aggregate([getattr(rep, name) for rep in reps_here])
-        aggregates[variant] = agg
-        coverage_mean[variant] = np.mean([rep.coverage for rep in reps_here], axis=0)
+        means, sds = rep_moments({r: rep.values() for r, rep in by_rep.items()})
+        aggregates[variant]["aise"] = (float(means[0]), float(sds[0]))
+        for i, name in enumerate(_PER_COEFFICIENT):
+            cols = slice(1 + i * scenario.p, 1 + (i + 1) * scenario.p)
+            aggregates[variant][name] = (means[cols], sds[cols])
+        coverage_mean[variant] = coverage_rate([by_rep[r].coverage for r in sorted(by_rep)])
 
     if failures:
         logger.warning("%d replication failures recorded", len(failures))

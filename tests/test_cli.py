@@ -341,6 +341,17 @@ class TestFit:
         assert caplog.text.count("failed and is excluded: singular information matrix") == 2
         assert "every candidate K failed" in capsys.readouterr().err
 
+    def test_cv_all_failed_error_names_the_causes(self, tmp_path, capsys):
+        # the last stderr line carries each excluded candidate's error, in K order
+        data = tmp_path / "dependent.csv"
+        sx.save_csv(dependent_pairs(), data)
+        assert run("cv", "--input", data, "--output", tmp_path / "out",
+                   "--candidates", "3,2", "--folds", 2) == 4
+        last = capsys.readouterr().err.strip().splitlines()[-1]
+        prefix = "error [ConvergenceError] every candidate K failed during cross-validation: "
+        assert last.startswith(prefix + "K=2: NumericError: singular information matrix")
+        assert "; K=3: NumericError: singular information matrix" in last
+
     @pytest.mark.parametrize("bad", [{"K": "abc"}, {"rho": [1, 2]}, {"K": 1e400}],
                              ids=["K_text", "rho_list", "K_inf"])
     def test_non_numeric_setting_rejected_before_output(self, data20, tmp_path, bad):

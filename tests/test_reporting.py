@@ -1,6 +1,7 @@
 """Aggregation of replication output into summary tables."""
 
 import csv
+import struct
 
 import numpy as np
 import pytest
@@ -16,11 +17,21 @@ from sttvcox.reporting import (
     read_curve_table,
     render_csv,
     render_markdown,
+    study_summary,
 )
+from sttvcox.dataset import _table_text
 
 
 def step_two(t):
     return 2.0 * (np.asarray(t, dtype=float) < 1.5)
+
+
+def half_everywhere(t):
+    return np.full(np.shape(t), 0.5)
+
+
+def bits(x):
+    return struct.pack("<d", x)
 
 
 def write_table(path, header, rows):
@@ -165,6 +176,59 @@ class TestBuildSummary:
             assert reps == len(vals)
             assert mean == pytest.approx(scale * vals.mean(), abs=1e-12)
             assert sd == pytest.approx(scale * vals.std(ddof=1), abs=1e-12)
+
+
+class TestStudySummary:
+    """The summary of a study in memory against the one of its metrics CSV.
+
+    The second effect is nonzero everywhere, so its etnr and itnr cells are
+    NaN in every replication.  At twelve reps numpy's 1-D mean sums in
+    another order than a mean over axis 0 of a (reps, p) array, so a second
+    reduction would show in the bits.
+    """
+
+    @pytest.fixture(scope="class")
+    def study(self):
+        sc = sx.Scenario(n=200, covariance="ar1", seed=4,
+                         beta_functions=(step_two, half_everywhere))
+        cfgs = [sx.FitConfig(K=2, variant=v, seed=4) for v in ("sttv", "regtv")]
+        return sx.replicate(sc, cfgs, reps=12, keep_curves=True)
+
+    @pytest.fixture(scope="class")
+    def csv_summary(self, study, tmp_path_factory):
+        path = tmp_path_factory.mktemp("study") / "metrics.csv"
+        path.write_text(_table_text(*metric_rows(study)))
+        return build_summary([path])
+
+    def test_in_memory_summary_equals_csv_summary_in_bits(self, study, csv_summary):
+        assert not study.failures
+        mine, theirs = study_summary(study), csv_summary
+        assert (mine.p, mine.n_raw_rows, mine.footnotes) == (
+            theirs.p, theirs.n_raw_rows, theirs.footnotes)
+        assert len(mine.rows) == len(theirs.rows) == 2 * (1 + 5 * 2)
+        for a, b in zip(mine.rows, theirs.rows):
+            assert a[:5] == b[:5] and a[7] == b[7] == 12
+            assert (bits(a[5]), bits(a[6])) == (bits(b[5]), bits(b[6])), a[:5]
+        nan_cells = {row[2:5] for row in mine.rows if np.isnan(row[5])}
+        assert nan_cells == {(v, m, 2) for v in ("sttv", "regtv") for m in ("etnr", "itnr")}
+
+    def test_aggregates_equal_the_unscaled_csv_cells(self, study, csv_summary):
+        for _, _, variant, metric, coef, mean, sd, _ in csv_summary.rows:
+            agg_mean, agg_sd = study.aggregates[variant][metric]
+            if coef is not None:
+                agg_mean, agg_sd = agg_mean[coef - 1], agg_sd[coef - 1]
+            scale = 100.0 if metric in ("aise", "ise") else 1.0
+            assert bits(scale * float(agg_mean)) == bits(mean), (variant, metric, coef)
+            assert bits(scale * float(agg_sd)) == bits(sd), (variant, metric, coef)
+
+    def test_profile_of_dumped_curves_equals_coverage_mean(self, study, tmp_path):
+        for variant in study.variants:
+            paths = []
+            for rep, curves in sorted(study.curves[variant].items()):
+                paths.append(tmp_path / f"curves_rep{rep:04d}_{variant}.csv")
+                paths[-1].write_text(curves_csv_text(curves))
+            prof = coverage_profile(paths, study.scenario)
+            np.testing.assert_array_equal(prof["coverage"], study.coverage_mean[variant])
 
 
 class TestCoverageProfile:

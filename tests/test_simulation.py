@@ -337,7 +337,7 @@ class TestReplicate:
 
     def test_constant_rows_aggregate_to_constant(self):
         x = np.array([0.25, 1.5, 3.0])
-        mean, sd = sim._aggregate([x, x, x])
+        mean, sd = sim.rep_moments({0: x, 1: x, 2: x})
         np.testing.assert_array_equal(mean, x)
         np.testing.assert_array_equal(sd, 0.0)
 
