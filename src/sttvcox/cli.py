@@ -495,13 +495,12 @@ def cmd_simulate(args, config: dict) -> int:
     _atomic_write(os.path.join(outdir, "metrics.csv"), _table_text(header, rows))
 
     # a study in which every replication failed keeps only its failure record
-    summary = study_summary(result) if rows else None
-    cells = [dict(zip(SUMMARY_COLUMNS, row)) for row in summary.rows] if summary else []
+    summary = study_summary(result)
     _write_json(
         os.path.join(outdir, "summary.json"),
         {
-            "cells": cells,
-            "footnotes": summary.footnotes if summary else (),
+            "cells": [dict(zip(SUMMARY_COLUMNS, row)) for row in summary.rows],
+            "footnotes": summary.footnotes if summary.rows else (),
             "failed_reps": [list(f) for f in result.failures],
             "coverage": {
                 "grid": result.grid,
@@ -514,7 +513,7 @@ def cmd_simulate(args, config: dict) -> int:
             "version": __version__,
         },
     )
-    if summary is None:
+    if not summary.rows:
         raise NumericError(f"every replication failed ({len(result.failures)} failures)")
     _atomic_write(os.path.join(outdir, "summary.md"), render_markdown(summary))
 

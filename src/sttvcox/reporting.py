@@ -69,8 +69,9 @@ def metrics_header(p: int) -> tuple:
 
 def report_row(report, covariance: str, n: int, variant: str, rep: int) -> tuple:
     """One metrics CSV data row for a single scored replication."""
-    values = (repr(float(v)) for v in report.values())
-    return (covariance, str(int(n)), variant, str(int(rep)), *values)
+    cells = [covariance, str(int(n)), variant, str(int(rep))]
+    cells.extend(repr(float(v)) for v in report.values())
+    return tuple(cells)
 
 
 def metric_rows(result: StudyResult) -> tuple:
@@ -94,18 +95,19 @@ class StudySummary:
     footnotes: tuple
 
 
-def _summary(moments: dict, p: int) -> StudySummary:
-    """Cells of {(covariance, n, variant): (reps, means, sds)}, ``rep_moments`` columns."""
+def _summary(groups: dict, p: int) -> StudySummary:
+    """Cells of {(covariance, n, variant): {rep: MetricReport.values()}}."""
     names = metrics_header(p)[len(_BASE_COLUMNS):]
     rows = []
-    for key in sorted(moments):
-        count, means, sds = moments[key]
+    for key in sorted(groups):
+        count = len(groups[key])
+        means, sds = rep_moments(groups[key])
         for col, mean, sd in zip(names, means.tolist(), sds.tolist()):
             base, _, suffix = col.partition("_")
             if base in _SCALED:
                 mean, sd = 100.0 * mean, 100.0 * sd
             rows.append((*key, base, int(suffix) if suffix else None, mean, sd, count))
-    counts = [count for count, _, _ in moments.values()]
+    counts = [len(bucket) for bucket in groups.values()]
     footnotes = ["ISE and AISE cells are scaled by 100."]
     if 1 in counts:
         footnotes.append("sd is reported as 0 for groups with a single replication.")
@@ -152,18 +154,16 @@ def build_summary(metrics_paths) -> StudySummary:
         if rep in bucket:
             raise ValidationError(f"duplicate rep {rep} for group {key}")
         bucket[rep] = values
-    return _summary({key: (len(b), *rep_moments(b)) for key, b in groups.items()}, p)
+    return _summary(groups, p)
 
 
 def study_summary(result: StudyResult) -> StudySummary:
-    """The cells ``build_summary`` gives for a study's metrics CSV, read off its aggregates."""
+    """The cells ``build_summary`` gives for a study's metrics CSV, from its reports."""
     sc = result.scenario
-    moments = {}
-    for variant, agg in result.aggregates.items():
-        if agg:   # aise, then the per-coefficient metrics: rep_moments' column order
-            means, sds = (np.hstack(part) for part in zip(*agg.values()))
-            moments[(sc.covariance, sc.n, variant)] = (len(result.reports[variant]), means, sds)
-    return _summary(moments, sc.p)
+    return _summary({
+        (sc.covariance, int(sc.n), variant): {rep: x.values() for rep, x in by_rep.items()}
+        for variant, by_rep in result.reports.items() if by_rep
+    }, sc.p)
 
 
 def curves_csv_text(curves: CurveEstimate, scales=None) -> str:
@@ -255,7 +255,9 @@ def coverage_profile(curve_paths, scenario: Scenario) -> dict:
     tables = [read_curve_table(p) for p in curve_paths]
     first = tables[0]
     for path, table in zip(curve_paths[1:], tables[1:]):
-        if not np.array_equal(table.grid, first.grid):
+        if table.grid.shape != first.grid.shape or not np.array_equal(
+            table.grid, first.grid
+        ):
             raise ValidationError(f"{path}: grid differs across curve files")
         if table.covariate_names != first.covariate_names:
             raise ValidationError(f"{path}: covariate set differs across curve files")

@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, replace
-from functools import partial
 
 import numpy as np
 
@@ -85,8 +84,20 @@ def true_beta(j: int, t):
     return float(out[0]) if scalar else out
 
 
-# partials of a module-level function, not lambdas, so scenarios pickle for jobs > 1
-DEFAULT_BETA_FUNCTIONS = tuple(partial(true_beta, j) for j in (1, 2, 3))
+def _beta1(t):
+    return true_beta(1, t)
+
+
+def _beta2(t):
+    return true_beta(2, t)
+
+
+def _beta3(t):
+    return true_beta(3, t)
+
+
+# module-level functions, not lambdas, so scenarios pickle for jobs > 1
+DEFAULT_BETA_FUNCTIONS = (_beta1, _beta2, _beta3)
 
 
 @dataclass(frozen=True)

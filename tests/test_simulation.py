@@ -1,5 +1,6 @@
 """Data generation for the benchmark scenarios and metric scoring."""
 
+import pickle
 import tracemalloc
 from dataclasses import replace
 
@@ -364,6 +365,15 @@ class TestReplicate:
         for r in range(2):
             assert serial.reports["sttv"][r].aise == \
                 parallel.reports["sttv"][r].aise
+
+    def test_default_scenario_pickles_with_true_beta_wrapped(self, monkeypatch):
+        # pool tasks pickle the scenario; a tracer may wrap true_beta meanwhile
+        unwrapped = sim.true_beta
+        monkeypatch.setattr(sim, "true_beta", lambda j, t: unwrapped(j, t))
+        sc = sx.Scenario(n=60, covariance="ind", seed=17)
+        grid = sim.metric_grid(sc)
+        back = pickle.loads(pickle.dumps(sc))
+        np.testing.assert_array_equal(back.true_curves(grid), sc.true_curves(grid))
 
     def test_rep_seeds_distinct(self):
         seeds = [sx.rep_seed(0, r) for r in range(20)]
