@@ -10,8 +10,9 @@ Every run must report ``correct: true`` and no failed op; otherwise the
 script stops with exit status 1 and writes nothing.
 
 ``BENCH_<tag>.json`` (in the change checkout unless ``--output`` names a
-directory) holds, per workload and end-to-end metric of BENCHMARK.json,
-every run's value, both medians, the parent's interquartile range and in
+directory, which is created before the first pair if it does not exist)
+holds, per workload and end-to-end metric of BENCHMARK.json, every run's
+value, both medians, the parent's interquartile range and in
 how many pairs the change was better, with the commit and a SHA-256 of the
 ``src/`` files of each checkout, the core count and the numpy version.
 """
@@ -95,6 +96,14 @@ def main(argv=None) -> int:
     parser.add_argument("--output", help="directory of BENCH_<tag>.json")
     args = parser.parse_args(argv)
     roots = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
+    # a directory that cannot be written fails here, not after the last pair
+    outdir = args.output or roots["change"]
+    try:
+        os.makedirs(outdir, exist_ok=True)
+    except OSError as exc:
+        parser.error(f"--output {outdir}: {exc.strerror}")
+    if not os.access(outdir, os.W_OK):
+        parser.error(f"--output {outdir}: not writable")
 
     with open(os.path.join(roots["change"], "BENCHMARK.json")) as fh:
         metrics = {m["name"]: m for m in json.load(fh)["end_to_end"]}
@@ -137,7 +146,7 @@ def main(argv=None) -> int:
                 "python": platform.python_version(), "machine": platform.machine()},
         "workloads": workloads,
     }
-    path = os.path.join(args.output or roots["change"], f"BENCH_{args.tag}.json")
+    path = os.path.join(outdir, f"BENCH_{args.tag}.json")
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")

@@ -9,6 +9,10 @@ Each fit scans through one risk-set plan of its dataset,
 ``likelihood._RiskSets``, so the per-event views of the scan are made
 once per fit, and the derivative scan at an accepted line-search trial
 reuses what the plan kept of that trial's scan, by the plan's rule.
+Every event sees the same predictors Z beta, so a scan hands the plan
+that one row: events whose risk sets share a maximum share one
+exponential and one weighted copy of the covariates, and the floats are
+those of a scan over one predictor row per event.
 """
 
 from __future__ import annotations
@@ -56,13 +60,15 @@ def _loglik_parts(ds: SurvivalDataset, plan: likelihood._RiskSets, beta: np.ndar
     Risk sets are suffixes of the time-sorted rows, visited per event with
     a local max subtraction, so the value is stable for any bounded beta.
     ``plan`` is the risk-set plan of ds, and the scan runs through its
-    entry under beta's bytes (see ``likelihood._RiskSets``).
+    entry under beta's bytes (see ``likelihood._RiskSets``).  Every event
+    sees the same predictors eta = Z beta, so the scan gets that one row,
+    and events with one risk-set maximum share their weights (see
+    ``likelihood._shared_weights``).
     """
     Z = ds.covariates
     events = ds.event_rows
     eta = Z @ beta
-    G = np.broadcast_to(eta, (events.shape[0], ds.n))
-    own, logS0, Ebar, V = plan.scan(beta.tobytes(), order, [(eta[events], G, slice(None))])
+    own, logS0, Ebar, V = plan.scan(beta.tobytes(), order, [(eta[events], eta, slice(None))])
     # event terms are added one after another, not in the pairwise order of
     # np.sum: the sttv thresholds scale the warm start, and a one-ulp change
     # of a threshold can move a fitted curve by 0.1

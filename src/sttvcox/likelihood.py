@@ -125,6 +125,9 @@ class _RiskSets:
     blocks.  A scan under the entry's key uses it in place of predictors
     and weights, with the same floats; a scan under another key drops it
     before forming its own weights, so at most one scan's blocks are held.
+    The entry also records whether its scan's predictors were one row
+    shared by every event (a Cox scan), which the second moments of kept
+    blocks need (see ``_risk_set_totals``).
     Scans of one plan share its (p, n) buffer, its moment rows and its
     entry, so they must not run concurrently.
     """
@@ -138,7 +141,8 @@ class _RiskSets:
         self._views = None
         self.S1 = self.S2 = None   # the moment rows, built with the views
         self._geometry = {}   # (first event, stop event) of a chunk -> its blocks
-        self._kept = None   # (key, own predictors, weight blocks or None, totals or None)
+        # (key, own predictors, weight blocks or None, totals or None, shared row)
+        self._kept = None
 
     def keeps(self) -> bool:
         """Whether an order-0 scan keeps its weight blocks: when its m x n
@@ -149,9 +153,11 @@ class _RiskSets:
         """[own, logS0, Ebar, V] of the predictors whose inputs have bytes ``key``.
 
         ``chunks`` yields (own, G, rows) per chunk of events: the predictors
-        G of the events ``rows`` and each event's own predictor.  It is read
-        only when the kept entry cannot serve.  The totals reach at least
-        the asked order, as in ``_risk_set_totals``.
+        G of the events ``rows`` and each event's own predictor.  G is either
+        (k, n), one row per event, or one (n,) row shared by every event of
+        the chunk, as in a Cox scan (see ``_risk_weights``).  ``chunks`` is
+        read only when the kept entry cannot serve.  The totals reach at
+        least the asked order, as in ``_risk_set_totals``.
         """
         if self._kept is not None and self._kept[0] != key:
             self._kept = None
@@ -159,18 +165,20 @@ class _RiskSets:
             keep = order == 0 and self.keeps()
             parts = []
             for own, G, rows in chunks:
-                blocks = list(_risk_weights(G, self.geometry(rows))) if keep else None
-                parts.append((own, *_risk_set_totals(G, self, order, blocks, rows)))
+                shared = G.ndim == 1
+                blocks = list(_risk_weights(G, self.geometry(rows), self.starts[rows])
+                              ) if keep else None
+                parts.append((own, *_risk_set_totals(G, self, order, blocks, rows, shared)))
             own, *totals = parts[0] if len(parts) == 1 else [
                 None if part[0] is None else np.concatenate(part) for part in zip(*parts)]
             if keep:
-                self._kept = (key, own, blocks, None)
+                self._kept = (key, own, blocks, None, shared)
         else:
-            _, own, blocks, totals = self._kept
+            _, own, blocks, totals, shared = self._kept
             if totals is None:
-                totals = _risk_set_totals(None, self, order, blocks)
+                totals = _risk_set_totals(None, self, order, blocks, shared=shared)
         if order == 2:
-            self._kept = (key, own, None, totals)
+            self._kept = (key, own, None, totals, shared)
         return [own, *totals]
 
     def geometry(self, rows: slice = slice(None)) -> tuple:
@@ -209,10 +217,12 @@ class _RiskSets:
         """Per event e with risk-set start r:
         (r, Z[r:], Z[r:].T, ZT[:, r:], t, t.T, S1[e], S2[e]).
 
-        ZT is a C-contiguous copy of Z.T and t = buf[:, :n - r] a view of
-        one (p, n) buffer, shared by tied events.  S1 (m, p) and S2
-        (m, p, p) are the plan's moment rows, which a scan writes in place
-        of fresh arrays; they are built here, with the views.
+        ZT is a C-contiguous copy of Z.T and t = buf[:, r:] a view of one
+        (p, n) buffer, shared by tied events.  Each t ends at the buffer's
+        end, so the t of a later start is the tail of an earlier one.  S1
+        (m, p) and S2 (m, p, p) are the plan's moment rows, which a scan
+        writes in place of fresh arrays; they are built here, with the
+        views.
         """
         if self._views is None:
             Z = self.Z
@@ -224,7 +234,7 @@ class _RiskSets:
             by_start = {}
             for r in self.start_list:
                 if r not in by_start:
-                    Zr, t = Z[r:], buf[:, :n - r]
+                    Zr, t = Z[r:], buf[:, r:]
                     by_start[r] = (r, Zr, Zr.T, ZT[:, r:], t, t.T)
             self._views = [(*by_start[r], s1, s2)
                            for r, s1, s2 in zip(self.start_list, self.S1, self.S2)]
@@ -346,7 +356,7 @@ def _check_dims(cb: CoefficientBlock, ds: SurvivalDataset, ws: LikelihoodWorkspa
         raise ValidationError("workspace was built from a different dataset")
 
 
-def _risk_weights(G: np.ndarray, geometry: tuple):
+def _risk_weights(G: np.ndarray, geometry: tuple, starts: np.ndarray | None = None):
     """Yields (W, row max, s0) per block of ``geometry`` (``_RiskSets.geometry``).
 
     W is the block's (k, n + 1 - r0) matrix of exp(predictor - row max)
@@ -357,7 +367,13 @@ def _risk_weights(G: np.ndarray, geometry: tuple):
     depends on the risk-set starts alone, so a plan builds it once per
     chunk of events and every scan of the chunk only fills, exponentiates
     and sums.
+
+    A 1-D G is one predictor row shared by every event, whose risk-set
+    starts are ``starts``; ``_shared_weights`` forms its blocks.
     """
+    if G.ndim == 1:
+        yield from _shared_weights(G, geometry, starts)
+        return
     for b0, k, r0, width, pre, mask, idx in geometry:
         W = np.empty((k, width))
         W[:, 1:] = G[b0:b0 + k, r0:]
@@ -368,8 +384,50 @@ def _risk_weights(G: np.ndarray, geometry: tuple):
         yield W, top, np.add.reduceat(W.ravel(), idx)[0::2]
 
 
+def _shared_weights(eta: np.ndarray, geometry: tuple, starts: np.ndarray):
+    """``_risk_weights`` of the one predictor row eta (n,) shared by every
+    event, the blocks' floats unchanged.
+
+    Event e's row max is top_e = max(eta[r_e:]), read from one reverse
+    running maximum (a max is exact in any order), and its weights are
+    exp(eta[r_e:] - top_e).  Events of equal top_e have the same weights on
+    their common suffix, bit for bit, and top_e falls as r_e grows, so each
+    run of equal maxima exponentiates once, in the row of its first event,
+    and the rows of the run's other events copy the tail of that row; a
+    run that goes on into the next block is copied first into that block's
+    first row, so no block refers to an earlier one.  The masked prefix of
+    each row is then zeroed, the exp(-inf) of the per-event path.  The row
+    sums are ``_risk_weights``'.  No array is allocated per run: one per
+    run moved glibc's heap placement and raised the max RSS of six
+    n = 1000 fits from 50 to 53 MB at the same traced peak.
+    """
+    top = np.maximum.accumulate(eta[::-1])[::-1][starts]
+    start_list = starts.tolist()
+    # the end of each run of equal maxima: the next run's first event
+    ends = iter([*(np.flatnonzero(top[1:] != top[:-1]) + 1).tolist(), top.shape[0]])
+    end = 0
+    for b0, k, r0, width, pre, mask, idx in geometry:
+        W = np.empty((k, width))
+        e = b0
+        while e < b0 + k:
+            if e == end:                    # a run's first event, in its own row
+                r1, end = start_list[e], next(ends)
+                E = W[e - b0, 1 + r1 - r0:]
+                np.subtract(eta[r1:], top[e], out=E)
+                np.exp(E, out=E)
+            else:                           # a run from the last block goes on in row 0
+                W[0, 1:] = E[r0 - r1:]
+                r1, E = r0, W[0, 1:]
+            stop = min(end, b0 + k)
+            W[e - b0 + 1:stop - b0, 1 + r1 - r0:] = E
+            e = stop
+        np.copyto(W[:, :pre], 0.0, where=mask)
+        yield W, top[b0:b0 + k], np.add.reduceat(W.ravel(), idx)[0::2]
+
+
 def _risk_set_totals(G: np.ndarray | None, plan: _RiskSets, order: int,
-                     blocks: list | None = None, rows: slice = slice(None)):
+                     blocks: list | None = None, rows: slice = slice(None),
+                     shared: bool = False):
     """Breslow risk-set totals of the plan's events ``rows``, in blocks of
     _BLOCK_EVENTS events.
 
@@ -382,12 +440,15 @@ def _risk_set_totals(G: np.ndarray | None, plan: _RiskSets, order: int,
     exponentiating.  The weight blocks come from ``_risk_weights`` over the
     plan's geometry of ``rows``, built once per plan and event range, or
     are ``blocks`` kept from an earlier scan of the same G, which is then
-    not read.  This is the only per-event loop: it zips the rows of each
-    weight block with the plan's views, one tuple per event that holds the
-    event's output rows too, and an order-1 scan runs a loop of its own
-    that forms only the first moments.  At a few hundred rows an event's
-    cost is the number of numpy calls it makes, so each call passes its
-    output positionally and nothing is allocated per event.
+    not read.  G may also be one (n,) row shared by every event, as in a
+    Cox scan; ``shared`` says that G, or the scan that formed ``blocks``,
+    was such a row.  This is the only per-event loop: it zips the rows of
+    each weight block with the plan's views, one tuple per event that holds
+    the event's output rows too; an order-1 scan runs a loop of its own
+    that forms only the first moments, and an order-2 scan over a shared
+    row one that forms t once per run (below).  At a few hundred rows an
+    event's cost is the number of numpy calls it makes, so each call
+    passes its output positionally and nothing is allocated per event.
 
     Every float equals that of a loop over single events.  A block of k
     events whose first risk-set start is r0 copies G[block, r0:] into a
@@ -412,17 +473,35 @@ def _risk_set_totals(G: np.ndarray | None, plan: _RiskSets, order: int,
     over all events, return fresh arrays, so nothing returned shares
     memory with the plan.  ``Z.T[:, r:] @ t.T`` and a Fortran-ordered Z
     reach other floats and are not used.  An order-0 scan forms no moments.
+
+    Over a shared row, the events of one run of equal maxima (see
+    ``_shared_weights``) have the same weights on their common suffix, so
+    only a run's first event forms t = Z.T[:, r:] * w; each t view ends at
+    the buffer's end, and a later event of the run reads the tail of that
+    t, the same floats it would form.  gemv and gemm stay one call per
+    event on the same operands, so every float is unchanged.
     """
     m, n = plan.starts[rows].shape[0], plan.Z.shape[0]
     mx, s0 = np.empty(m), np.empty(m)
     views = plan.views()[rows] if order >= 1 else None
     matmul, multiply = np.matmul, np.multiply
-    e = 0
-    for W, top, s in _risk_weights(G, plan.geometry(rows)) if blocks is None else blocks:
+    if blocks is None:
+        blocks = _risk_weights(G, plan.geometry(rows), plan.starts[rows])
+    e, last = 0, None
+    for W, top, s in blocks:
         k = W.shape[0]
         mx[e:e + k], s0[e:e + k] = top, s
         off = n - W.shape[1]                # the column before the block's first start
-        if order == 2:
+        if order == 2 and shared:
+            for Wi, mi, (r, Zr, ZrT, ZTr, t, tT, s1, s2) in zip(W, top.tolist(),
+                                                                views[e:e + k]):
+                w = Wi[r - off:]
+                matmul(w, Zr, s1)
+                if mi != last:              # a run's first event; NaN never equals
+                    multiply(ZTr, w, t)
+                    last = mi
+                matmul(ZrT, tT, s2)
+        elif order == 2:
             for Wi, (r, Zr, ZrT, ZTr, t, tT, s1, s2) in zip(W, views[e:e + k]):
                 w = Wi[r - off:]
                 matmul(w, Zr, s1)

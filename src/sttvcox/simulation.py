@@ -105,7 +105,8 @@ class Scenario:
     """Everything that determines one synthetic dataset.
 
     Every field is checked when a scenario is built, by ``replace`` too, so
-    a bad value raises ValidationError there.
+    a bad value raises ValidationError there.  ``n`` and ``seed`` are
+    stored as Python ints, so a whole float such as 60.0 works like 60.
     """
 
     n: int
@@ -123,6 +124,8 @@ class Scenario:
                 f"covariance must be one of {COVARIANCES}, got {self.covariance!r}"
             )
         check_count(self.seed, "seed", least=0)
+        object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "seed", int(self.seed))
         check_positive(self.baseline_hazard, "baseline hazard")
         check_positive(self.censor_upper, "censor_upper")
         check_positive(self.admin_censor, "admin_censor")

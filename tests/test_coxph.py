@@ -145,9 +145,11 @@ class TestKeptWeights:
 
     def test_kept_weights_match_fit_with_nothing_kept(self, dataset_200, monkeypatch):
         ds = dataset_200
-        real = likelihood._risk_weights
+        # the fit hands the kernel its one shared predictor row, whose
+        # weights _shared_weights forms
+        real = likelihood._shared_weights
         formed = []
-        monkeypatch.setattr(likelihood, "_risk_weights",
+        monkeypatch.setattr(likelihood, "_shared_weights",
                             lambda *a: formed.append(1) or real(*a))
         fits, counts = [], []
         # None keeps the default; m n is the last budget that keeps the weights,
@@ -159,7 +161,7 @@ class TestKeptWeights:
             fits.append(sx.fit_coxph(ds))
             counts.append(len(formed))
         iterations = fits[0].iterations
-        assert iterations > 0
+        assert iterations > 0 and counts[0] > 0
         # every derivative scan but the first reuses its trial's weights
         assert counts[0] == counts[1] == counts[2] - iterations == counts[3] - iterations
         for fit in fits[1:]:

@@ -20,7 +20,11 @@ the totals a scan returns must share no memory with them and must
 survive the plan's next scan, and order-1 and order-2 scans in chunks of
 50 and 97 events must equal the per-event loop.  Predictors that
 overflow or come from NaN effects raise NumericError, also where the
-finite check of the predictors could be skipped.
+finite check of the predictors could be skipped.  The warm start's one
+shared predictor row, whose events share weights per run of equal
+maxima, must give the per-event loop's value, gradient and Hessian bit
+for bit, from fresh weights and from weights kept by a value scan, with
+one run, a run per event, heavy ties, one event and a censored tail.
 """
 
 import math
@@ -88,21 +92,24 @@ def tolerance(ds, gamma):
 
 
 def loglik_parts_loop(ds, beta):
-    """Per-event Breslow sums added in event order: the warm-start arithmetic."""
+    """Per-event Breslow sums added in event order from the first event's
+    terms, the Hessian negated at the end: the warm-start arithmetic, down
+    to the sign of a zero."""
     Z = ds.covariates
     eta = Z @ beta
-    value, grad, hess = 0.0, np.zeros(ds.p), np.zeros((ds.p, ds.p))
+    total = None
     for e in ds.event_rows:
         r = ds.risk_start(e)
         seg = eta[r:]
         mx = seg.max()
         w = np.exp(seg - mx)
         s0 = w.sum()
-        value += eta[e] - (mx + np.log(s0))
         ebar = (w @ Z[r:]) / s0
-        grad += Z[e] - ebar
-        hess -= Z[r:].T @ (w[:, None] * Z[r:]) / s0 - np.outer(ebar, ebar)
-    return value, grad, hess
+        terms = (eta[e] - (mx + np.log(s0)), Z[e] - ebar,
+                 Z[r:].T @ (w[:, None] * Z[r:]) / s0 - np.outer(ebar, ebar))
+        total = terms if total is None else [a + b for a, b in zip(total, terms)]
+    value, grad, hess = total
+    return value, grad, -hess
 
 
 # Seeded sizes beyond the Hypothesis cases: n around numpy's 8-wide unrolled
@@ -188,7 +195,7 @@ class TestKernel:
                     assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
     def test_warm_start_loglik_matches_per_event_loop_at_scale(self):
-        # _loglik_parts hands the kernel one broadcast row of predictors
+        # _loglik_parts hands the kernel its one shared row of predictors
         rng = np.random.default_rng(3)
         n = 9000
         time = rng.integers(1, 400, n) * 0.25          # heavy ties
@@ -222,6 +229,95 @@ class TestKernel:
         )
         value = sx.penalized_loglik(cb, ds, ws)
         assert value.hex() == sx.value_and_derivatives(cb, ds, ws)[0].hex()
+
+
+def shared_row_case(kind):
+    """(dataset, beta) for the warm start's shared predictor row eta = Z beta.
+
+    "one_run": eta rises along the time-sorted rows, so every risk set has
+    the last row's maximum and all events form one run of equal maxima;
+    "own_runs": eta falls and event times are distinct, so every event is a
+    run of its own; "ties": 12 distinct times over 300 rows; "one_event";
+    "censored_tail": the longest fifth of the times all censored.  Every
+    case has covariates of magnitude up to 1e3.
+    """
+    rng = np.random.default_rng(len(kind))
+    n = 300
+    time = rng.permutation(n) + 1.0
+    event = rng.random(n) < 0.7
+    Z = 1e3 * rng.uniform(-1.0, 1.0, (n, 3))
+    if kind in ("one_run", "own_runs"):
+        Z[:, 0] = (time if kind == "one_run" else -time) * (1e3 / n)
+        Z[:, 1:] *= 1e-6
+    elif kind == "ties":
+        time = rng.integers(1, 13, n) * 0.5
+    elif kind == "one_event":
+        event[:] = False
+        event[n // 2] = True
+    elif kind == "censored_tail":
+        event[time > 0.8 * n] = False
+    return sx.make_dataset(time, event, Z), np.array([3e-3, -2e-3, 1e-3])
+
+
+def shared_row_runs(ds, beta):
+    """The number of runs of equal risk-set maxima of eta = Z beta."""
+    eta = ds.covariates @ beta
+    top = np.maximum.accumulate(eta[::-1])[::-1][ds.risk_start(ds.event_rows)]
+    return 1 + int((top[1:] != top[:-1]).sum())
+
+
+class TestSharedRow:
+    """The warm start hands the kernel one predictor row shared by every
+    event, which forms one exponential per run of equal maxima."""
+
+    KINDS = ["one_run", "own_runs", "ties", "one_event", "censored_tail"]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_loglik_parts_match_per_event_loop_bitwise(self, kind):
+        ds, beta = shared_row_case(kind)
+        runs = shared_row_runs(ds, beta)
+        assert runs == {"one_run": 1, "own_runs": ds.n_events,
+                        "one_event": 1}.get(kind, runs)
+        assert ds.n_events == 1 if kind == "one_event" else ds.n_events > 2 * 64
+        want = loglik_parts_loop(ds, beta)
+        plan = plan_of(ds)
+        # a fresh plan at each order, then order 2 from the weights the
+        # order-0 scan kept
+        for got in (_loglik_parts(ds, plan_of(ds), beta, 0),
+                    _loglik_parts(ds, plan_of(ds), beta, 2),
+                    _loglik_parts(ds, plan, beta, 0),
+                    _loglik_parts(ds, plan, beta, 2)):
+            assert got[0] == want[0]
+            for g, w in zip(got[1:], want[1:]):
+                assert g is None or g.tobytes() == w.tobytes()
+        assert plan._kept[4] is True
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_shared_row_weights_match_full_mask_bitwise(self, kind):
+        ds, beta = shared_row_case(kind)
+        eta, starts = ds.covariates @ beta, ds.risk_start(ds.event_rows)
+        plan = plan_of(ds)
+        got = list(likelihood._risk_weights(eta, plan.geometry(), starts))
+        want = risk_weights_full_mask_ref(np.broadcast_to(eta, (starts.shape[0], ds.n)),
+                                          starts, likelihood._BLOCK_EVENTS)
+        assert len(got) == len(want)
+        for got_block, want_block in zip(got, want):
+            for a, b in zip(got_block, want_block):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    @bounded
+    @given(case=cases())
+    @example(case=SINGLE_EVENT)
+    def test_order_two_after_kept_order_zero_matches_loop(self, case):
+        ds, gamma, _ = case
+        beta = gamma[:, 0]
+        plan = plan_of(ds)
+        value = _loglik_parts(ds, plan, beta, 0)[0]
+        got = _loglik_parts(ds, plan, beta, 2)
+        want = loglik_parts_loop(ds, beta)
+        assert value == got[0] == want[0]
+        for g, w in zip(got[1:], want[1:]):
+            assert g.tobytes() == w.tobytes()
 
 
 class TestGeometry:

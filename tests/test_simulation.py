@@ -189,6 +189,14 @@ class TestGenerate:
             with pytest.raises(sx.ValidationError):
                 replace(base, **change)
 
+    def test_whole_float_size_and_seed_generate_like_ints(self):
+        sc = sx.Scenario(n=60.0, seed=17.0)
+        assert type(sc.n) is int and type(sc.seed) is int
+        assert type(replace(sx.Scenario(n=10), n=np.int64(60)).n) is int
+        got, want = sx.generate(sc), sx.generate(sx.Scenario(n=60, seed=17))
+        for name in ("time", "event", "covariates"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+
     # generate integrates the hazard only up to the censoring cap; at 19.9995
     # the cap falls in the last cell of the grid, which ends at 20
     @pytest.mark.parametrize("covariance", sim.COVARIANCES)
