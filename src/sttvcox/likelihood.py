@@ -35,6 +35,7 @@ j*q .. (j+1)*q - 1.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,6 +49,8 @@ from .threshold import _effect
 _CHUNK_BUDGET = 4_000_000
 # events per block of the risk-set kernel, which holds one block x (n + 1) matrix
 _BLOCK_EVENTS = 64
+# the fresh flags of a block of per-event predictor rows: each forms its own moments
+_EVERY_ROW = itertools.repeat(True)
 
 
 @dataclass(frozen=True)
@@ -125,9 +128,9 @@ class _RiskSets:
     blocks.  A scan under the entry's key uses it in place of predictors
     and weights, with the same floats; a scan under another key drops it
     before forming its own weights, so at most one scan's blocks are held.
-    The entry also records whether its scan's predictors were one row
-    shared by every event (a Cox scan), which the second moments of kept
-    blocks need (see ``_risk_set_totals``).
+    Each block carries its rows' flags of which events form their own
+    weighted copy of Z (see ``_risk_weights``), so kept blocks serve the
+    second moments of any scan, Cox or spline, with nothing else recorded.
     Scans of one plan share its (p, n) buffer, its moment rows and its
     entry, so they must not run concurrently.
     """
@@ -141,7 +144,7 @@ class _RiskSets:
         self._views = None
         self.S1 = self.S2 = None   # the moment rows, built with the views
         self._geometry = {}   # (first event, stop event) of a chunk -> its blocks
-        # (key, own predictors, weight blocks or None, totals or None, shared row)
+        # (key, own predictors, weight blocks or None, totals or None)
         self._kept = None
 
     def keeps(self) -> bool:
@@ -165,20 +168,19 @@ class _RiskSets:
             keep = order == 0 and self.keeps()
             parts = []
             for own, G, rows in chunks:
-                shared = G.ndim == 1
                 blocks = list(_risk_weights(G, self.geometry(rows), self.starts[rows])
                               ) if keep else None
-                parts.append((own, *_risk_set_totals(G, self, order, blocks, rows, shared)))
+                parts.append((own, *_risk_set_totals(G, self, order, blocks, rows)))
             own, *totals = parts[0] if len(parts) == 1 else [
                 None if part[0] is None else np.concatenate(part) for part in zip(*parts)]
             if keep:
-                self._kept = (key, own, blocks, None, shared)
+                self._kept = (key, own, blocks, None)
         else:
-            _, own, blocks, totals, shared = self._kept
+            _, own, blocks, totals = self._kept
             if totals is None:
-                totals = _risk_set_totals(None, self, order, blocks, shared=shared)
+                totals = _risk_set_totals(None, self, order, blocks)
         if order == 2:
-            self._kept = (key, own, None, totals, shared)
+            self._kept = (key, own, None, totals)
         return [own, *totals]
 
     def geometry(self, rows: slice = slice(None)) -> tuple:
@@ -357,19 +359,21 @@ def _check_dims(cb: CoefficientBlock, ds: SurvivalDataset, ws: LikelihoodWorkspa
 
 
 def _risk_weights(G: np.ndarray, geometry: tuple, starts: np.ndarray | None = None):
-    """Yields (W, row max, s0) per block of ``geometry`` (``_RiskSets.geometry``).
+    """Yields (W, row max, s0, fresh) per block of ``geometry`` (``_RiskSets.geometry``).
 
     W is the block's (k, n + 1 - r0) matrix of exp(predictor - row max)
     behind one leading zero column, where r0 = n + 1 - W.shape[1] is the
-    block's first risk-set start; s0 holds its risk-set sums.  See
-    ``_risk_set_totals``.  G[block, r0:] is copied whole, and only the
-    columns left of the block's last start are then masked.  The geometry
-    depends on the risk-set starts alone, so a plan builds it once per
-    chunk of events and every scan of the chunk only fills, exponentiates
-    and sums.
+    block's first risk-set start; s0 holds its risk-set sums.  ``fresh``
+    says, row by row, whether the event forms its own weighted copy of the
+    covariates for its second moments or reads an earlier event's (see
+    ``_risk_set_totals``); with one predictor row per event every row is
+    fresh.  G[block, r0:] is copied whole, and only the columns left of the
+    block's last start are then masked.  The geometry depends on the
+    risk-set starts alone, so a plan builds it once per chunk of events and
+    every scan of the chunk only fills, exponentiates and sums.
 
     A 1-D G is one predictor row shared by every event, whose risk-set
-    starts are ``starts``; ``_shared_weights`` forms its blocks.
+    starts are ``starts``; ``_shared_weights`` forms its blocks and flags.
     """
     if G.ndim == 1:
         yield from _shared_weights(G, geometry, starts)
@@ -381,7 +385,7 @@ def _risk_weights(G: np.ndarray, geometry: tuple, starts: np.ndarray | None = No
         top = W.max(axis=1)
         W -= top[:, None]
         np.exp(W, out=W)
-        yield W, top, np.add.reduceat(W.ravel(), idx)[0::2]
+        yield W, top, np.add.reduceat(W.ravel(), idx)[0::2], _EVERY_ROW
 
 
 def _shared_weights(eta: np.ndarray, geometry: tuple, starts: np.ndarray):
@@ -397,14 +401,20 @@ def _shared_weights(eta: np.ndarray, geometry: tuple, starts: np.ndarray):
     run that goes on into the next block is copied first into that block's
     first row, so no block refers to an earlier one.  The masked prefix of
     each row is then zeroed, the exp(-inf) of the per-event path.  The row
-    sums are ``_risk_weights``'.  No array is allocated per run: one per
-    run moved glibc's heap placement and raised the max RSS of six
-    n = 1000 fits from 50 to 53 MB at the same traced peak.
+    sums are ``_risk_weights``'.  Only the first event of each run is
+    fresh: the rest read the tail of its weighted copy of the covariates.
+    The runs and the flags come from one comparison of neighbouring maxima,
+    and the flags of a block are a slice of one per-scan array.  No array
+    is allocated per run: one per run moved glibc's heap placement and
+    raised the max RSS of six n = 1000 fits from 50 to 53 MB at the same
+    traced peak.
     """
     top = np.maximum.accumulate(eta[::-1])[::-1][starts]
     start_list = starts.tolist()
-    # the end of each run of equal maxima: the next run's first event
-    ends = iter([*(np.flatnonzero(top[1:] != top[:-1]) + 1).tolist(), top.shape[0]])
+    # a run's first event, where the maximum changes; NaN never equals
+    fresh = np.r_[True, top[1:] != top[:-1]]
+    # the end of each run: the next run's first event
+    ends = iter([*np.flatnonzero(fresh)[1:].tolist(), top.shape[0]])
     end = 0
     for b0, k, r0, width, pre, mask, idx in geometry:
         W = np.empty((k, width))
@@ -422,12 +432,11 @@ def _shared_weights(eta: np.ndarray, geometry: tuple, starts: np.ndarray):
             W[e - b0 + 1:stop - b0, 1 + r1 - r0:] = E
             e = stop
         np.copyto(W[:, :pre], 0.0, where=mask)
-        yield W, top[b0:b0 + k], np.add.reduceat(W.ravel(), idx)[0::2]
+        yield W, top[b0:b0 + k], np.add.reduceat(W.ravel(), idx)[0::2], fresh[b0:b0 + k]
 
 
 def _risk_set_totals(G: np.ndarray | None, plan: _RiskSets, order: int,
-                     blocks: list | None = None, rows: slice = slice(None),
-                     shared: bool = False):
+                     blocks: list | None = None, rows: slice = slice(None)):
     """Breslow risk-set totals of the plan's events ``rows``, in blocks of
     _BLOCK_EVENTS events.
 
@@ -441,14 +450,12 @@ def _risk_set_totals(G: np.ndarray | None, plan: _RiskSets, order: int,
     plan's geometry of ``rows``, built once per plan and event range, or
     are ``blocks`` kept from an earlier scan of the same G, which is then
     not read.  G may also be one (n,) row shared by every event, as in a
-    Cox scan; ``shared`` says that G, or the scan that formed ``blocks``,
-    was such a row.  This is the only per-event loop: it zips the rows of
-    each weight block with the plan's views, one tuple per event that holds
-    the event's output rows too; an order-1 scan runs a loop of its own
-    that forms only the first moments, and an order-2 scan over a shared
-    row one that forms t once per run (below).  At a few hundred rows an
-    event's cost is the number of numpy calls it makes, so each call
-    passes its output positionally and nothing is allocated per event.
+    Cox scan.  This is the only per-event loop, at orders 1 and 2 alike:
+    it zips the rows of each weight block and their fresh flags with the
+    plan's views, one tuple per event that holds the event's output rows
+    too.  At a few hundred rows an event's cost is the number of numpy
+    calls it makes, so each call passes its output positionally and
+    nothing is allocated per event.
 
     Every float equals that of a loop over single events.  A block of k
     events whose first risk-set start is r0 copies G[block, r0:] into a
@@ -466,20 +473,19 @@ def _risk_set_totals(G: np.ndarray | None, plan: _RiskSets, order: int,
     ``Zr.T @ t.T``, where t = Z.T[:, r:] * w is formed from a C-contiguous
     copy of Z.T into the plan's (p, n) buffer: the same products as the
     loop's ``Zr.T @ (w[:, None] * Zr)`` without its temporaries, and the
-    same gemm result under every OpenBLAS core type tried.  The moments go
-    straight into the plan's rows S1[e] and S2[e].  Each scan writes the
-    buffer and the rows of its events before it reads them, so one scan
-    leaves nothing for the next, and the normalizations, which run once
-    over all events, return fresh arrays, so nothing returned shares
-    memory with the plan.  ``Z.T[:, r:] @ t.T`` and a Fortran-ordered Z
-    reach other floats and are not used.  An order-0 scan forms no moments.
-
-    Over a shared row, the events of one run of equal maxima (see
-    ``_shared_weights``) have the same weights on their common suffix, so
-    only a run's first event forms t = Z.T[:, r:] * w; each t view ends at
-    the buffer's end, and a later event of the run reads the tail of that
-    t, the same floats it would form.  gemv and gemm stay one call per
-    event on the same operands, so every float is unchanged.
+    same gemm result under every OpenBLAS core type tried.  An event that
+    its block does not flag fresh skips forming t: its weights equal an
+    earlier event's on its suffix (a run of equal maxima over a shared
+    row, see ``_shared_weights``), and since each t view ends at the
+    buffer's end it reads the tail of that t, the floats it would form.
+    gemv and gemm stay one call per event.  The moments go straight into
+    the plan's rows S1[e] and S2[e]; an order-1 scan forms the second
+    moments too and returns no V.  Each scan writes the buffer and the
+    rows of its events before it reads them, so one scan leaves nothing
+    for the next, and the normalizations, which run once over all events,
+    return fresh arrays, so nothing returned shares memory with the plan.
+    ``Z.T[:, r:] @ t.T`` and a Fortran-ordered Z reach other floats and are
+    not used.  An order-0 scan forms no moments.
     """
     m, n = plan.starts[rows].shape[0], plan.Z.shape[0]
     mx, s0 = np.empty(m), np.empty(m)
@@ -487,29 +493,18 @@ def _risk_set_totals(G: np.ndarray | None, plan: _RiskSets, order: int,
     matmul, multiply = np.matmul, np.multiply
     if blocks is None:
         blocks = _risk_weights(G, plan.geometry(rows), plan.starts[rows])
-    e, last = 0, None
-    for W, top, s in blocks:
+    e = 0
+    for W, top, s, fresh in blocks:
         k = W.shape[0]
         mx[e:e + k], s0[e:e + k] = top, s
-        off = n - W.shape[1]                # the column before the block's first start
-        if order == 2 and shared:
-            for Wi, mi, (r, Zr, ZrT, ZTr, t, tT, s1, s2) in zip(W, top.tolist(),
-                                                                views[e:e + k]):
+        if order >= 1:
+            off = n - W.shape[1]            # the column before the block's first start
+            for Wi, new, (r, Zr, ZrT, ZTr, t, tT, s1, s2) in zip(W, fresh, views[e:e + k]):
                 w = Wi[r - off:]
                 matmul(w, Zr, s1)
-                if mi != last:              # a run's first event; NaN never equals
+                if new:
                     multiply(ZTr, w, t)
-                    last = mi
                 matmul(ZrT, tT, s2)
-        elif order == 2:
-            for Wi, (r, Zr, ZrT, ZTr, t, tT, s1, s2) in zip(W, views[e:e + k]):
-                w = Wi[r - off:]
-                matmul(w, Zr, s1)
-                multiply(ZTr, w, t)
-                matmul(ZrT, tT, s2)
-        elif order == 1:
-            for Wi, (r, Zr, _, _, _, _, s1, _) in zip(W, views[e:e + k]):
-                matmul(Wi[r - off:], Zr, s1)
         e += k
     logS0 = mx + np.log(s0)
     Ebar = plan.S1[rows] / s0[:, None] if order >= 1 else None

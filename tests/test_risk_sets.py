@@ -9,7 +9,11 @@ per-event loop it replaced, also on seeded cases up to n = 20000, through
 one risk-set plan per case that serves all its scans; a plan scanned again
 with other predictors must equal fresh plans.  The value of an order-0
 scan is checked against the value of the order-2 scan, which the Newton
-line search relies on.  A derivative scan that reuses what the plan kept
+line search relies on; an order-1 scan returns no V and the Ebar of order
+2, and the public gradient equals the derivative scan's.  Per-event
+predictor rows whose risk-set maxima are all equal, told apart from a
+shared row only by the weight blocks' flags, must each form their own
+second moments.  A derivative scan that reuses what the plan kept
 of an order-0 scan at equal effect rows, and a score covariance read from
 the derivative scan's kept totals, are checked against a fresh workspace.
 The weight blocks, formed over a plan's cached block geometry, are
@@ -22,9 +26,11 @@ survive the plan's next scan, and order-1 and order-2 scans in chunks of
 overflow or come from NaN effects raise NumericError, also where the
 finite check of the predictors could be skipped.  The warm start's one
 shared predictor row, whose events share weights per run of equal
-maxima, must give the per-event loop's value, gradient and Hessian bit
-for bit, from fresh weights and from weights kept by a value scan, with
-one run, a run per event, heavy ties, one event and a censored tail.
+maxima and whose kept blocks flag each run's first event as the one that
+forms the run's weighted covariates, must give the per-event loop's
+value, gradient and Hessian bit for bit, from fresh weights and from
+weights kept by a value scan, with one run, a run per event, heavy ties,
+one event and a censored tail.
 """
 
 import math
@@ -155,11 +161,14 @@ def assert_same_totals(got, want):
 
 def assert_totals_match_loop(G, starts, Z):
     """The kernel, given one plan of (Z, starts) for all its scans, equals
-    the per-event loop bit for bit at orders 0, 1 and 2."""
+    the per-event loop bit for bit at orders 0, 1 and 2; order 1 returns no
+    V and the Ebar of order 2."""
     plan = _RiskSets(Z, starts)
+    got = []
     for order in (0, 1, 2):
-        assert_same_totals(_risk_set_totals(G, plan, order),
-                           risk_set_totals_loop(G, starts, Z, order))
+        got.append(_risk_set_totals(G, plan, order))
+        assert_same_totals(got[-1], risk_set_totals_loop(G, starts, Z, order))
+    assert got[1][2] is None and got[1][1].tobytes() == got[2][1].tobytes()
 
 
 class TestKernel:
@@ -190,8 +199,8 @@ class TestKernel:
             got = list(likelihood._risk_weights(g, plan.geometry()))
             want = risk_weights_full_mask_ref(g, r, likelihood._BLOCK_EVENTS)
             assert len(got) == len(want) == -(-m // likelihood._BLOCK_EVENTS)
-            for got_block, want_block in zip(got, want):
-                for a, b in zip(got_block, want_block):
+            for (*got_block, _), want_block in zip(got, want):
+                for a, b in zip(got_block, want_block, strict=True):
                     assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
     def test_warm_start_loglik_matches_per_event_loop_at_scale(self):
@@ -208,6 +217,29 @@ class TestKernel:
         assert got[0] == want[0]
         for g, w in zip(got[1:], want[1:]):
             assert g.tobytes() == w.tobytes()
+
+    def test_per_event_rows_with_equal_maxima_form_their_own_moments(self, monkeypatch):
+        # every row max is 0.0 while the rows differ, so only the weight
+        # blocks' flags, not equal maxima, may decide which events form
+        # their own weighted copy of the covariates
+        ds, ws, cb = equal_maxima_case()
+        events, Z = ds.event_rows, ds.covariates
+        starts = ds.risk_start(events)
+        G = (ws.basis_at_events @ cb.gamma.T) @ Z.T
+        assert ds.n_events > 2 * likelihood._BLOCK_EVENTS
+        assert (G <= 0.0).all() and (G[:, -1] == 0.0).all()
+        assert not (G[1:] == G[:-1]).all(axis=1).any()
+        want = risk_set_totals_loop(G, starts, Z, 2)
+        plan = _RiskSets(Z, starts)
+        blocks = list(likelihood._risk_weights(G, plan.geometry()))
+        assert_same_totals(_risk_set_totals(G, plan, 2), want)
+        assert_same_totals(_risk_set_totals(None, plan, 2, blocks), want)
+        # fits scan the same rows: fresh, and from the blocks a value scan kept
+        want_scan, want_totals = fresh_scan(cb, ds, ws)
+        assert_same_totals(want_totals[:3], want)
+        kept, formed, got, got_totals = scan_and_reuse(cb, ds, ws, monkeypatch)
+        assert (kept, formed) == (1, 0)
+        assert_same_scan(got, got_totals, want_scan, want_totals)
 
     @bounded
     @given(case=cases())
@@ -228,7 +260,12 @@ class TestKernel:
             gamma=gamma, thresholds=alphas if thresholded else None, eta=0.01
         )
         value = sx.penalized_loglik(cb, ds, ws)
-        assert value.hex() == sx.value_and_derivatives(cb, ds, ws)[0].hex()
+        # order 1, from the kept weights and from a new workspace
+        grads = [sx.gradient(cb, ds, ws),
+                 sx.gradient(cb, ds, sx.make_workspace(ds, ws.basis, ws.rho))]
+        value_2, grad_2, _ = sx.value_and_derivatives(cb, ds, ws)
+        assert value.hex() == value_2.hex()
+        assert all(grad.tobytes() == grad_2.tobytes() for grad in grads)
 
 
 def shared_row_case(kind):
@@ -259,11 +296,12 @@ def shared_row_case(kind):
     return sx.make_dataset(time, event, Z), np.array([3e-3, -2e-3, 1e-3])
 
 
-def shared_row_runs(ds, beta):
-    """The number of runs of equal risk-set maxima of eta = Z beta."""
+def shared_row_run_starts(ds, beta):
+    """Per event, whether it starts a run of equal risk-set maxima of
+    eta = Z beta."""
     eta = ds.covariates @ beta
     top = np.maximum.accumulate(eta[::-1])[::-1][ds.risk_start(ds.event_rows)]
-    return 1 + int((top[1:] != top[:-1]).sum())
+    return np.r_[True, top[1:] != top[:-1]]
 
 
 class TestSharedRow:
@@ -275,7 +313,8 @@ class TestSharedRow:
     @pytest.mark.parametrize("kind", KINDS)
     def test_loglik_parts_match_per_event_loop_bitwise(self, kind):
         ds, beta = shared_row_case(kind)
-        runs = shared_row_runs(ds, beta)
+        run_starts = shared_row_run_starts(ds, beta)
+        runs = int(run_starts.sum())
         assert runs == {"one_run": 1, "own_runs": ds.n_events,
                         "one_event": 1}.get(kind, runs)
         assert ds.n_events == 1 if kind == "one_event" else ds.n_events > 2 * 64
@@ -283,14 +322,17 @@ class TestSharedRow:
         plan = plan_of(ds)
         # a fresh plan at each order, then order 2 from the weights the
         # order-0 scan kept
-        for got in (_loglik_parts(ds, plan_of(ds), beta, 0),
-                    _loglik_parts(ds, plan_of(ds), beta, 2),
-                    _loglik_parts(ds, plan, beta, 0),
-                    _loglik_parts(ds, plan, beta, 2)):
+        scans = [_loglik_parts(ds, plan_of(ds), beta, 0),
+                 _loglik_parts(ds, plan_of(ds), beta, 2),
+                 _loglik_parts(ds, plan, beta, 0)]
+        # the kept blocks flag only each run's first event as fresh
+        flags = np.concatenate([fresh for *_, fresh in plan._kept[2]])
+        assert flags.tolist() == run_starts.tolist()
+        scans.append(_loglik_parts(ds, plan, beta, 2))
+        for got in scans:
             assert got[0] == want[0]
             for g, w in zip(got[1:], want[1:]):
                 assert g is None or g.tobytes() == w.tobytes()
-        assert plan._kept[4] is True
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_shared_row_weights_match_full_mask_bitwise(self, kind):
@@ -301,8 +343,8 @@ class TestSharedRow:
         want = risk_weights_full_mask_ref(np.broadcast_to(eta, (starts.shape[0], ds.n)),
                                           starts, likelihood._BLOCK_EVENTS)
         assert len(got) == len(want)
-        for got_block, want_block in zip(got, want):
-            for a, b in zip(got_block, want_block):
+        for (*got_block, _), want_block in zip(got, want):
+            for a, b in zip(got_block, want_block, strict=True):
                 assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
     @bounded
@@ -504,6 +546,27 @@ def censored_head_case(thresholded):
     return ds, ws, cb
 
 
+def equal_maxima_case():
+    """n = 300 with binary covariates, the subject of the longest time all
+    zeros and negative regtv coefficients.
+
+    Every effect is negative, so every predictor is at most 0.0, and each
+    event's risk-set maximum is the 0.0 of that subject, which is in every
+    risk set; the event times are distinct, so the rows of predictors
+    differ.
+    """
+    rng = np.random.default_rng(8)
+    n = 300
+    time = rng.permutation(n) + 1.0
+    event = rng.random(n) < 0.7
+    Z = rng.integers(0, 2, (n, 3)).astype(float)
+    Z[time.argmax()] = 0.0
+    ds = sx.make_dataset(time, event, Z)
+    ws = sx.make_workspace(ds, sx.make_basis(K, D, ds.tau), 0.5)
+    cb = sx.CoefficientBlock(gamma=-rng.uniform(0.1, 2.0, (3, Q)), thresholds=None, eta=0.01)
+    return ds, ws, cb
+
+
 def chunk_count(ds):
     return -(-ds.n_events // max(1, likelihood._CHUNK_BUDGET // ds.n))
 
@@ -589,10 +652,10 @@ class TestReusedWeights:
         refs = []
 
         def watched(*args):
-            for W, top, s0 in real(*args):
+            for W, top, s0, fresh in real(*args):
                 alive.append(sum(ref() is not None for ref in refs))
                 refs.append(weakref.ref(W))
-                yield W, top, s0
+                yield W, top, s0, fresh
 
         monkeypatch.setattr(likelihood, "_risk_weights", watched)
         sx.penalized_loglik(cb, ds, ws)
@@ -608,7 +671,7 @@ class TestReusedWeights:
         """A trial's kept blocks are freed before the next trial forms its own."""
         ds, ws, cb = censored_head_case(True)
         sx.penalized_loglik(cb, ds, ws)
-        refs = [weakref.ref(W) for W, _, _ in kept_blocks(ws)]
+        refs = [weakref.ref(W) for W, _, _, _ in kept_blocks(ws)]
         real = likelihood._risk_weights
         alive = []   # per block of the next trial: last trial's blocks still referenced
 
