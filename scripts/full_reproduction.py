@@ -5,9 +5,11 @@ Runs the complete grid (3 covariance structures x 3 sample sizes x 200
 replications, STTV and RegTV variants) through ``sttvcox.replicate``, one
 call per setting, and writes one metrics CSV per setting plus combined
 summary tables.  With ``--select cv`` every replication chooses K by
-cross-validation on its own data; this takes several hours on a 4-core
-desktop.  Pass ``--select fixed --K 3`` for a much faster fixed-dimension
-run, or trim ``--reps``, ``--sizes``, and ``--covariances`` for smoke
+cross-validation on its own data.  On a 2-core x86_64 machine (``jobs=1``,
+one BLAS thread) one such replication took 11.7 s at n = 500 and 120 s at
+n = 2000, so the 600 replications of each of those sizes take about 2 and
+20 core-hours; n = 5000 was not timed, and costs more.  Pass
+``--select fixed --K 3`` for a much faster fixed-dimension run, or trim ``--reps``, ``--sizes``, and ``--covariances`` for smoke
 tests.  Every setting is checked before anything is written; a bad one
 stops the run with a one-line error and exit code 2.  A run in which every
 replication of every setting failed writes ``failures.csv`` and then stops

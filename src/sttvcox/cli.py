@@ -123,16 +123,18 @@ def _merged(args, config: dict, key: str, default):
 
 
 def _int(value) -> int:
-    """int(value), refusing a float with a fractional part."""
+    """int(value), refusing a bool and a float with a fractional part."""
     out = int(value)
-    if isinstance(value, float) and out != value:
+    if isinstance(value, bool) or isinstance(value, float) and out != value:
         raise ValueError("not a whole number")
     return out
 
 
 def _cast(kind, value, key: str):
-    """kind(value) for one setting; a value it cannot convert is a ValidationError."""
+    """kind(value) for one setting; a bool, also in a list, or a bad value is a ValidationError."""
     try:
+        if any(isinstance(v, bool) for v in (value if isinstance(value, list) else [value])):
+            raise ValueError("a bool is not a number")
         return kind(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"bad {key} setting {value!r}: {exc}") from exc

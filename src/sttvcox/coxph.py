@@ -55,7 +55,8 @@ class CoxFit:
 
 def _loglik_parts(ds: SurvivalDataset, plan: likelihood._RiskSets, beta: np.ndarray,
                   order: int):
-    """Breslow partial log likelihood with gradient and Hessian.
+    """Breslow partial log likelihood with its gradient and Hessian at
+    order 2; order 0 gives the value and two None.
 
     Risk sets are suffixes of the time-sorted rows, visited per event with
     a local max subtraction, so the value is stable for any bounded beta.
@@ -73,9 +74,9 @@ def _loglik_parts(ds: SurvivalDataset, plan: likelihood._RiskSets, beta: np.ndar
     # np.sum: the sttv thresholds scale the warm start, and a one-ulp change
     # of a threshold can move a fitted curve by 0.1
     value = np.add.accumulate(own - logS0)[-1]
-    grad = np.add.accumulate(Z[events] - Ebar)[-1] if order >= 1 else None
-    hess = -np.add.accumulate(V)[-1] if order >= 2 else None
-    return value, grad, hess
+    if not order:
+        return value, None, None
+    return value, np.add.accumulate(Z[events] - Ebar)[-1], -np.add.accumulate(V)[-1]
 
 
 def fit_coxph(ds: SurvivalDataset) -> CoxFit:

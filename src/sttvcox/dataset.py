@@ -29,9 +29,9 @@ class SurvivalDataset:
     censored at ``tau`` itself.  Instances are immutable (arrays are marked
     read-only) and safe for shared concurrent reads.
 
-    Fitting requires at least one event; the container itself does not,
-    because derivative checks against penalty-only objectives need
-    event-free data.
+    Fitting, and the likelihood workspace of a fit, require at least one
+    event; the container itself does not, because a held-out fold of
+    cross-validation or an input CSV may have none.
     """
 
     time: np.ndarray
@@ -176,17 +176,15 @@ def _table_text(header, rows) -> str:
     return "".join(line[:-2] + "\n" for line in lines)
 
 
-def load_csv(path, covariate_cols=None, tau: float | None = None) -> SurvivalDataset:
+def load_csv(path, *, tau: float | None = None) -> SurvivalDataset:
     """Read a survival CSV (see README "Tables") into a dataset.
 
-    ``covariate_cols`` defaults to every column other than ``time`` and
-    ``event``, in header order.  Row numbers in error messages count data
-    rows from 1 (the header is row 0).
+    The covariates are every column other than ``time`` and ``event``, in
+    header order.  Row numbers in error messages count data rows from 1
+    (the header is row 0).
     """
-    names = None if covariate_cols is None else list(covariate_cols)
-    header, rows = _read_table(path, ("time", "event", *(names or ())))
-    if names is None:
-        names = [c for c in header if c not in ("time", "event")]
+    header, rows = _read_table(path, ("time", "event"))
+    names = [c for c in header if c not in ("time", "event")]
     if not names:
         raise SchemaError(f"{path}: no covariate columns")
     if not rows:

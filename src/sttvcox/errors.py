@@ -36,9 +36,9 @@ class SeparationError(ConvergenceError):
 
 
 def check_count(value, name: str, least: int = 1) -> None:
-    """Raise ValidationError unless value is a whole number >= least."""
+    """Raise ValidationError unless value is a whole number >= least (not a bool)."""
     try:
-        whole = int(value) == value
+        whole = int(value) == value and not isinstance(value, bool)
     except (TypeError, ValueError, OverflowError):
         whole = False
     if not whole:
@@ -48,9 +48,9 @@ def check_count(value, name: str, least: int = 1) -> None:
 
 
 def check_positive(value, name: str) -> None:
-    """Raise ValidationError unless value is a positive finite number."""
+    """Raise ValidationError unless value is a positive finite number (not a bool)."""
     try:
-        ok = 0 < value < float("inf")
+        ok = 0 < value < float("inf") and not isinstance(value, bool)
     except (TypeError, ValueError):
         ok = False
     if not ok:

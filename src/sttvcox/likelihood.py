@@ -112,20 +112,21 @@ class _RiskSets:
     scan's kept entry.
 
     ``Z`` holds the (n, p) covariates in storage order and ``starts`` the
-    sorted first storage index of each event's risk set.  The plan keeps
-    their Python ints and max|Z| from the start; the per-event views of the
-    moment products, with the (m, p) and (m, p, p) moment rows ``S1`` and
-    ``S2`` that the scans write them into, are built when an order >= 1
-    scan first asks for them, and the block geometry of a chunk of events
-    (see ``geometry``) when a scan of that chunk first asks for it.  Both
-    depend on Z and ``starts`` alone and are kept for the life of the plan.
+    sorted first storage index of each event's risk set, one at least.  The
+    plan keeps their Python ints and max|Z| from the start; the per-event
+    views of the moment products, with the (m, p) and (m, p, p) moment rows
+    ``S1`` and ``S2`` that the scans write them into, are built when an
+    order-2 scan first asks for them, and the block geometry of a chunk of
+    events (see ``geometry``) when a scan of that chunk first asks for it.
+    Both depend on Z and ``starts`` alone and are kept for the life of the plan.
 
-    ``scan`` keeps one entry for the plan's last scan, under the bytes of
-    that scan's predictor inputs (the per-event effect rows of a spline
-    scan, beta of a Cox scan), so equal values find it whatever object
-    holds them.  An order-0 scan that ``keeps`` stores its own predictors
-    and weight blocks; an order-2 scan stores its totals and drops the
-    blocks.  A scan under the entry's key uses it in place of predictors
+    A scan is of order 0 (the value) or 2 (every derivative too).  ``scan``
+    keeps one entry for the plan's last scan, under the bytes of that
+    scan's predictor inputs (the per-event effect rows of a spline scan,
+    beta of a Cox scan), so equal values find it whatever object holds
+    them.  An order-0 scan that ``keeps`` stores its own predictors and
+    weight blocks; an order-2 scan stores its totals and drops the blocks.
+    A scan under the entry's key uses it in place of predictors
     and weights, with the same floats; a scan under another key drops it
     before forming its own weights, so at most one scan's blocks are held.
     Each block carries its rows' flags of which events form their own
@@ -147,10 +148,14 @@ class _RiskSets:
         # (key, own predictors, weight blocks or None, totals or None)
         self._kept = None
 
+    def chunk(self) -> int:
+        """Events per chunk of a scan: as many (n,) predictor rows as fit in
+        _CHUNK_BUDGET floats, one at least.  The budget is read per scan."""
+        return max(1, _CHUNK_BUDGET // self.Z.shape[0])
+
     def keeps(self) -> bool:
-        """Whether an order-0 scan keeps its weight blocks: when its m x n
-        predictors fit in _CHUNK_BUDGET floats, one chunk."""
-        return len(self.start_list) * self.Z.shape[0] <= _CHUNK_BUDGET
+        """Whether an order-0 scan keeps its weight blocks: when it runs as one chunk."""
+        return len(self.start_list) <= self.chunk()
 
     def scan(self, key: bytes, order: int, chunks):
         """[own, logS0, Ebar, V] of the predictors whose inputs have bytes ``key``.
@@ -233,12 +238,7 @@ class _RiskSets:
             buf = np.empty((p, n))
             self.S1 = np.empty((len(self.start_list), p))
             self.S2 = np.empty((len(self.start_list), p, p))
-            by_start = {}
-            for r in self.start_list:
-                if r not in by_start:
-                    Zr, t = Z[r:], buf[:, r:]
-                    by_start[r] = (r, Zr, Zr.T, ZT[:, r:], t, t.T)
-            self._views = [(*by_start[r], s1, s2)
+            self._views = [(r, Z[r:], Z[r:].T, ZT[:, r:], buf[:, r:], buf[:, r:].T, s1, s2)
                            for r, s1, s2 in zip(self.start_list, self.S1, self.S2)]
         return self._views
 
@@ -259,13 +259,12 @@ class LikelihoodWorkspace:
 
     basis: SplineBasis
     rho: float
-    basis_at_times: np.ndarray   # (n, q), row i = B(T_i) in storage order
     penalty_gram: np.ndarray     # (q, q), sum_i B(T_i) B(T_i)'
     event_rows: np.ndarray       # (m,) storage indices of events
-    basis_at_events: np.ndarray  # (m, q), rows event_rows of basis_at_times
+    basis_at_events: np.ndarray  # (m, q), row e = B(T_e) of event e
     covariates_at_events: np.ndarray  # (m, p), rows event_rows of the covariates
     penalty_kron: np.ndarray     # (p q, p q), kron(I_p, penalty_gram)
-    block_sum_path: list | None  # einsum path of _BLOCK_SUM; None without events
+    block_sum_path: list         # einsum path of _BLOCK_SUM
     band_runs: tuple             # see _band_runs; () off the band path
     band_products: np.ndarray | None  # (m, 1, 1, w, w) basis products; None off the band path
     risk_sets: _RiskSets
@@ -301,9 +300,9 @@ def make_workspace(ds: SurvivalDataset, basis: SplineBasis, rho: float) -> Likel
     contracts all three operands at once, as it does for the p >= 2 shapes
     of the paper and the benchmark, the workspace also keeps the windows
     of nonzero basis columns that ``_block_sum`` sums over and the basis
-    products over each event's window, formed run by run.  A dataset
-    without events gets an empty plan and no path.  All arrays are
-    read-only.
+    products over each event's window, formed run by run.  All arrays are
+    read-only.  A dataset without events raises ValidationError, as every
+    fit does, and a rho whose penalty 2 rho P overflows NumericError.
     """
     rho = float(rho)
     if not np.isfinite(rho) or rho < 0:
@@ -312,28 +311,31 @@ def make_workspace(ds: SurvivalDataset, basis: SplineBasis, rho: float) -> Likel
         raise ValidationError(
             f"dataset horizon {ds.tau} exceeds basis horizon {basis.tau}"
         )
+    events = ds.event_rows
+    m, p = events.shape[0], ds.p
+    if not m:
+        raise ValidationError("the likelihood needs at least one event")
     B = eval_basis_grid(basis, ds.time)
     P = B.T @ B
-    events = ds.event_rows
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not np.isfinite(2.0 * rho * P).all():
+            raise NumericError(f"rho {rho} overflows the penalty Hessian 2 rho P")
     B_ev = B[events]
-    m, p = events.shape[0], ds.p
-    path, runs, products = None, (), None
-    if m:
-        # the path depends on shapes only
-        path = np.einsum_path(_BLOCK_SUM, np.broadcast_to(0.0, (m, p, p)), B_ev, B_ev,
-                              optimize="greedy")[0]
-        if path[1:] == [(0, 1, 2)]:
-            runs = _band_runs(B_ev)
-            w = runs[0][3] - runs[0][2]
-            products = np.empty((m, 1, 1, w, w))
-            for a, b, lo, hi in runs:
-                Bw = B_ev[a:b, lo:hi]
-                np.multiply(Bw[:, None, :], Bw[:, :, None], out=products[a:b, 0, 0])
-            products = _freeze(products)
+    runs, products = (), None
+    # the path depends on shapes only
+    path = np.einsum_path(_BLOCK_SUM, np.broadcast_to(0.0, (m, p, p)), B_ev, B_ev,
+                          optimize="greedy")[0]
+    if path[1:] == [(0, 1, 2)]:
+        runs = _band_runs(B_ev)
+        w = runs[0][3] - runs[0][2]
+        products = np.empty((m, 1, 1, w, w))
+        for a, b, lo, hi in runs:
+            Bw = B_ev[a:b, lo:hi]
+            np.multiply(Bw[:, None, :], Bw[:, :, None], out=products[a:b, 0, 0])
+        products = _freeze(products)
     return LikelihoodWorkspace(
         basis=basis,
         rho=rho,
-        basis_at_times=_freeze(B),
         penalty_gram=_freeze(P),
         event_rows=_freeze(events),
         basis_at_events=_freeze(B_ev),
@@ -443,15 +445,15 @@ def _risk_set_totals(G: np.ndarray | None, plan: _RiskSets, order: int,
     Row e of G holds the linear predictors of all n subjects at the e-th
     of those events, whose risk set is the suffix ``plan.starts[rows][e]:``
     of the time-sorted rows.  Returns logS0 (m,), the log-sum-exp of the
-    risk-set predictors, and for order >= 1 the weighted mean Ebar (m, p)
-    of the plan's covariates Z, for order >= 2 the weighted covariance V
-    (m, p, p).  Each event subtracts its own risk-set maximum before
-    exponentiating.  The weight blocks come from ``_risk_weights`` over the
-    plan's geometry of ``rows``, built once per plan and event range, or
-    are ``blocks`` kept from an earlier scan of the same G, which is then
-    not read.  G may also be one (n,) row shared by every event, as in a
-    Cox scan.  This is the only per-event loop, at orders 1 and 2 alike:
-    it zips the rows of each weight block and their fresh flags with the
+    risk-set predictors, and at order 2 the weighted mean Ebar (m, p) of
+    the plan's covariates Z and their weighted covariance V (m, p, p),
+    which order 0 gives as None.  Each event subtracts its own risk-set
+    maximum before exponentiating.  The weight blocks come from
+    ``_risk_weights`` over the plan's geometry of ``rows``, built once per
+    plan and event range, or are ``blocks`` kept from an earlier scan of
+    the same G, which is then not read.  G may also be one (n,) row shared
+    by every event, as in a Cox scan.  This is the only per-event loop: it
+    zips the rows of each weight block and their fresh flags with the
     plan's views, one tuple per event that holds the event's output rows
     too.  At a few hundred rows an event's cost is the number of numpy
     calls it makes, so each call passes its output positionally and
@@ -479,8 +481,7 @@ def _risk_set_totals(G: np.ndarray | None, plan: _RiskSets, order: int,
     row, see ``_shared_weights``), and since each t view ends at the
     buffer's end it reads the tail of that t, the floats it would form.
     gemv and gemm stay one call per event.  The moments go straight into
-    the plan's rows S1[e] and S2[e]; an order-1 scan forms the second
-    moments too and returns no V.  Each scan writes the buffer and the
+    the plan's rows S1[e] and S2[e].  Each scan writes the buffer and the
     rows of its events before it reads them, so one scan leaves nothing
     for the next, and the normalizations, which run once over all events,
     return fresh arrays, so nothing returned shares memory with the plan.
@@ -489,7 +490,7 @@ def _risk_set_totals(G: np.ndarray | None, plan: _RiskSets, order: int,
     """
     m, n = plan.starts[rows].shape[0], plan.Z.shape[0]
     mx, s0 = np.empty(m), np.empty(m)
-    views = plan.views()[rows] if order >= 1 else None
+    views = plan.views()[rows] if order else None
     matmul, multiply = np.matmul, np.multiply
     if blocks is None:
         blocks = _risk_weights(G, plan.geometry(rows), plan.starts[rows])
@@ -497,7 +498,7 @@ def _risk_set_totals(G: np.ndarray | None, plan: _RiskSets, order: int,
     for W, top, s, fresh in blocks:
         k = W.shape[0]
         mx[e:e + k], s0[e:e + k] = top, s
-        if order >= 1:
+        if order:
             off = n - W.shape[1]            # the column before the block's first start
             for Wi, new, (r, Zr, ZrT, ZTr, t, tT, s1, s2) in zip(W, fresh, views[e:e + k]):
                 w = Wi[r - off:]
@@ -507,10 +508,10 @@ def _risk_set_totals(G: np.ndarray | None, plan: _RiskSets, order: int,
                 matmul(ZrT, tT, s2)
         e += k
     logS0 = mx + np.log(s0)
-    Ebar = plan.S1[rows] / s0[:, None] if order >= 1 else None
-    V = (plan.S2[rows] / s0[:, None, None] - Ebar[:, :, None] * Ebar[:, None, :]
-         if order >= 2 else None)
-    return logS0, Ebar, V
+    if not order:
+        return logS0, None, None
+    Ebar = plan.S1[rows] / s0[:, None]
+    return logS0, Ebar, plan.S2[rows] / s0[:, None, None] - Ebar[:, :, None] * Ebar[:, None, :]
 
 
 def _event_totals(H: np.ndarray, ds: SurvivalDataset, events: np.ndarray,
@@ -519,9 +520,9 @@ def _event_totals(H: np.ndarray, ds: SurvivalDataset, events: np.ndarray,
 
     ``plan`` is the risk-set plan of ds's covariates Z and ``events``, and
     the scan runs through its entry under H's bytes (see ``_RiskSets``).
-    The predictors H @ Z.T are built in chunks of events so the matrix
-    stays within _CHUNK_BUDGET floats.  Returns own_g (m,) and the
-    ``_risk_set_totals`` triple.
+    The predictors H @ Z.T are built in chunks of ``plan.chunk()`` events,
+    so the matrix stays within _CHUNK_BUDGET floats.  Returns own_g (m,)
+    and the ``_risk_set_totals`` triple.
 
     Each predictor is a sum of p products, so when p max|H| max|Z| is below
     1e300 all are finite and the finite check of each chunk is skipped.  A
@@ -529,12 +530,11 @@ def _event_totals(H: np.ndarray, ds: SurvivalDataset, events: np.ndarray,
     non-finite predictor raises NumericError naming input rows.
     """
     Z = plan.Z
-    chunk = max(1, _CHUNK_BUDGET // max(Z.shape[0], 1))
+    chunk = plan.chunk()
     bound = Z.shape[1] * float(np.abs(H).max(initial=0.0)) * plan.z_max
 
     def chunks():
-        # without events one empty chunk still runs and gives the output shapes
-        for s in range(0, max(H.shape[0], 1), chunk):
+        for s in range(0, H.shape[0], chunk):
             rows = slice(s, s + chunk)
             with np.errstate(over="ignore", invalid="ignore"):
                 G = H[rows] @ Z.T                       # (c, n) predictors at event times
@@ -550,15 +550,15 @@ def _event_totals(H: np.ndarray, ds: SurvivalDataset, events: np.ndarray,
 
 
 def _scan(cb: CoefficientBlock, ds: SurvivalDataset, ws: LikelihoodWorkspace, order: int):
-    """One pass over events: per-event risk totals up to the given order.
+    """One pass over events: per-event risk totals of order 0 or 2.
 
-    Returns own_g, logS0 (both (m,)), and for order >= 1 also Ebar (m, p),
-    h1 (m, p); for order >= 2 also V (m, p, p), h2 (m, p).  The totals come
-    from the workspace's risk-set plan, which reuses what its last scan
-    kept at equal effect rows.
+    Returns own_g, logS0 (both (m,)), and at order 2 also Ebar (m, p), h1
+    (m, p), V (m, p, p) and h2 (m, p).  The totals come from the
+    workspace's risk-set plan, which reuses what its last scan kept at
+    equal effect rows.
     """
     _check_dims(cb, ds, ws)
-    if cb.thresholds is not None and order >= 1 and cb.eta == 0.0:
+    if cb.thresholds is not None and order and cb.eta == 0.0:
         raise ValidationError("derivatives need eta > 0 (exact operator is kinked)")
 
     theta = ws.basis_at_events @ cb.gamma.T         # (m, p)
@@ -588,8 +588,6 @@ def _block_sum(M: np.ndarray, ws: LikelihoodWorkspace) -> np.ndarray:
     floats the band sum cannot reproduce, and run through ``np.einsum``.
     """
     pq = ws.penalty_kron.shape[0]
-    if ws.block_sum_path is None:
-        return np.zeros((pq, pq))
     B_ev = ws.basis_at_events
     if not ws.band_runs:
         return np.einsum(_BLOCK_SUM, M, B_ev, B_ev, optimize=ws.block_sum_path).reshape(pq, pq)
@@ -607,7 +605,7 @@ def _block_sum(M: np.ndarray, ws: LikelihoodWorkspace) -> np.ndarray:
 
 
 def _evaluate(cb: CoefficientBlock, ds: SurvivalDataset, ws: LikelihoodWorkspace, order: int):
-    """(value, gradient or None, Hessian or None) from one scan of the given order."""
+    """(value, gradient, Hessian) from a scan of order 2, (value, None, None) of order 0."""
     own_g, logS0, Ebar, h1, V, h2 = _scan(cb, ds, ws, order)
     p = cb.p
     value = float(own_g.sum() - logS0.sum() - ws.rho * _penalty(cb, ws))
@@ -616,8 +614,6 @@ def _evaluate(cb: CoefficientBlock, ds: SurvivalDataset, ws: LikelihoodWorkspace
     Z_ev = ws.covariates_at_events
     C = (Z_ev - Ebar) * h1                          # (m, p)
     grad = (C.T @ ws.basis_at_events - 2.0 * ws.rho * (cb.gamma @ ws.penalty_gram)).reshape(-1)
-    if order == 1:
-        return value, grad, None
     M = -V * h1[:, :, None] * h1[:, None, :]
     M[:, np.arange(p), np.arange(p)] += (Z_ev - Ebar) * h2
     H = _block_sum(M, ws)
@@ -632,7 +628,7 @@ def penalized_loglik(cb: CoefficientBlock, ds: SurvivalDataset, ws: LikelihoodWo
 
 def gradient(cb: CoefficientBlock, ds: SurvivalDataset, ws: LikelihoodWorkspace) -> np.ndarray:
     """Exact gradient, stacked (p*q,), block j at entries j*q .. (j+1)*q - 1."""
-    return _evaluate(cb, ds, ws, order=1)[1]
+    return _evaluate(cb, ds, ws, order=2)[1]
 
 
 def hessian(cb: CoefficientBlock, ds: SurvivalDataset, ws: LikelihoodWorkspace) -> np.ndarray:

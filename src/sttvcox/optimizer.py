@@ -106,7 +106,7 @@ class FitConfig:
             check_positive(self.rho, "rho")
         check_positive(self.alpha_scale, "alpha_scale")
         if self.alpha_override is not None:
-            for alpha in np.ravel(self.alpha_override):
+            for alpha in np.ravel(self.alpha_override).tolist():
                 check_positive(alpha, "alpha_override entry")
         check_positive(self.tol_grad, "tol_grad")
         check_count(self.max_iter, "max_iter")
@@ -303,16 +303,17 @@ def fit(ds: SurvivalDataset, cfg: FitConfig, *, _warm=None) -> FittedModel:
                 f"{alphas.shape[0]} thresholds for {ds.p} covariates"
             )
 
-    starts = [gamma0]
-    if cfg.multistart > 1:
+    def starts():
+        # each jittered start is drawn just before its fit, so none is held
+        yield gamma0
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(cfg.seed)))
         spread = 0.1 * (1.0 + np.abs(gamma0))
         for _ in range(cfg.multistart - 1):
-            starts.append(gamma0 + spread * rng.standard_normal(gamma0.shape))
+            yield gamma0 + spread * rng.standard_normal(gamma0.shape)
 
     best = None
     first_error: ConvergenceError | None = None
-    for g0 in starts:
+    for g0 in starts():
         cb0 = CoefficientBlock(gamma=g0, thresholds=alphas, eta=cfg.eta)
         try:
             result = _newton(cb0, ds, ws, cfg)

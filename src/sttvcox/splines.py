@@ -20,13 +20,12 @@ from .errors import ValidationError
 class SplineBasis:
     """Knot grid plus evaluation machinery for ``q = K + d`` basis functions.
 
-    ``n_segments`` is K, the number of equal-width polynomial pieces;
-    there are K - 1 interior knots at k * tau / K.  ``knots`` is the full
-    clamped vector with each endpoint repeated degree + 1 times.
+    K = q - degree is the number of equal-width polynomial pieces; there
+    are K - 1 interior knots at k * tau / K.  ``knots`` is the full clamped
+    vector with each endpoint repeated degree + 1 times.
     """
 
     degree: int
-    n_segments: int
     tau: float
     knots: np.ndarray
     q: int
@@ -45,7 +44,7 @@ def make_basis(K: int, d: int, tau: float) -> SplineBasis:
     interior = tau * np.arange(1, K) / K
     knots = np.concatenate([np.zeros(d + 1), interior, np.full(d + 1, tau)])
     knots.flags.writeable = False
-    return SplineBasis(degree=d, n_segments=K, tau=tau, knots=knots, q=K + d)
+    return SplineBasis(degree=d, tau=tau, knots=knots, q=K + d)
 
 
 def _design(knots: np.ndarray, degree: int, t: np.ndarray) -> np.ndarray:

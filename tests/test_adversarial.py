@@ -9,6 +9,15 @@ with the code the README documents for that error.  A raw numpy
 exception, a RuntimeWarning (an error under the test settings) or a NaN
 in an output fails.  The one documented non-finite output is the infinite
 variance, and interval, of a constant covariate in a ``coxph`` fit.
+
+At the default chunk budget every such dataset scans its events in one
+chunk, so a budget of n k floats, for k from 1 to m events per chunk, is
+drawn with the data: the scans of paper-scale data split their events
+into chunks and keep no weights.  Each chunk's risk-set totals must equal
+the per-event loop over that chunk's own predictors, bit for bit, and a
+scan served from what the risk-set plan kept must equal a fresh scan.
+Chunked fits are not compared with unchunked ones: a chunk's predictor
+product may round differently from the same rows of one whole product.
 """
 
 import contextlib
@@ -18,10 +27,13 @@ import os
 import tempfile
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import sttvcox as sx
+from oracles import risk_set_totals_loop
+from sttvcox import likelihood, threshold
 from sttvcox.cli import main
 from sttvcox.reporting import read_curve_table
 
@@ -69,17 +81,37 @@ def adversarial(draw):
     return sx.make_dataset(time, event, np.column_stack(cols))
 
 
+@st.composite
+def budgeted(draw):
+    """(adversarial dataset, events per chunk): None keeps the default
+    budget, under which every event of such data scans in one chunk; k
+    runs the scans under a budget of n k floats, chunks of k events."""
+    ds = draw(adversarial())
+    return ds, draw(st.none() | st.integers(1, ds.n_events))
+
+
+@contextlib.contextmanager
+def chunks_of(ds, k):
+    """Scans of ds in the block run in chunks of k events (None: the default)."""
+    with pytest.MonkeyPatch.context() as patch:
+        if k is not None:
+            patch.setattr(likelihood, "_CHUNK_BUDGET", ds.n * k)
+        yield
+
+
 def assert_finite(*arrays):
     for a in arrays:
         assert np.isfinite(np.asarray(a, dtype=float)).all()
 
 
 @adversarial_settings
-@given(ds=adversarial(), variant=st.sampled_from(["sttv", "regtv"]), K=st.integers(1, 2))
-def test_fit_gives_finite_outputs_or_a_typed_error(ds, variant, K):
+@given(case=budgeted(), variant=st.sampled_from(["sttv", "regtv"]), K=st.integers(1, 2))
+def test_fit_gives_finite_outputs_or_a_typed_error(case, variant, K):
+    ds, k = case
     try:
-        model = sx.fit(ds, sx.FitConfig(K=K, variant=variant))
-        curves = sx.estimate_curves(model, np.linspace(0.0, ds.tau, 7))
+        with chunks_of(ds, k):
+            model = sx.fit(ds, sx.FitConfig(K=K, variant=variant))
+            curves = sx.estimate_curves(model, np.linspace(0.0, ds.tau, 7))
     except sx.SttvError as exc:
         assert type(exc).__name__ in EXIT_CODES
         return
@@ -90,16 +122,59 @@ def test_fit_gives_finite_outputs_or_a_typed_error(ds, variant, K):
 
 
 @adversarial_settings
-@given(ds=adversarial())
-def test_cross_validate_gives_finite_errors_or_a_typed_error(ds):
+@given(case=budgeted())
+def test_cross_validate_gives_finite_errors_or_a_typed_error(case):
+    ds, k = case
     try:
-        result = sx.cross_validate(ds, sx.FitConfig(K=1), candidates=(1, 2), folds=2)
+        with chunks_of(ds, k):
+            result = sx.cross_validate(ds, sx.FitConfig(K=1), candidates=(1, 2), folds=2)
     except sx.SttvError as exc:
         assert type(exc).__name__ in EXIT_CODES
         return
     usable = [i for i, K in enumerate(result.candidates) if K not in result.failed]
     assert usable and result.chosen_K in [result.candidates[i] for i in usable]
     assert_finite(result.cv_error[usable], result.per_fold[usable])
+
+
+def assert_same_bytes(got, want):
+    for g, w in zip(got, want, strict=True):
+        g, w = np.asarray(g), np.asarray(w)
+        assert g.shape == w.shape and g.tobytes() == w.tobytes()
+
+
+@adversarial_settings
+@given(case=budgeted(), thresholded=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_scan_matches_per_chunk_loop_and_kept_entry(case, thresholded, seed):
+    ds, k = case
+    m = ds.n_events
+    basis = sx.make_basis(2, 3, ds.tau)
+    gamma = np.random.default_rng(seed).normal(0.0, 0.5, (ds.p, basis.q))
+    cb = sx.CoefficientBlock(gamma=gamma, thresholds=np.full(ds.p, 0.2) if thresholded else None,
+                             eta=0.01)
+    events, Z = ds.event_rows, ds.covariates
+    starts = ds.risk_start(events)
+    with chunks_of(ds, k):
+        ws = sx.make_workspace(ds, basis, 0.1)
+        H = threshold._effect(ws.basis_at_events @ gamma.T, cb.thresholds, cb.eta)[0]
+        own, *totals = likelihood._event_totals(H, ds, events, likelihood._RiskSets(Z, starts), 2)
+        # each chunk's predictors are a product of its own rows
+        k = k or m
+        for s in range(0, m, k):
+            rows = slice(s, s + k)
+            G = H[rows] @ Z.T
+            assert own[rows].tobytes() == G[np.arange(G.shape[0]), events[rows]].tobytes()
+            assert_same_bytes([t[rows] for t in totals],
+                              risk_set_totals_loop(G, starts[rows], Z, 2))
+        # a value scan keeps its weights when it runs as one chunk; the
+        # derivative scan reads them, and the score covariance its totals
+        value = sx.penalized_loglik(cb, ds, ws)
+        assert (ws.risk_sets._kept is not None) == (k >= m)
+        got = sx.value_and_derivatives(cb, ds, ws)
+        got_cov = likelihood._score_cov(cb, ds, ws)
+        want = sx.value_and_derivatives(cb, ds, sx.make_workspace(ds, basis, 0.1))
+        want_cov = sx.score_covariance(cb, ds, sx.make_workspace(ds, basis, 0.1))
+    assert value.hex() == got[0].hex() == want[0].hex()
+    assert_same_bytes([*got[1:], got_cov], [*want[1:], want_cov])
 
 
 def run_cli(*args):
@@ -119,9 +194,10 @@ def assert_exit_matches_error(code, err):
 
 
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(ds=adversarial())
-def test_cli_exits_with_the_documented_code_and_writes_finite_tables(ds):
-    with tempfile.TemporaryDirectory() as tmp:
+@given(case=budgeted())
+def test_cli_exits_with_the_documented_code_and_writes_finite_tables(case):
+    ds, k = case
+    with tempfile.TemporaryDirectory() as tmp, chunks_of(ds, k):
         data = os.path.join(tmp, "data.csv")
         sx.save_csv(ds, data)
         for variant in ("sttv", "regtv", "coxph"):

@@ -126,12 +126,16 @@ EXIT_2_CASES = {
     "fit_standardize_string": ("fit", "data20", [], {"standardize": "false"}),
     "fit_unknown_key": ("fit", "data20", [], {"multi_start": 3}),
     "fit_coxph_K_zero": ("fit", "data20", ["--variant", "coxph", "--K", 0], None),
+    # JSON true is a bool, not the number 1
+    "fit_K_true": ("fit", "data20", [], {"K": True}),
+    "fit_eta_true": ("fit", "data20", [], {"eta": True}),
     "cv_eta_zero": ("cv", "data60", ["--eta", 0, "--folds", 2], None),
     "cv_multistart_zero": ("cv", "data60", ["--multistart", 0, "--folds", 2], None),
     "cv_no_events": ("cv", "censored20", ["--folds", 2], None),
     "cv_tau_past_last_time": ("cv", "data60", ["--folds", 2], {"tau": 100}),
     "cv_negative_seed": ("cv", "data60", ["--seed", -1, "--folds", 2], None),
     "cv_fractional_candidate": ("cv", "data60", ["--folds", 2], {"candidates": [2.5, 3]}),
+    "cv_candidate_true": ("cv", "data60", ["--folds", 2], {"candidates": [True, 3]}),
     "cv_coxph_variant": ("cv", "data60", ["--folds", 2], {"variant": "coxph"}),
     "cv_repeated_column": ("cv", "repeated20", ["--folds", 2], None),
     "cv_refit_string": ("cv", "data60", ["--folds", 2], {"refit": "false"}),
@@ -144,6 +148,8 @@ EXIT_2_CASES = {
     "simulate_K_zero": ("simulate", None, [], {"fit": {"K": 0}}),
     "simulate_level": ("simulate", None, [], {"level": 1.5}),
     "simulate_fractional_n": ("simulate", None, [], {"scenario": {"n": 10.5}}),
+    "simulate_n_true":
+        ("simulate", None, [], {"scenario": {"n": True, "covariance": "ind", "seed": 3}}),
     "simulate_infinite_horizon":
         ("simulate", None, [], {"scenario": {"n": 30, "admin_censor": float("inf")}}),
     "simulate_horizon_past_grid":
@@ -302,6 +308,12 @@ class TestFit:
         # q = 12 columns per coefficient cannot be identified from 20 rows
         assert run("fit", "--input", data20, "--output", tmp_path / "out",
                    "--K", 9) == 3
+
+    def test_overflowing_rho_exits_3(self, data20, tmp_path, capsys):
+        assert run("fit", "--input", data20, "--output", tmp_path / "out", "--rho", 1e308) == 3
+        err = capsys.readouterr().err
+        assert "NumericError" in err and "overflows the penalty" in err
+        assert not (tmp_path / "out" / "model.json").exists()
 
     @pytest.mark.parametrize("variant, code", [("sttv", 3), ("coxph", 3), ("regtv", 0)])
     def test_dependent_columns_exit_code(self, tmp_path, capsys, caplog, variant, code):

@@ -17,7 +17,7 @@ class TestLoadCsv:
             tmp_path / "d.csv",
             "time,event,z1\n2,1,0.5\n1,0,1.5\n3,1,-0.5\n",
         )
-        ds = sx.load_csv(p, covariate_cols=["z1"])
+        ds = sx.load_csv(p)
         np.testing.assert_allclose(ds.time, [1, 2, 3])
         assert ds.p == 1
         assert ds.tau == 3.0
@@ -27,7 +27,7 @@ class TestLoadCsv:
             tmp_path / "d.csv",
             "time,event,z1\n2,1,0.5\n1,0,1.5\n3,1,-0.5\n",
         )
-        ds = sx.load_csv(p, covariate_cols=["z1"], tau=2.0)
+        ds = sx.load_csv(p, tau=2.0)
         np.testing.assert_allclose(ds.time, [1, 2, 2])
         # the truncated row becomes censored
         assert list(ds.event) == [False, True, False]
@@ -37,12 +37,12 @@ class TestLoadCsv:
             tmp_path / "d.csv", "time,event,z1\n1,1,0.0\n2,2,1.0\n"
         )
         with pytest.raises(sx.ValidationError, match="row"):
-            sx.load_csv(p, covariate_cols=["z1"])
+            sx.load_csv(p)
 
     def test_missing_column(self, tmp_path):
         p = write_csv(tmp_path / "d.csv", "time,event\n1,1\n")
         with pytest.raises(sx.SchemaError):
-            sx.load_csv(p, covariate_cols=["z1"])
+            sx.load_csv(p)
 
     @pytest.mark.parametrize("header", ["time,event,z,z", "time,event,time,z"])
     def test_repeated_column_named(self, tmp_path, header):
@@ -52,11 +52,6 @@ class TestLoadCsv:
         repeated = header.split(",")[2]
         with pytest.raises(sx.SchemaError, match=f"repeated column '{repeated}'"):
             sx.load_csv(p)
-
-    def test_repeated_covariate_cols_named(self, tmp_path):
-        p = write_csv(tmp_path / "d.csv", "time,event,z1,z2\n1.0,1,0.5,9\n2.0,0,0.6,8\n")
-        with pytest.raises(sx.SchemaError, match="repeated column 'z1'"):
-            sx.load_csv(p, covariate_cols=["z1", "z1"])
 
     @pytest.mark.parametrize("rows, error", [
         ("1.0,1,0.5,99\n2.0,0,0.6\n", "row 1: 4 cells, expected 3"),
@@ -96,12 +91,12 @@ class TestLoadCsv:
         for t in ("-1", "0"):
             p = write_csv(tmp_path / "d.csv", f"time,event,z1\n{t},1,0.0\n")
             with pytest.raises(sx.ValidationError, match="row 1: nonpositive time"):
-                sx.load_csv(p, covariate_cols=["z1"])
+                sx.load_csv(p)
 
     def test_non_numeric_cell(self, tmp_path):
         p = write_csv(tmp_path / "d.csv", "time,event,z1\noops,1,0.0\n")
         with pytest.raises(sx.ValidationError):
-            sx.load_csv(p, covariate_cols=["z1"])
+            sx.load_csv(p)
 
     def test_round_trip_through_writer(self, tmp_path):
         rng = np.random.default_rng(21)
@@ -112,7 +107,7 @@ class TestLoadCsv:
         )
         out = tmp_path / "w.csv"
         sx.save_csv(ds, out)
-        back = sx.load_csv(out, covariate_cols=["z1", "z2", "z3"])
+        back = sx.load_csv(out)
         np.testing.assert_array_equal(back.time, ds.time)
         np.testing.assert_array_equal(back.event, ds.event)
         np.testing.assert_array_equal(back.covariates, ds.covariates)

@@ -170,25 +170,28 @@ class TestGradientHessian:
         cb = sx.CoefficientBlock(gamma=gamma, thresholds=np.ones(2), eta=eta)
         assert np.max(np.abs(sx.gradient(cb, ds, ws))) < 1e-6
 
-    def test_no_event_gradient_is_penalty_only(self):
-        ds = sx.make_dataset([1.0, 2.0], [False, False], [[1.0], [0.5]], tau=2.0)
-        basis = sx.make_basis(2, 2, 2.0)
-        ws = sx.make_workspace(ds, basis, 0.7)
-        rng = np.random.default_rng(14)
-        gamma = rng.normal(size=(1, basis.q))
-        cb = sx.CoefficientBlock(gamma=gamma, thresholds=np.array([1.0]), eta=0.01)
-        want = (-2.0 * 0.7 * (ws.penalty_gram @ gamma[0])).ravel()
-        np.testing.assert_allclose(sx.gradient(cb, ds, ws), want, atol=1e-12)
+    @staticmethod
+    def penalty_case():
+        """(dataset with events, basis, thresholded coefficients) with p = 2."""
+        ds = make_random_dataset(14, n=12, p=2)
+        basis = sx.make_basis(2, 2, ds.tau)
+        gamma = np.random.default_rng(14).normal(size=(2, basis.q))
+        return ds, basis, sx.CoefficientBlock(gamma=gamma, thresholds=np.ones(2), eta=0.01)
 
-    def test_no_event_hessian_is_penalty_only(self):
-        ds = sx.make_dataset([1.0, 2.0], [False, False], [[1.0], [0.5]], tau=2.0)
-        basis = sx.make_basis(2, 2, 2.0)
+    def test_gradient_penalty_term_is_exact(self):
+        # the event terms are the same at both rho, so only the penalty is left
+        ds, basis, cb = self.penalty_case()
         ws = sx.make_workspace(ds, basis, 0.7)
-        cb = sx.CoefficientBlock(
-            gamma=np.zeros((1, basis.q)), thresholds=np.array([1.0]), eta=0.01
-        )
-        want = -2.0 * 0.7 * ws.penalty_gram
-        np.testing.assert_allclose(sx.hessian(cb, ds, ws), want, atol=1e-12)
+        got = sx.gradient(cb, ds, ws) - sx.gradient(cb, ds, sx.make_workspace(ds, basis, 0.0))
+        want = (-1.4 * (cb.gamma @ ws.penalty_gram)).ravel()
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13)
+
+    def test_hessian_penalty_term_is_exact(self):
+        ds, basis, cb = self.penalty_case()
+        ws = sx.make_workspace(ds, basis, 0.7)
+        got = sx.hessian(cb, ds, ws) - sx.hessian(cb, ds, sx.make_workspace(ds, basis, 0.0))
+        want = -1.4 * np.kron(np.eye(2), ws.penalty_gram)
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13)
 
     @pytest.mark.parametrize("seed", range(20))
     def test_gradient_hessian_match_finite_differences(self, seed):
@@ -330,12 +333,11 @@ class TestWorkspace:
             with pytest.raises(sx.ValidationError, match="different dataset"):
                 sx.penalized_loglik(cb, other, ws)
 
-    def test_dataset_without_events_gets_an_empty_plan(self):
+    def test_dataset_without_events_rejected(self):
+        # fits refuse such data, and a held-out fold without events scores 0
         ds = sx.make_dataset([1.0, 2.0], [False, False], [[1.0], [0.5]], tau=2.0)
-        _, ws = build(ds)
-        assert ws.block_sum_path is None
-        assert ws.band_runs == () and ws.band_products is None
-        assert ws.risk_sets.start_list == [] and ws.risk_sets.views() == []
+        with pytest.raises(sx.ValidationError, match="at least one event"):
+            build(ds)
 
     def test_arrays_are_read_only(self):
         # the band windows are cut from basis_at_events once; a write to it
@@ -343,7 +345,7 @@ class TestWorkspace:
         ds = make_random_dataset(3, n=60, p=3)
         _, ws = build(ds, K=3, d=3)
         assert ws.band_runs
-        for name in ("basis_at_times", "penalty_gram", "event_rows", "basis_at_events",
+        for name in ("penalty_gram", "event_rows", "basis_at_events",
                      "covariates_at_events", "penalty_kron", "band_products"):
             with pytest.raises(ValueError, match="read-only"):
                 getattr(ws, name).flat[0] = 1.0

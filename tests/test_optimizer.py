@@ -1,5 +1,6 @@
 """Full model fitting for both variants and curve extraction."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -112,6 +113,38 @@ class TestFit:
         v1 = sx.fit(dataset_200, cfg1).loglik_path[-1]
         v3 = sx.fit(dataset_200, cfg3).loglik_path[-1]
         assert v3 >= v1 - 1e-9
+
+    def test_multistart_draws_each_start_just_before_its_fit(self, dataset_200, monkeypatch):
+        # a list of all 10**6 starts would hold about 200 MB before the first fit
+        real, starts = optimizer._newton, []
+
+        def newton(cb0, *args):
+            starts.append(cb0.gamma)
+            if len(starts) == 3:
+                raise RuntimeError("third start")
+            return real(cb0, *args)
+
+        monkeypatch.setattr(optimizer, "_newton", newton)
+        tracemalloc.start()
+        try:
+            with pytest.raises(RuntimeError, match="third start"):
+                sx.fit(dataset_200, sx.FitConfig(K=2, variant="regtv", seed=5,
+                                                 multistart=10**6))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(starts) == 3 and peak < 20e6
+        # the jittered starts come from the seed's Philox stream, in order
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(5)))
+        spread = 0.1 * (1.0 + np.abs(starts[0]))
+        for got in starts[1:]:
+            want = starts[0] + spread * rng.standard_normal(starts[0].shape)
+            assert got.tobytes() == want.tobytes()
+
+    def test_overflowing_penalty_is_a_numeric_error(self, dataset_200):
+        # 2 rho overflows, and inf * 0 would make the Hessian NaN
+        with pytest.raises(sx.NumericError, match="overflows the penalty"):
+            sx.fit(dataset_200, sx.FitConfig(K=2, rho=1e308))
 
     def test_derivatives_once_per_accepted_iterate(self, dataset_200, monkeypatch):
         calls = {"value_and_derivatives": 0, "penalized_loglik": 0}
@@ -311,6 +344,8 @@ class TestFit:
             {"alpha_override": (0.1, 0.0, 0.2)}, {"alpha_override": (-0.1,)},
             {"max_iter": 0}, {"multistart": float("nan")}, {"multistart": 0},
             {"rho": -1.0}, {"tol_grad": float("nan")}, {"seed": -1},
+            # a bool compares equal to 1, but is not a number
+            {"K": True}, {"eta": True}, {"multistart": True}, {"alpha_override": (True,)},
         ]
         for change in bad:
             with pytest.raises(sx.ValidationError):

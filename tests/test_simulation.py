@@ -181,7 +181,7 @@ class TestGenerate:
             {"seed": -1}, {"baseline_hazard": 0.0},
             {"censor_upper": float("nan")}, {"admin_censor": float("inf")},
             {"admin_censor": 20.0}, {"admin_censor": 25.0},
-            {"beta_functions": ()}, {"beta_functions": (1.0,)},
+            {"beta_functions": ()}, {"beta_functions": (1.0,)}, {"n": True},
         ]
         for change in bad:
             with pytest.raises(sx.ValidationError):
