@@ -263,7 +263,6 @@ class LikelihoodWorkspace:
     event_rows: np.ndarray       # (m,) storage indices of events
     basis_at_events: np.ndarray  # (m, q), row e = B(T_e) of event e
     covariates_at_events: np.ndarray  # (m, p), rows event_rows of the covariates
-    penalty_kron: np.ndarray     # (p q, p q), kron(I_p, penalty_gram)
     block_sum_path: list         # einsum path of _BLOCK_SUM
     band_runs: tuple             # see _band_runs; () off the band path
     band_products: np.ndarray | None  # (m, 1, 1, w, w) basis products; None off the band path
@@ -292,17 +291,18 @@ def _band_runs(B_ev: np.ndarray) -> tuple:
 def make_workspace(ds: SurvivalDataset, basis: SplineBasis, rho: float) -> LikelihoodWorkspace:
     """Everything about ds and the basis that the scans of one fit share.
 
-    Besides the basis rows and the penalty, the workspace holds the event
-    rows of the basis and covariates, kron(I_p, P), the einsum path of the
-    Hessian assembly and the risk-set plan of ds, whose per-event views are
-    built once, at the first derivative scan, and which keeps what its last
-    scan can pass to the next (see ``_RiskSets``).  When that path
+    Besides the basis rows and the penalty P, the workspace holds the event
+    rows of the basis and covariates, the einsum path of the Hessian
+    assembly and the risk-set plan of ds, whose per-event views are built
+    once, at the first derivative scan, and which keeps what its last scan
+    can pass to the next (see ``_RiskSets``).  When that path
     contracts all three operands at once, as it does for the p >= 2 shapes
     of the paper and the benchmark, the workspace also keeps the windows
     of nonzero basis columns that ``_block_sum`` sums over and the basis
     products over each event's window, formed run by run.  All arrays are
     read-only.  A dataset without events raises ValidationError, as every
-    fit does, and a rho whose penalty 2 rho P overflows NumericError.
+    fit does, and a rho whose penalty 2 rho P overflows NumericError.  A
+    held-out fold of cross-validation gets one at rho = 0 for a value scan.
     """
     rho = float(rho)
     if not np.isfinite(rho) or rho < 0:
@@ -340,7 +340,6 @@ def make_workspace(ds: SurvivalDataset, basis: SplineBasis, rho: float) -> Likel
         event_rows=_freeze(events),
         basis_at_events=_freeze(B_ev),
         covariates_at_events=_freeze(ds.covariates[events]),
-        penalty_kron=_freeze(np.kron(np.eye(p), P)),
         block_sum_path=path,
         band_runs=runs,
         band_products=products,
@@ -587,7 +586,7 @@ def _block_sum(M: np.ndarray, ws: LikelihoodWorkspace) -> np.ndarray:
     M, and adding ±0 never changes a sum that starts at +0.0.  Other paths contract pairwise through BLAS, whose
     floats the band sum cannot reproduce, and run through ``np.einsum``.
     """
-    pq = ws.penalty_kron.shape[0]
+    pq = M.shape[1] * ws.basis.q
     B_ev = ws.basis_at_events
     if not ws.band_runs:
         return np.einsum(_BLOCK_SUM, M, B_ev, B_ev, optimize=ws.block_sum_path).reshape(pq, pq)
@@ -605,9 +604,10 @@ def _block_sum(M: np.ndarray, ws: LikelihoodWorkspace) -> np.ndarray:
 
 
 def _evaluate(cb: CoefficientBlock, ds: SurvivalDataset, ws: LikelihoodWorkspace, order: int):
-    """(value, gradient, Hessian) from a scan of order 2, (value, None, None) of order 0."""
+    """(value, gradient, Hessian) from a scan of order 2, (value, None, None) of order 0.
+    Only the p diagonal blocks of the Hessian carry the penalty, -2 rho P each."""
     own_g, logS0, Ebar, h1, V, h2 = _scan(cb, ds, ws, order)
-    p = cb.p
+    p, q = cb.p, cb.q
     value = float(own_g.sum() - logS0.sum() - ws.rho * _penalty(cb, ws))
     if order == 0:
         return value, None, None
@@ -617,7 +617,9 @@ def _evaluate(cb: CoefficientBlock, ds: SurvivalDataset, ws: LikelihoodWorkspace
     M = -V * h1[:, :, None] * h1[:, None, :]
     M[:, np.arange(p), np.arange(p)] += (Z_ev - Ebar) * h2
     H = _block_sum(M, ws)
-    H -= 2.0 * ws.rho * ws.penalty_kron
+    pen = 2.0 * ws.rho * ws.penalty_gram
+    for j in range(p):
+        H[j * q:(j + 1) * q, j * q:(j + 1) * q] -= pen
     return value, grad, H
 
 

@@ -3,10 +3,10 @@
 The data are split into event-stratified folds.  For each candidate
 segment count K the model is fitted on the complement of each fold, from
 the constant Cox warm start of that complement, which all candidates
-share.  The held-out fold is scored with the negative unpenalized log
-partial likelihood, evaluated at the exact thresholded curves and with
-risk sets formed inside the held-out fold only.  The chosen K minimizes
-the mean held-out error (ties go to the smallest K).
+share.  The held-out fold is scored by ``-penalized_loglik`` at rho = 0
+and the exact thresholds (eta = 0) on a workspace of that fold alone, so
+its risk sets lie inside it.  The chosen K minimizes the mean held-out
+error (ties go to the smallest K).
 """
 
 from __future__ import annotations
@@ -23,10 +23,8 @@ from .errors import (
     ValidationError,
     check_count,
 )
-from .likelihood import _event_totals, _RiskSets
+from .likelihood import CoefficientBlock, make_workspace, penalized_loglik
 from .optimizer import FitConfig, FittedModel, _cox_warm_start, fit
-from .splines import eval_basis_grid
-from .threshold import _effect
 
 logger = logging.getLogger(__name__)
 
@@ -69,18 +67,14 @@ def assign_folds(n: int, folds: int, events, seed: int) -> np.ndarray:
 def _heldout_error(model: FittedModel, held: SurvivalDataset) -> float:
     """Negative unpenalized log partial likelihood of held-out data.
 
-    Curves are the exact soft-thresholded estimates (the spline levels of
-    an unthresholded fit) evaluated at the held-out event times; risk sets
-    live entirely inside the held-out fold.
+    ``-penalized_loglik`` at rho = 0 and the exact thresholds (eta = 0; the
+    spline levels of an unthresholded fit) on a workspace of the fold, whose
+    risk sets lie inside it.  A fold without events scores 0.
     """
-    events = held.event_rows
-    if events.size == 0:
+    if held.n_events == 0:
         return 0.0
-    B_ev = eval_basis_grid(model.basis, held.time[events])
-    beta, _, _ = _effect(B_ev @ model.gamma_hat.T, model.alphas, 0.0)   # (m, p)
-    plan = _RiskSets(held.covariates, held.risk_start(events))
-    own, logS0, _, _ = _event_totals(beta, held, events, plan, order=0)
-    return -float(own.sum() - logS0.sum())
+    cb = CoefficientBlock(model.gamma_hat, model.alphas, 0.0)
+    return -penalized_loglik(cb, held, make_workspace(held, model.basis, 0.0))
 
 
 def _subset(ds: SurvivalDataset, rows: np.ndarray) -> SurvivalDataset:

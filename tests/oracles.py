@@ -182,13 +182,9 @@ def plain_spline_loglik_ref(gamma, ds, rho, basis_matrix):
     for i in range(ds.n):
         if not ds.event[i]:
             continue
-        Bt = basis_matrix[i]
         preds = basis_matrix[i] @ gamma.T  # theta_j(T_i) for all j
         own = float(ds.covariates[i] @ preds)
-        terms = [
-            float(ds.covariates[l] @ (Bt @ gamma.T))
-            for l in risk_set_ref(times, i)
-        ]
+        terms = [float(ds.covariates[l] @ preds) for l in risk_set_ref(times, i)]
         m = max(terms)
         value += own - (m + math.log(sum(math.exp(v - m) for v in terms)))
     penalty = sum(
@@ -332,7 +328,7 @@ def plain_spline_grad_ref(gamma, ds, rho, basis_matrix):
         Bt = basis_matrix[i]
         theta = gamma @ Bt
         risk = risk_set_ref(ds.time, i)
-        Zr = np.asarray([ds.covariates[l] for l in risk])
+        Zr = ds.covariates[risk]
         lin = Zr @ theta
         w = np.exp(lin - lin.max())
         w = w / w.sum()

@@ -37,6 +37,9 @@ from sttvcox import likelihood, threshold
 from sttvcox.cli import main
 from sttvcox.reporting import read_curve_table
 
+# pinned to the floats of every OpenBLAS kernel (the CI core-type loop)
+pytestmark = pytest.mark.bitwise
+
 adversarial_settings = settings(max_examples=40, deadline=None,
                                 suppress_health_check=[HealthCheck.too_slow])
 

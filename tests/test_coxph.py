@@ -143,6 +143,7 @@ class TestSingularInformation:
 class TestKeptWeights:
     """The accepted trial's weight blocks serve the derivative scan at that step."""
 
+    @pytest.mark.bitwise
     def test_kept_weights_match_fit_with_nothing_kept(self, dataset_200, monkeypatch):
         ds = dataset_200
         # the fit hands the kernel its one shared predictor row, whose

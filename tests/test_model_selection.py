@@ -152,6 +152,30 @@ class TestFoldSharing:
                 model = sx.fit(train, sx.FitConfig(K=K, variant="sttv", seed=19))
                 assert cv.per_fold[ci, r] == _heldout_error(model, held)
 
+    def test_folds_scored_by_the_public_value_scan(self, ds60, monkeypatch):
+        import sttvcox.model_selection as ms
+
+        calls = []
+        real = ms.penalized_loglik
+
+        def counted(cb, held, ws):
+            value = real(cb, held, ws)
+            calls.append((held.n_events, ws.rho, cb.eta, value))
+            return value
+
+        monkeypatch.setattr(ms, "penalized_loglik", counted)
+        cfg = sx.FitConfig(K=3, variant="sttv", seed=19)
+        cv = sx.cross_validate(ds60, cfg, candidates=[2, 3], folds=3, seed=5)
+        usable = [ci for ci, K in enumerate(cv.candidates) if K not in cv.failed]
+        with_events = [r for r in range(3) if ds60.event[cv.fold_assignments == r].any()]
+        assert len(usable) == 2 and len(with_events) == 3
+        assert len(calls) == len(with_events) * len(usable)
+        # folds run outside the candidates, so the calls go fold by fold
+        for (m, rho, eta, value), (r, ci) in zip(calls, [(r, ci) for r in with_events
+                                                        for ci in usable]):
+            assert m > 0 and rho == 0.0 and eta == 0.0
+            assert cv.per_fold[ci, r] == -value
+
     def test_failing_candidate_is_excluded(self, ds60, monkeypatch):
         import sttvcox.model_selection as ms
 
@@ -206,6 +230,7 @@ class TestHeldoutError:
         logS0 = risk_set_totals_loop(G, held.risk_start(events), held.covariates, 0)[0]
         return -float(G[np.arange(events.size), events].sum() - logS0.sum())
 
+    @pytest.mark.bitwise
     @pytest.mark.parametrize("variant", ["sttv", "regtv"])
     def test_heldout_error_matches_loop_on_tied_times(self, variant):
         ds = sx.generate(sx.Scenario(n=150, covariance="ar1", seed=4))
@@ -221,6 +246,7 @@ class TestHeldoutError:
             assert held.n_events > 0
             assert _heldout_error(model, held).hex() == self.loop_error(model, held).hex()
 
+    @pytest.mark.bitwise
     @pytest.mark.parametrize("thresholded", [True, False], ids=["sttv", "regtv"])
     def test_heldout_error_of_folds_with_and_without_events(self, thresholded):
         rng = np.random.default_rng(6)

@@ -247,6 +247,7 @@ class TestFit:
         monkeypatch.setattr(optimizer, "penalized_loglik", trial)
         return raised
 
+    @pytest.mark.bitwise
     def test_failed_first_trial_matches_fit_with_nothing_kept(self, dataset_200,
                                                               monkeypatch, caplog):
         # the first line-search trial overflows, so a later halving is accepted
@@ -264,6 +265,7 @@ class TestFit:
         for name in ("gamma_hat", "loglik_path", "sandwich", "score_cov"):
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
 
+    @pytest.mark.bitwise
     @pytest.mark.parametrize("variant", ["sttv", "regtv"])
     def test_multistart_fit_matches_fit_with_nothing_kept(self, dataset_200, monkeypatch,
                                                           variant):

@@ -59,6 +59,9 @@ from sttvcox.coxph import _loglik_parts
 from sttvcox.likelihood import _risk_set_totals, _RiskSets
 from sttvcox.model_selection import _heldout_error
 
+# pinned to the floats of every OpenBLAS kernel (the CI core-type loop)
+pytestmark = pytest.mark.bitwise
+
 K, D = 2, 2
 Q = K + D
 

@@ -197,6 +197,7 @@ class TestGenerate:
         for name in ("time", "event", "covariates"):
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
 
+    @pytest.mark.bitwise
     # generate integrates the hazard only up to the censoring cap; at 19.9995
     # the cap falls in the last cell of the grid, which ends at 20
     @pytest.mark.parametrize("covariance", sim.COVARIANCES)

@@ -15,6 +15,9 @@ from oracles import (
 )
 from sttvcox.threshold import _effect
 
+# pinned to the floats of every OpenBLAS kernel (the CI core-type loop)
+pytestmark = pytest.mark.bitwise
+
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 alphas = st.floats(min_value=1e-6, max_value=1e3, allow_nan=False)
 
