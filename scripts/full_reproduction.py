@@ -34,13 +34,9 @@ from pathlib import Path
 
 from sttvcox import DEFAULT_CANDIDATES, VARIANTS, FitConfig, NumericError, Scenario, replicate
 from sttvcox.cli import _guarded
-from sttvcox.dataset import _table_text
+from sttvcox.dataset import _atomic_write, _table_text
 from sttvcox.reporting import build_summary, metric_rows, render_csv, render_markdown
 from sttvcox.simulation import validate_study
-
-
-def write_csv(path, header, rows):
-    path.write_text(_table_text(header, rows), encoding="utf-8", newline="")
 
 
 def parse_args(argv=None):
@@ -87,7 +83,7 @@ def run(args) -> int:
         result = replicate(scenario, configs, args.reps, jobs=args.jobs, **selection)
         path = outdir / f"metrics_{covariance}_{n}.csv"
         header, rows = metric_rows(result)
-        write_csv(path, header, rows)
+        _atomic_write(path, _table_text(header, rows))
         produced += len(rows)
         metrics_paths.append(path)
         all_chosen.extend(
@@ -100,16 +96,16 @@ def run(args) -> int:
             for rep, variant, message in result.failures
         )
 
-    write_csv(outdir / "chosen_K.csv",
-              ("covariance", "n", "variant", "rep", "K"), all_chosen)
-    write_csv(outdir / "failures.csv",
-              ("covariance", "n", "variant", "rep", "error"), all_failures)
+    _atomic_write(outdir / "chosen_K.csv",
+                  _table_text(("covariance", "n", "variant", "rep", "K"), all_chosen))
+    _atomic_write(outdir / "failures.csv",
+                  _table_text(("covariance", "n", "variant", "rep", "error"), all_failures))
     if not produced:
         raise NumericError(f"every replication failed ({len(all_failures)} failures)")
 
     summary = build_summary(metrics_paths)
-    (outdir / "summary.csv").write_text(render_csv(summary))
-    (outdir / "summary.md").write_text(render_markdown(summary))
+    _atomic_write(outdir / "summary.csv", render_csv(summary))
+    _atomic_write(outdir / "summary.md", render_markdown(summary))
     print(f"{len(metrics_paths)} settings, {len(all_failures)} failed fits; "
           f"summaries in {outdir}")
     return 0

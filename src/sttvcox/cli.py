@@ -9,7 +9,7 @@ Settings come from an optional JSON config file plus flags; flags win.
 Every command first builds all of its settings, so a bad one exits 2
 before anything is written; then it creates the output directory and
 writes ``manifest.json`` before any result file.  All files are written
-atomically (temp file plus rename).  Outputs are deterministic given
+atomically (temp file plus rename), with the mode the umask gives.  Outputs are deterministic given
 inputs and seed, except for the manifest timestamp.
 
 Exit codes: 0 success, 2 validation problems, 3 numeric failure, 4
@@ -23,7 +23,6 @@ import json
 import logging
 import os
 import sys
-import tempfile
 from dataclasses import replace
 from datetime import datetime, timezone
 
@@ -31,7 +30,7 @@ import numpy as np
 
 from . import __version__
 from .coxph import _require_variances, fit_coxph
-from .dataset import _table_text, load_csv, make_dataset
+from .dataset import _atomic_write, _table_text, load_csv, make_dataset
 from .errors import ConvergenceError, NumericError, ValidationError
 from .inference import CurveEstimate, _curve_set
 from .model_selection import DEFAULT_CANDIDATES, cross_validate, cv_candidates
@@ -176,19 +175,6 @@ def _jsonable(obj):
         x = float(obj)
         return x if np.isfinite(x) else None
     return obj
-
-
-def _atomic_write(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 def _write_json(path: str, doc) -> None:

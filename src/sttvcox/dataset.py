@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import logging
+import os
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -176,6 +177,27 @@ def _table_text(header, rows) -> str:
     return "".join(line[:-2] + "\n" for line in lines)
 
 
+def _atomic_write(path, text: str) -> None:
+    """Write text to path as UTF-8 through a new file in path's directory,
+    renamed over path, so a crash mid-write leaves no truncated file.
+
+    The new file is created with mode 0o666, so the umask sets its mode as
+    it does for ``open``.
+    """
+    directory = os.path.dirname(os.path.abspath(path))
+    tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}~")
+    flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
+    fd = os.open(tmp, flags, 0o666)
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 def load_csv(path, *, tau: float | None = None) -> SurvivalDataset:
     """Read a survival CSV (see README "Tables") into a dataset.
 
@@ -233,6 +255,5 @@ def save_csv(ds: SurvivalDataset, path) -> None:
     names = ds.covariate_names or tuple(f"z{j + 1}" for j in range(ds.p))
     columns = [ds.time, ds.event.astype(int), *ds.covariates.T]
     rows = zip(*([repr(v) for v in col.tolist()] for col in columns))
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(_table_text(["time", "event", *names], rows))
+    _atomic_write(path, _table_text(["time", "event", *names], rows))
 

@@ -605,7 +605,8 @@ def _block_sum(M: np.ndarray, ws: LikelihoodWorkspace) -> np.ndarray:
 
 def _evaluate(cb: CoefficientBlock, ds: SurvivalDataset, ws: LikelihoodWorkspace, order: int):
     """(value, gradient, Hessian) from a scan of order 2, (value, None, None) of order 0.
-    Only the p diagonal blocks of the Hessian carry the penalty, -2 rho P each."""
+    Only the p diagonal blocks of the Hessian carry the penalty, -2 rho P each.
+    A gradient or Hessian that overflows (a huge rho) raises NumericError."""
     own_g, logS0, Ebar, h1, V, h2 = _scan(cb, ds, ws, order)
     p, q = cb.p, cb.q
     value = float(own_g.sum() - logS0.sum() - ws.rho * _penalty(cb, ws))
@@ -613,13 +614,18 @@ def _evaluate(cb: CoefficientBlock, ds: SurvivalDataset, ws: LikelihoodWorkspace
         return value, None, None
     Z_ev = ws.covariates_at_events
     C = (Z_ev - Ebar) * h1                          # (m, p)
-    grad = (C.T @ ws.basis_at_events - 2.0 * ws.rho * (cb.gamma @ ws.penalty_gram)).reshape(-1)
+    with np.errstate(over="ignore", invalid="ignore"):  # a huge rho; checked below
+        grad = (C.T @ ws.basis_at_events - 2.0 * ws.rho * (cb.gamma @ ws.penalty_gram)).reshape(-1)
     M = -V * h1[:, :, None] * h1[:, None, :]
     M[:, np.arange(p), np.arange(p)] += (Z_ev - Ebar) * h2
     H = _block_sum(M, ws)
     pen = 2.0 * ws.rho * ws.penalty_gram
     for j in range(p):
         H[j * q:(j + 1) * q, j * q:(j + 1) * q] -= pen
+    if not (np.isfinite(grad).all() and np.isfinite(H).all()):
+        raise NumericError(
+            f"rho {ws.rho} overflows the gradient or Hessian; a smaller rho may help"
+        )
     return value, grad, H
 
 
@@ -643,16 +649,10 @@ def score_covariance(cb: CoefficientBlock, ds: SurvivalDataset, ws: LikelihoodWo
 
     Block (j, k) is sum over events of V_jk h'_j h'_k B(T_i) B(T_i)'.
     No 1/n normalization is applied; the variance formula downstream
-    consumes this raw sum directly.
+    consumes this raw sum directly.  The order-2 scan reads the totals that
+    the workspace's last derivative scan at cb kept, as ``fit``'s scan at
+    the optimum does, and scans afresh otherwise, with the same floats.
     """
-    return _score_cov(cb, ds, ws)
-
-
-def _score_cov(cb: CoefficientBlock, ds: SurvivalDataset, ws: LikelihoodWorkspace) -> np.ndarray:
-    """``score_covariance`` under a private name, for ``fit``: it reads the
-    totals that the last derivative scan at cb kept on the workspace's
-    plan (a fresh scan gives the same floats), and a tracer of the public
-    scan functions counts no scan for it."""
     _, _, _, h1, V, _ = _scan(cb, ds, ws, order=2)
     return _block_sum(V * h1[:, :, None] * h1[:, None, :], ws)
 

@@ -19,7 +19,10 @@ scan of a fit goes through the risk-set plan of the fit's one workspace
 (``likelihood._RiskSets``), which also holds the data-only parts of the
 scan.  The plan keeps what its last scan can pass on, so the derivative
 scan at the accepted trial reuses that trial's risk-set weights, and the
-score covariance at the optimum reuses the last derivative scan's totals.
+sandwich meat, ``score_covariance`` at the optimum, reads the last
+derivative scan's totals.  A gradient, Hessian or Newton step that
+overflows (a rho too large for the data) raises NumericError before any
+trial point is built.
 Iteration stops when the gradient max-norm drops below tol_grad,
 or when the objective stalls (relative change below 1e-10 on three
 consecutive iterations); only the gradient criterion sets ``converged``.
@@ -49,9 +52,9 @@ from .inference import CurveEstimate, _curve_set, _variance
 from .likelihood import (
     CoefficientBlock,
     LikelihoodWorkspace,
-    _score_cov,
     make_workspace,
     penalized_loglik,
+    score_covariance,
     value_and_derivatives,
 )
 from .splines import SplineBasis, eval_basis_grid, make_basis
@@ -159,7 +162,8 @@ def _newton(cb0: CoefficientBlock, ds: SurvivalDataset, ws: LikelihoodWorkspace,
     The iterate and each line-search trial are built from cb0 by
     ``CoefficientBlock._with_gamma``, which checks only the new gamma:
     their thresholds and eta are cb0's, checked when cb0 was built.  A
-    non-finite trial raises the constructor's ValidationError.
+    non-finite trial raises the constructor's ValidationError; a step that
+    overflows from a finite gradient raises NumericError before any trial.
     """
     p, q = cb0.p, cb0.q
     gamma = cb0.gamma.copy()
@@ -191,7 +195,14 @@ def _newton(cb0: CoefficientBlock, ds: SurvivalDataset, ws: LikelihoodWorkspace,
             except np.linalg.LinAlgError:
                 lam = max(10.0 * lam, _LAM_MIN)
                 continue
-            slope = float(grad @ delta)
+            with np.errstate(over="ignore", invalid="ignore"):
+                slope = float(grad @ delta)
+            if not np.isfinite(slope) and np.isfinite(grad).all():
+                # the step or its product with the gradient overflowed (a
+                # non-finite step has a non-finite slope too)
+                raise NumericError(
+                    f"rho {ws.rho} overflows the Newton step; a smaller rho may help"
+                )
             if slope <= 0:
                 lam = max(10.0 * lam, _LAM_MIN)
                 continue
@@ -282,10 +293,10 @@ def fit(ds: SurvivalDataset, cfg: FitConfig, *, _warm=None) -> FittedModel:
 
     ``_warm`` is internal to cross-validation and replication studies: the
     ``_cox_warm_start`` result of ds, shared by the fits of every variant
-    and K on ds.  The sandwich meat ``score_cov`` equals
-    ``score_covariance`` at ``gamma_hat``; it reuses the totals of the last
-    Newton scan when that ran at ``gamma_hat``, and otherwise (an earlier
-    start won) scans once more.
+    and K on ds.  The sandwich meat ``score_cov`` is ``score_covariance``
+    at ``gamma_hat``, called on the fit's workspace: it reads the totals of
+    the last Newton scan when that ran at ``gamma_hat``, and otherwise (an
+    earlier start won) scans once more.
     """
     warm = _warm_for(_cox_warm_start(ds) if _warm is None else _warm, cfg)
     rho = cfg.rho if cfg.rho is not None else 1.0 / ds.n**2
@@ -336,7 +347,7 @@ def fit(ds: SurvivalDataset, cfg: FitConfig, *, _warm=None) -> FittedModel:
     if cond > _COND_WARN:
         logger.warning("ill-conditioned negative Hessian (cond %.2e)", cond)
     neg_h_inv = np.linalg.inv(neg_h)
-    sigma = _score_cov(CoefficientBlock(gamma=gamma, thresholds=alphas, eta=cfg.eta), ds, ws)
+    sigma = score_covariance(CoefficientBlock(gamma=gamma, thresholds=alphas, eta=cfg.eta), ds, ws)
     sandwich = neg_h_inv @ sigma @ neg_h_inv
     sandwich = 0.5 * (sandwich + sandwich.T)
 

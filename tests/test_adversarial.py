@@ -173,7 +173,7 @@ def test_scan_matches_per_chunk_loop_and_kept_entry(case, thresholded, seed):
         value = sx.penalized_loglik(cb, ds, ws)
         assert (ws.risk_sets._kept is not None) == (k >= m)
         got = sx.value_and_derivatives(cb, ds, ws)
-        got_cov = likelihood._score_cov(cb, ds, ws)
+        got_cov = likelihood.score_covariance(cb, ds, ws)
         want = sx.value_and_derivatives(cb, ds, sx.make_workspace(ds, basis, 0.1))
         want_cov = sx.score_covariance(cb, ds, sx.make_workspace(ds, basis, 0.1))
     assert value.hex() == got[0].hex() == want[0].hex()

@@ -2,6 +2,8 @@
 
 import csv
 import json
+import os
+import stat
 from dataclasses import replace
 
 import numpy as np
@@ -314,6 +316,17 @@ class TestFit:
         err = capsys.readouterr().err
         assert "NumericError" in err and "overflows the penalty" in err
         assert not (tmp_path / "out" / "model.json").exists()
+
+    @pytest.mark.parametrize("rho", [1e305, 1e306])
+    def test_rho_overflowing_the_newton_system_exits_3(self, tmp_path, capsys, rho):
+        # 2 rho P is finite, but the gradient or the Newton step overflows
+        data = tmp_path / "data.csv"
+        sx.save_csv(sx.generate(sx.Scenario(n=200, seed=1)), data)
+        out = tmp_path / "out"
+        assert run("fit", "--input", data, "--output", out, "--K", 3, "--rho", rho) == 3
+        err = capsys.readouterr().err
+        assert "NumericError" in err and f"rho {rho} overflows the" in err
+        assert not (out / "model.json").exists()
 
     @pytest.mark.parametrize("variant, code", [("sttv", 3), ("coxph", 3), ("regtv", 0)])
     def test_dependent_columns_exit_code(self, tmp_path, capsys, caplog, variant, code):
@@ -634,3 +647,28 @@ class TestScore:
         assert run("score", "--config", config, "--input", curves,
                    "--output", out, "--seed", 11) == 0
         assert json.loads((out / "manifest.json").read_text())["seed"] == 11
+
+
+def test_outputs_take_their_mode_from_the_umask(data60, tmp_path):
+    old = os.umask(0o022)
+    try:
+        data = tmp_path / "data.csv"
+        sx.save_csv(sx.generate(sx.Scenario(n=60, seed=3)), data)
+        assert run("fit", "--input", data, "--K", 2, "--output", tmp_path / "fit") == 0
+        assert run("cv", "--input", data60, "--candidates", "2,3", "--folds", 2, "--refit",
+                   "--output", tmp_path / "cv") == 0
+        study = write_study(tmp_path / "study.json", dump_curves=True)
+        assert run("simulate", "--config", study, "--output", tmp_path / "sim") == 0
+        config = tmp_path / "score.json"
+        config.write_text(json.dumps({"covariance": "ind", "n": 100}))
+        curves = tmp_path / "sim" / "curves_rep0000_sttv.csv"
+        assert run("score", "--config", config, "--input", curves,
+                   "--output", tmp_path / "score") == 0
+    finally:
+        os.umask(old)
+    written = [data, *(p for d in ("fit", "cv", "sim", "score") for p in (tmp_path / d).iterdir())]
+    assert {p.name for p in written} >= {"data.csv", "model.json", "curves.csv", "cv.json",
+                                         "manifest.json", "metrics.csv", "summary.md"}
+    assert {p.name: oct(stat.S_IMODE(p.stat().st_mode)) for p in written} == {
+        p.name: oct(0o644) for p in written}
+    assert not [p for p in tmp_path.rglob(".tmp-*")]

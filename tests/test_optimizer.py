@@ -1,5 +1,6 @@
 """Full model fitting for both variants and curve extraction."""
 
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 import sttvcox as sx
-from sttvcox import inference, likelihood, optimizer, splines
+from sttvcox import inference, likelihood, model_selection, optimizer, splines
 
 
 class TestFit:
@@ -146,6 +147,16 @@ class TestFit:
         with pytest.raises(sx.NumericError, match="overflows the penalty"):
             sx.fit(dataset_200, sx.FitConfig(K=2, rho=1e308))
 
+    @pytest.mark.parametrize("variant", ["sttv", "regtv"])
+    @pytest.mark.parametrize("rho, part", [(1e305, "the Newton step"),
+                                           (1e306, "the gradient or Hessian")])
+    def test_overflowing_newton_system_is_a_numeric_error(self, variant, rho, part):
+        # 2 rho P is finite, but the gradient's penalty term (1e306) or the
+        # step's slope (1e305) overflows: a typed error, with no RuntimeWarning
+        ds = sx.generate(sx.Scenario(n=200, seed=1))
+        with pytest.raises(sx.NumericError, match=re.escape(f"rho {rho} overflows {part}")):
+            sx.fit(ds, sx.FitConfig(K=3, rho=rho, variant=variant))
+
     def test_derivatives_once_per_accepted_iterate(self, dataset_200, monkeypatch):
         calls = {"value_and_derivatives": 0, "penalized_loglik": 0}
 
@@ -170,7 +181,7 @@ class TestFit:
     def test_score_cov_is_score_covariance_at_the_optimum(self, dataset_200, variant,
                                                           seed, multistart, monkeypatch):
         cfg = sx.FitConfig(K=2, variant=variant, seed=seed, multistart=multistart)
-        real_cov, real_totals = optimizer._score_cov, likelihood._risk_set_totals
+        real_cov, real_totals = optimizer.score_covariance, likelihood._risk_set_totals
         scans = []
 
         def score_cov(*args):
@@ -180,9 +191,9 @@ class TestFit:
                               lambda *a: scans.append(1) or real_totals(*a))
                 return real_cov(*args)
 
-        monkeypatch.setattr(optimizer, "_score_cov", score_cov)
+        monkeypatch.setattr(optimizer, "score_covariance", score_cov)
         m = sx.fit(dataset_200, cfg)
-        monkeypatch.setattr(optimizer, "_score_cov", real_cov)
+        monkeypatch.setattr(optimizer, "score_covariance", real_cov)
         # one start: the totals of the last Newton scan serve; three starts,
         # of which the first wins: one fresh scan
         assert len(scans) == (multistart > 1)
@@ -197,6 +208,39 @@ class TestFit:
         assert m.score_cov.tobytes() == want.tobytes()
         sandwich = m.neg_hessian_inv @ want @ m.neg_hessian_inv
         assert m.sandwich.tobytes() == (0.5 * (sandwich + sandwich.T)).tobytes()
+
+    def test_every_scan_runs_in_a_public_scan_function(self, dataset_200, monkeypatch):
+        # a tracer of the public scan functions then sees every event scan
+        real_scan = likelihood._scan
+        scans, per_call = [], {}
+
+        def scan(*args, **kwargs):
+            scans.append(1)
+            return real_scan(*args, **kwargs)
+
+        def public(name, fn):
+            def wrapper(*args, **kwargs):
+                before = len(scans)
+                try:
+                    return fn(*args, **kwargs)
+                finally:
+                    per_call.setdefault(name, []).append(len(scans) - before)
+            return wrapper
+
+        monkeypatch.setattr(likelihood, "_scan", scan)
+        for module, name in [(optimizer, "penalized_loglik"),
+                             (optimizer, "value_and_derivatives"),
+                             (optimizer, "score_covariance"),
+                             (model_selection, "penalized_loglik")]:
+            label = f"{module.__name__}.{name}"
+            monkeypatch.setattr(module, name, public(label, getattr(module, name)))
+        for multistart in (1, 3):
+            sx.fit(dataset_200, sx.FitConfig(K=2, seed=5, multistart=multistart))
+        sx.cross_validate(dataset_200, sx.FitConfig(K=2), candidates=(2, 3), folds=2)
+        assert len(per_call) == 4
+        assert {name: set(counts) for name, counts in per_call.items()} == {
+            name: {1} for name in per_call}
+        assert len(scans) == sum(len(counts) for counts in per_call.values())
 
     def test_singular_newton_solve_raises_damping(self, dataset_200, monkeypatch, caplog):
         warm = optimizer._cox_warm_start(dataset_200)

@@ -588,7 +588,7 @@ def kept_blocks(ws):
 
 def kept_totals(cb, ds, ws):
     """The plan's kept totals and the score covariance read from them."""
-    return (*ws.risk_sets._kept[3], likelihood._score_cov(cb, ds, ws))
+    return (*ws.risk_sets._kept[3], likelihood.score_covariance(cb, ds, ws))
 
 
 def scan_and_reuse(cb, ds, ws, monkeypatch, derivative_cb=None):
