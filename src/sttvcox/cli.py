@@ -9,8 +9,9 @@ Settings come from an optional JSON config file plus flags; flags win.
 Every command first builds all of its settings, so a bad one exits 2
 before anything is written; then it creates the output directory and
 writes ``manifest.json`` before any result file.  All files are written
-atomically (temp file plus rename), with the mode the umask gives.  Outputs are deterministic given
-inputs and seed, except for the manifest timestamp.
+atomically (temp file plus rename), with the mode the umask gives.
+Outputs are deterministic given inputs and seed, except for the manifest
+timestamp.
 
 Exit codes: 0 success, 2 validation problems, 3 numeric failure, 4
 non-convergence.  The environment variable STTV_LOG sets the log level.
