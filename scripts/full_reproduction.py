@@ -24,13 +24,25 @@ Output layout (schemas shared with the reporting module):
       failures.csv                   covariance,n,variant,rep,error
       chosen_K.csv                   covariance,n,variant,rep,K
       summary.csv / summary.md       grouped mean/sd cells over all settings
+      timing.json                    per setting: wall seconds, replications,
+                                     completed fits by variant and failures by
+                                     error class; Python and numpy versions
+
+``timing.json`` is the one file whose bytes differ between reruns, so it
+stays out of the tables above.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
+import platform
 import sys
+import time
+from collections import Counter
 from pathlib import Path
+
+import numpy as np
 
 from sttvcox import DEFAULT_CANDIDATES, VARIANTS, FitConfig, NumericError, Scenario, replicate
 from sttvcox.cli import _guarded
@@ -75,12 +87,21 @@ def run(args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
 
     metrics_paths, all_chosen, all_failures = [], [], []
+    timing = {"python": platform.python_version(), "numpy": np.__version__,
+              "jobs": args.jobs, "select": args.select, "settings": []}
     produced = 0
     for scenario in scenarios:
         covariance, n = scenario.covariance, scenario.n
         print(f"running {covariance} n={n} reps={args.reps} "
               f"select={args.select}", flush=True)
+        start = time.perf_counter()
         result = replicate(scenario, configs, args.reps, jobs=args.jobs, **selection)
+        timing["settings"].append({
+            "covariance": covariance, "n": n, "reps": args.reps,
+            "wall_s": time.perf_counter() - start,
+            "fits": {v: len(result.reports[v]) for v in result.variants},
+            "failures": dict(sorted(Counter(result.failure_kinds).items())),
+        })
         path = outdir / f"metrics_{covariance}_{n}.csv"
         header, rows = metric_rows(result)
         _atomic_write(path, _table_text(header, rows))
@@ -100,6 +121,7 @@ def run(args) -> int:
                   _table_text(("covariance", "n", "variant", "rep", "K"), all_chosen))
     _atomic_write(outdir / "failures.csv",
                   _table_text(("covariance", "n", "variant", "rep", "error"), all_failures))
+    _atomic_write(outdir / "timing.json", json.dumps(timing, indent=2) + "\n")
     if not produced:
         raise NumericError(f"every replication failed ({len(all_failures)} failures)")
 

@@ -36,6 +36,11 @@ j*q .. (j+1)*q - 1.
 from __future__ import annotations
 
 import itertools
+import logging
+import mmap
+import os
+import sys
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,6 +56,84 @@ _CHUNK_BUDGET = 4_000_000
 _BLOCK_EVENTS = 64
 # the fresh flags of a block of per-event predictor rows: each forms its own moments
 _EVERY_ROW = itertools.repeat(True)
+# m * n floats from which a one-chunk spline scan splits its blocks with a forked
+# helper; sttv and regtv fits with their fork ran 1.19x as long at 20K, even at
+# 55K and about 0.84x from 106K (2-core x86_64, one BLAS thread)
+_SPLIT_FLOATS = 200_000
+# weight entries that one event's three moment calls cost about as much as (p = 3)
+_EVENT_ENTRIES = 300
+# the pipe ends this process holds to its scan helpers; a forked child closes them,
+# so only the owner holds a helper's command pipe and closing it ends the helper
+_HELPER_FDS = set()
+
+logger = logging.getLogger(__name__)
+
+
+def _close_helper_fds() -> None:
+    for fd in _HELPER_FDS:
+        os.close(fd)
+    _HELPER_FDS.clear()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_close_helper_fds)
+
+
+def _one_thread() -> bool:
+    """Whether this process runs one OS thread, so that a fork copies a
+    consistent state.  OpenBLAS left to choose runs a thread per core."""
+    try:
+        return len(os.listdir("/proc/self/task")) == 1
+    except OSError:
+        return False
+
+
+def _may_fork() -> bool:
+    """Whether this process may fork a scan helper: ``os.fork`` exists, two
+    cores or more are usable, the process is no multiprocessing child (a
+    pool already uses the cores) and it runs one OS thread.  multiprocessing
+    is looked up in ``sys.modules``, not imported."""
+    if not hasattr(os, "fork"):
+        return False
+    cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+             else os.cpu_count() or 1)
+    mp = sys.modules.get("multiprocessing")
+    return cores >= 2 and (mp is None or mp.parent_process() is None) and _one_thread()
+
+
+def _reap(owner: int, pid: int, cmd: int, done: int) -> None:
+    """Close the pipes to helper ``pid``, which exits at EOF of its command
+    pipe, and wait for it; in any process but its owner, do nothing."""
+    if os.getpid() != owner:
+        return
+    for fd in (cmd, done):
+        _HELPER_FDS.discard(fd)
+        os.close(fd)
+    try:
+        os.waitpid(pid, 0)
+    except ChildProcessError:   # reaped already
+        pass
+
+
+def _serve(cmd: int, done: int, G, mx, s0, views: list, tail: tuple, n: int) -> None:
+    """The helper's loop: per command byte, the blocks ``tail`` of a scan of
+    the predictors in the shared G, written into the shared mx, s0 and, at
+    order 2, the moment rows of ``views`` (the views of the tail's events);
+    one reply byte says they are written.  "v" and "d" are fresh scans of
+    order 0 and 2, "V" and "D" scans of the blocks the last "v" kept; an
+    order-0 scan keeps its blocks and an order-2 scan drops them, as the
+    plan's entry does.  Returns at EOF of ``cmd``."""
+    e0 = tail[0][0]
+    mx, s0 = mx[e0:], s0[e0:]
+    kept = None
+    while c := os.read(cmd, 1):
+        order = 2 if c in b"dD" else 0
+        blocks = _risk_weights(G, tail) if c.islower() else kept
+        if not order:
+            blocks = list(blocks)
+        kept = None if order else blocks
+        _fill(blocks, views if order else None, mx, s0, n)
+        os.write(done, b".")
 
 
 @dataclass(frozen=True)
@@ -134,6 +217,12 @@ class _RiskSets:
     second moments of any scan, Cox or spline, with nothing else recorded.
     Scans of one plan share its (p, n) buffer, its moment rows and its
     entry, so they must not run concurrently.
+
+    A large one-chunk spline scan is split with one forked helper process
+    (see ``predictors`` and ``_split_totals``): the helper forms the
+    weight blocks and moment rows of the later events while this process
+    forms the earlier ones, with the same floats.  The helper lives until
+    ``close`` or until the plan is collected, and dies with its owner.
     """
 
     def __init__(self, Z: np.ndarray, starts: np.ndarray):
@@ -145,8 +234,11 @@ class _RiskSets:
         self._views = None
         self.S1 = self.S2 = None   # the moment rows, built with the views
         self._geometry = {}   # (first event, stop event) of a chunk -> its blocks
-        # (key, own predictors, weight blocks or None, totals or None)
+        # (key, own predictors, weight blocks or None, totals or None); blocks
+        # fewer than the geometry's are this process's half of a split scan
         self._kept = None
+        self._split = None    # (shared predictors, mx, s0, first helper block)
+        self._helper = None   # (owner pid, command fd, reply fd, reaper) while one runs
 
     def chunk(self) -> int:
         """Events per chunk of a scan: as many (n,) predictor rows as fit in
@@ -173,9 +265,13 @@ class _RiskSets:
             keep = order == 0 and self.keeps()
             parts = []
             for own, G, rows in chunks:
-                blocks = list(_risk_weights(G, self.geometry(rows), self.starts[rows])
-                              ) if keep else None
-                parts.append((own, *_risk_set_totals(G, self, order, blocks, rows)))
+                if self._split is not None and G is self._split[0]:
+                    blocks, totals = self._split_totals(order)
+                else:
+                    blocks = list(_risk_weights(G, self.geometry(rows), self.starts[rows])
+                                  ) if keep else None
+                    totals = _risk_set_totals(G, self, order, blocks, rows)
+                parts.append((own, *totals))
             own, *totals = parts[0] if len(parts) == 1 else [
                 None if part[0] is None else np.concatenate(part) for part in zip(*parts)]
             if keep:
@@ -183,10 +279,128 @@ class _RiskSets:
         else:
             _, own, blocks, totals = self._kept
             if totals is None:
-                totals = _risk_set_totals(None, self, order, blocks)
+                totals = (self._split_totals(order, blocks)[1]
+                          if len(blocks) < len(self.geometry())
+                          else _risk_set_totals(None, self, order, blocks))
         if order == 2:
             self._kept = (key, own, None, totals)
         return [own, *totals]
+
+    def predictors(self, order: int):
+        """The shared (m, n) buffer that a one-chunk scan's predictors go
+        into while a helper scans with the plan, else None.
+
+        The plan's first derivative scan forks the helper when it qualifies:
+        one chunk of m events over n subjects with m n at least
+        _SPLIT_FLOATS, two weight blocks or more, and a process that
+        ``_may_fork``.  Only scans with one predictor row per event ask, so
+        a Cox scan, whose non-fresh events read a copy that an earlier block
+        formed, never splits.
+        """
+        if not self.keeps():
+            return None
+        if (order == 2 and self._views is None
+                and len(self.start_list) * self.Z.shape[0] >= _SPLIT_FLOATS
+                and len(self.geometry()) > 1 and _may_fork()):
+            self._fork()
+        return self._split[0] if self._live() else None
+
+    def _live(self):
+        """The helper's (owner, command fd, reply fd, reaper) if this process runs one."""
+        helper = self._helper
+        return helper if helper is not None and helper[0] == os.getpid() else None
+
+    def _fork(self) -> None:
+        """Fork the helper of the plan's scans (see ``_split_totals``).
+
+        The blocks split at one block boundary, where the two halves cost
+        about the same: a block of k events and width w costs k (w +
+        _EVENT_ENTRIES) weight entries, its weights and the per-event calls
+        of its moments.  The predictors, the
+        per-event row max and s0, and the moment rows S1 and S2 live in one
+        shared anonymous mmap, so both processes read and write the same
+        arrays; each keeps its own (p, n) buffer of weighted covariates.
+        """
+        m, (n, p) = len(self.start_list), self.Z.shape
+        geometry = self.geometry()
+        cost = np.cumsum([k * (width + _EVENT_ENTRIES) for _, k, _, width, *_ in geometry])
+        cut = int(np.abs(2 * cost[:-1] - cost[-1]).argmin()) + 1
+        shared = np.frombuffer(mmap.mmap(-1, 8 * m * (n + 2 + p + p * p)))
+        G, mx, s0, S1, S2 = np.split(shared, np.cumsum([m * n, m, m, m * p]))
+        self.S1, self.S2 = S1.reshape(m, p), S2.reshape(m, p, p)
+        self._split = (G.reshape(m, n), mx, s0, cut)
+        e0 = geometry[cut][0]
+        views = self.views()[e0:]
+        cmd_r, cmd_w = os.pipe()
+        done_r, done_w = os.pipe()
+        _HELPER_FDS.update((cmd_w, done_r))
+        try:
+            pid = os.fork()
+        except OSError:   # no process to be had: the scans stay in this one
+            _HELPER_FDS.difference_update((cmd_w, done_r))
+            for fd in (cmd_r, cmd_w, done_r, done_w):
+                os.close(fd)
+            return
+        if not pid:   # the helper; the fork hook closed cmd_w and done_r
+            try:
+                _serve(cmd_r, done_w, self._split[0], mx, s0, views, geometry[cut:], n)
+            finally:
+                os._exit(0)
+        os.close(cmd_r)
+        os.close(done_w)
+        owner = os.getpid()
+        self._helper = (owner, cmd_w, done_r,
+                        weakref.finalize(self, _reap, owner, pid, cmd_w, done_r))
+        logger.debug("scan helper %d forked for %d events x %d subjects, from event %d",
+                     pid, m, n, e0)
+
+    def close(self) -> None:
+        """Stop the helper, if this process runs one; later scans run here alone."""
+        helper = self._live()
+        if helper is not None:
+            helper[3]()
+        self._helper = None
+
+    def _split_totals(self, order: int, blocks: list | None = None):
+        """(blocks to keep or None, totals) of a one-chunk scan split with the
+        helper, with the floats of ``_risk_set_totals``.
+
+        The predictors are those in the shared buffer: written there by this
+        scan, or by the split order-0 scan whose blocks before the split
+        this process kept, passed as ``blocks``, while the helper kept the
+        rest.  This process forms the blocks before the split, the helper
+        those after it, into the shared rows; an order-0 scan returns its
+        half to keep.  If the helper is gone, or was never forked in this
+        process, this process forms the helper's blocks from the buffer
+        too, keeps them with its own and stops the helper; an error stops
+        it as well, so no reply is left unread for a later scan.
+        """
+        G, mx, s0, cut = self._split
+        geometry, n = self.geometry(), self.Z.shape[0]
+        e0 = geometry[cut][0]
+        views = self.views() if order else None
+        command = (b"d" if order else b"v") if blocks is None else (b"D" if order else b"V")
+        helper = self._live()
+        try:
+            try:
+                if helper is not None:
+                    os.write(helper[1], command)
+            except BrokenPipeError:
+                helper = None
+            mine = _risk_weights(G, geometry[:cut]) if blocks is None else blocks
+            if not order:
+                mine = list(mine)
+            _fill(mine, views[:e0] if order else None, mx[:e0], s0[:e0], n)
+            if helper is None or not os.read(helper[2], 1):
+                theirs = list(_risk_weights(G, geometry[cut:]))
+                _fill(theirs, views[e0:] if order else None, mx[e0:], s0[e0:], n)
+                if not order:
+                    mine += theirs
+                self.close()
+        except BaseException:
+            self.close()
+            raise
+        return None if order else mine, _normalized(self, order, mx, s0)
 
     def geometry(self, rows: slice = slice(None)) -> tuple:
         """The ``_risk_weights`` blocks of the events ``rows``, built once per
@@ -236,8 +450,9 @@ class _RiskSets:
             n, p = Z.shape
             ZT = np.ascontiguousarray(Z.T)
             buf = np.empty((p, n))
-            self.S1 = np.empty((len(self.start_list), p))
-            self.S2 = np.empty((len(self.start_list), p, p))
+            if self.S1 is None:   # a helper's fork puts them in shared memory first
+                self.S1 = np.empty((len(self.start_list), p))
+                self.S2 = np.empty((len(self.start_list), p, p))
             self._views = [(r, Z[r:], Z[r:].T, ZT[:, r:], buf[:, r:], buf[:, r:].T, s1, s2)
                            for r, s1, s2 in zip(self.start_list, self.S1, self.S2)]
         return self._views
@@ -451,8 +666,9 @@ def _risk_set_totals(G: np.ndarray | None, plan: _RiskSets, order: int,
     ``_risk_weights`` over the plan's geometry of ``rows``, built once per
     plan and event range, or are ``blocks`` kept from an earlier scan of
     the same G, which is then not read.  G may also be one (n,) row shared
-    by every event, as in a Cox scan.  This is the only per-event loop: it
-    zips the rows of each weight block and their fresh flags with the
+    by every event, as in a Cox scan.  Its loop, ``_fill``, is the only
+    per-event loop, which a split scan runs over each half of the blocks:
+    it zips the rows of each weight block and their fresh flags with the
     plan's views, one tuple per event that holds the event's output rows
     too.  At a few hundred rows an event's cost is the number of numpy
     calls it makes, so each call passes its output positionally and
@@ -487,17 +703,24 @@ def _risk_set_totals(G: np.ndarray | None, plan: _RiskSets, order: int,
     ``Z.T[:, r:] @ t.T`` and a Fortran-ordered Z reach other floats and are
     not used.  An order-0 scan forms no moments.
     """
-    m, n = plan.starts[rows].shape[0], plan.Z.shape[0]
+    m = plan.starts[rows].shape[0]
     mx, s0 = np.empty(m), np.empty(m)
-    views = plan.views()[rows] if order else None
-    matmul, multiply = np.matmul, np.multiply
     if blocks is None:
         blocks = _risk_weights(G, plan.geometry(rows), plan.starts[rows])
+    _fill(blocks, plan.views()[rows] if order else None, mx, s0, plan.Z.shape[0])
+    return _normalized(plan, order, mx, s0, rows)
+
+
+def _fill(blocks, views: list | None, mx: np.ndarray, s0: np.ndarray, n: int) -> None:
+    """The per-event loop of ``_risk_set_totals`` over consecutive blocks:
+    their row maxima and sums into mx and s0, and, given the events' views
+    (order 2), their moments into the events' rows S1[e] and S2[e]."""
+    matmul, multiply = np.matmul, np.multiply
     e = 0
     for W, top, s, fresh in blocks:
         k = W.shape[0]
         mx[e:e + k], s0[e:e + k] = top, s
-        if order:
+        if views is not None:
             off = n - W.shape[1]            # the column before the block's first start
             for Wi, new, (r, Zr, ZrT, ZTr, t, tT, s1, s2) in zip(W, fresh, views[e:e + k]):
                 w = Wi[r - off:]
@@ -506,6 +729,12 @@ def _risk_set_totals(G: np.ndarray | None, plan: _RiskSets, order: int,
                     multiply(ZTr, w, t)
                 matmul(ZrT, tT, s2)
         e += k
+
+
+def _normalized(plan: _RiskSets, order: int, mx: np.ndarray, s0: np.ndarray,
+                rows: slice = slice(None)):
+    """logS0, and at order 2 Ebar and V, of the events ``rows`` from their
+    row maxima, sums and the plan's moment rows, as fresh arrays."""
     logS0 = mx + np.log(s0)
     if not order:
         return logS0, None, None
@@ -520,7 +749,10 @@ def _event_totals(H: np.ndarray, ds: SurvivalDataset, events: np.ndarray,
     ``plan`` is the risk-set plan of ds's covariates Z and ``events``, and
     the scan runs through its entry under H's bytes (see ``_RiskSets``).
     The predictors H @ Z.T are built in chunks of ``plan.chunk()`` events,
-    so the matrix stays within _CHUNK_BUDGET floats.  Returns own_g (m,)
+    so the matrix stays within _CHUNK_BUDGET floats; a one-chunk scan
+    writes them into the plan's shared buffer while a helper scans with the
+    plan (``_RiskSets.predictors``), the same product with the same floats.
+    Returns own_g (m,)
     and the ``_risk_set_totals`` triple.
 
     Each predictor is a sum of p products, so when p max|H| max|Z| is below
@@ -531,12 +763,13 @@ def _event_totals(H: np.ndarray, ds: SurvivalDataset, events: np.ndarray,
     Z = plan.Z
     chunk = plan.chunk()
     bound = Z.shape[1] * float(np.abs(H).max(initial=0.0)) * plan.z_max
+    out = plan.predictors(order)
 
     def chunks():
         for s in range(0, H.shape[0], chunk):
             rows = slice(s, s + chunk)
             with np.errstate(over="ignore", invalid="ignore"):
-                G = H[rows] @ Z.T                       # (c, n) predictors at event times
+                G = np.matmul(H[rows], Z.T, out=out)   # (c, n) predictors at event times
             if not bound < 1e300 and not np.isfinite(G).all():
                 e, col = np.argwhere(~np.isfinite(G))[0]
                 raise NumericError(

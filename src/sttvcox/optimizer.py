@@ -322,32 +322,38 @@ def fit(ds: SurvivalDataset, cfg: FitConfig, *, _warm=None) -> FittedModel:
         for _ in range(cfg.multistart - 1):
             yield gamma0 + spread * rng.standard_normal(gamma0.shape)
 
-    best = None
-    first_error: ConvergenceError | None = None
-    for g0 in starts():
-        cb0 = CoefficientBlock(gamma=g0, thresholds=alphas, eta=cfg.eta)
-        try:
-            result = _newton(cb0, ds, ws, cfg)
-        except ConvergenceError as exc:
-            first_error = first_error or exc
-            continue
-        if best is None or result[2] > best[2]:
-            best = result
-    if best is None:
-        raise first_error
+    try:
+        best = None
+        first_error: ConvergenceError | None = None
+        for g0 in starts():
+            cb0 = CoefficientBlock(gamma=g0, thresholds=alphas, eta=cfg.eta)
+            try:
+                result = _newton(cb0, ds, ws, cfg)
+            except ConvergenceError as exc:
+                first_error = first_error or exc
+                continue
+            if best is None or result[2] > best[2]:
+                best = result
+        if best is None:
+            raise first_error
 
-    gamma, hess, value, path, n_iter, gnorm, stop_reason = best
-    neg_h = -hess
-    cond = np.linalg.cond(neg_h)
-    if cond > _COND_ERROR:
-        raise NumericError(
-            f"negative Hessian condition number {cond:.2e} too large; "
-            "a larger rho or a smaller K may help"
-        )
-    if cond > _COND_WARN:
-        logger.warning("ill-conditioned negative Hessian (cond %.2e)", cond)
-    neg_h_inv = np.linalg.inv(neg_h)
-    sigma = score_covariance(CoefficientBlock(gamma=gamma, thresholds=alphas, eta=cfg.eta), ds, ws)
+        gamma, hess, value, path, n_iter, gnorm, stop_reason = best
+        neg_h = -hess
+        cond = np.linalg.cond(neg_h)
+        if cond > _COND_ERROR:
+            raise NumericError(
+                f"negative Hessian condition number {cond:.2e} too large; "
+                "a larger rho or a smaller K may help"
+            )
+        if cond > _COND_WARN:
+            logger.warning("ill-conditioned negative Hessian (cond %.2e)", cond)
+        neg_h_inv = np.linalg.inv(neg_h)
+        sigma = score_covariance(CoefficientBlock(gamma=gamma, thresholds=alphas, eta=cfg.eta),
+                                 ds, ws)
+    finally:
+        # the workspace is the fit's own: its scan helper stops here, not
+        # when the traceback of a raised error lets the workspace go
+        ws.risk_sets.close()
     sandwich = neg_h_inv @ sigma @ neg_h_inv
     sandwich = 0.5 * (sandwich + sandwich.T)
 

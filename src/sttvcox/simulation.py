@@ -344,6 +344,7 @@ class StudyResult:
     failures: tuple        # (rep, variant, message)
     grid: np.ndarray
     curves: dict | None = None   # variant -> {rep -> CurveEstimate} when kept
+    failure_kinds: tuple = ()    # the error class name of each entry of failures
 
 
 def rep_seed(base_seed: int, rep: int) -> int:
@@ -353,7 +354,8 @@ def rep_seed(base_seed: int, rep: int) -> int:
 
 
 def _run_one_rep(args):
-    """One replication, every config: (rep, variant -> (report, K, curves), failures)."""
+    """One replication, every config: (rep, variant -> (report, K, curves),
+    failures as (rep, variant, message, error class name))."""
     scenario, configs, rep, level, grid, keep_curves, candidates, folds = args
     sc_r = replace(scenario, seed=rep_seed(scenario.seed, rep))
     ds = generate(sc_r)
@@ -373,7 +375,7 @@ def _run_one_rep(args):
             curves = estimate_curves(model, grid, level=level)
             out[cfg.variant] = (score(curves, sc_r), cfg.K, curves if keep_curves else None)
         except SttvError as exc:
-            errors.append((rep, cfg.variant, str(exc)))
+            errors.append((rep, cfg.variant, str(exc), type(exc).__name__))
     return rep, out, errors
 
 
@@ -487,7 +489,8 @@ def replicate(
         chosen_K=chosen_K,
         aggregates=aggregates,
         coverage_mean=coverage_mean,
-        failures=tuple(failures),
+        failures=tuple(f[:3] for f in failures),
         grid=grid,
         curves=curve_store,
+        failure_kinds=tuple(f[3] for f in failures),
     )

@@ -81,7 +81,10 @@ def _effect(theta, alpha, eta: float, order: int = 0):
         h1 = np.where(far, np.where(np.abs(theta) > alpha, 1.0, 0.0), h1)
     if order == 1:
         return h, h1, None
-    h2 = np.asarray((2.0 / (np.pi * eta)) * (1.0 / u1 ** 2 - 1.0 / v1 ** 2))
+    # a subnormal eta overflows 2 / (pi eta) to inf, whose product with a far
+    # entry's zero bracket is NaN; the far branch replaces those entries
+    with np.errstate(invalid="ignore"):
+        h2 = np.asarray((2.0 / (np.pi * eta)) * (1.0 / u1 ** 2 - 1.0 / v1 ** 2))
     if any_far:
         h2 = np.where(far, 0.0, h2)
     return h, h1, h2

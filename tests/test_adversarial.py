@@ -18,6 +18,13 @@ the per-event loop over that chunk's own predictors, bit for bit, and a
 scan served from what the risk-set plan kept must equal a fresh scan.
 Chunked fits are not compared with unchunked ones: a chunk's predictor
 product may round differently from the same rows of one whole product.
+
+The same draw may instead force the split of each scan with a forked
+helper process (blocks of 2 events, no size floor, one OS thread taken as
+given), so the property also runs over split scans, whose totals must
+equal the per-event loop's too.  Fits and command-line fits also run with
+rho, eta and the thresholds at the float edges (subnormal, 1e-300, 1e300
+and the largest float), with the same finite-or-typed-error rule.
 """
 
 import contextlib
@@ -86,20 +93,32 @@ def adversarial(draw):
 
 @st.composite
 def budgeted(draw):
-    """(adversarial dataset, events per chunk): None keeps the default
-    budget, under which every event of such data scans in one chunk; k
-    runs the scans under a budget of n k floats, chunks of k events."""
+    """(adversarial dataset, scan layout): None keeps the default budget,
+    under which every event of such data scans in one chunk; k runs the
+    scans under a budget of n k floats, chunks of k events; "split" forces
+    the helper split of each fit's one-chunk scans."""
     ds = draw(adversarial())
-    return ds, draw(st.none() | st.integers(1, ds.n_events))
+    return ds, draw(st.none() | st.integers(1, ds.n_events) | st.just("split"))
 
 
 @contextlib.contextmanager
 def chunks_of(ds, k):
-    """Scans of ds in the block run in chunks of k events (None: the default)."""
+    """Scans of ds in the block run in chunks of k events (None: the
+    default), or split with a helper from their first derivative scan
+    ("split"): blocks of 2 events, so 3 events or more make two blocks."""
     with pytest.MonkeyPatch.context() as patch:
-        if k is not None:
+        if k == "split":
+            patch.setattr(likelihood, "_SPLIT_FLOATS", 0)
+            patch.setattr(likelihood, "_one_thread", lambda: True)
+            patch.setattr(likelihood, "_BLOCK_EVENTS", 2)
+        elif k is not None:
             patch.setattr(likelihood, "_CHUNK_BUDGET", ds.n * k)
         yield
+
+
+def events_per_chunk(ds, k):
+    """The events per chunk of a ``budgeted`` layout."""
+    return k if isinstance(k, int) else ds.n_events
 
 
 def assert_finite(*arrays):
@@ -161,7 +180,7 @@ def test_scan_matches_per_chunk_loop_and_kept_entry(case, thresholded, seed):
         H = threshold._effect(ws.basis_at_events @ gamma.T, cb.thresholds, cb.eta)[0]
         own, *totals = likelihood._event_totals(H, ds, events, likelihood._RiskSets(Z, starts), 2)
         # each chunk's predictors are a product of its own rows
-        k = k or m
+        k = events_per_chunk(ds, k)
         for s in range(0, m, k):
             rows = slice(s, s + k)
             G = H[rows] @ Z.T
@@ -225,6 +244,45 @@ def test_cli_exits_with_the_documented_code_and_writes_finite_tables(case):
         out = os.path.join(tmp, "cv")
         code, err = run_cli("cv", "--input", data, "--output", out, "--candidates", "1,2",
                             "--folds", 2, "--refit", "--grid-points", 5)
+        assert_exit_matches_error(code, err)
+        if code == 0:
+            table = read_curve_table(os.path.join(out, "curves.csv"))
+            assert_finite(table.theta_hat, table.beta_hat, table.sigma_hat, table.ci_lower,
+                          table.ci_upper)
+
+
+# rho, eta and thresholds at the float edges: subnormal, tiny, huge, the largest float
+FLOAT_EDGES = (5e-324, 1e-300, 1e300, float(np.finfo(float).max))
+
+
+@st.composite
+def edge_settings(draw):
+    """{setting: value} for rho, eta and the threshold override, each left
+    at its default or set to a float edge, one at least."""
+    names = draw(st.sets(st.sampled_from(["rho", "eta", "alpha_override"]), min_size=1))
+    return {name: draw(st.sampled_from(FLOAT_EDGES)) for name in sorted(names)}
+
+
+@adversarial_settings
+@given(ds=adversarial(), variant=st.sampled_from(["sttv", "regtv"]), edges=edge_settings())
+def test_float_edge_settings_give_finite_outputs_or_a_typed_error(ds, variant, edges):
+    settings_ = {k: (v,) * ds.p if k == "alpha_override" else v for k, v in edges.items()}
+    try:
+        model = sx.fit(ds, sx.FitConfig(K=2, variant=variant, **settings_))
+        curves = sx.estimate_curves(model, np.linspace(0.0, ds.tau, 7))
+    except sx.SttvError as exc:
+        assert type(exc).__name__ in EXIT_CODES
+    else:
+        assert_finite(model.gamma_hat, model.sandwich, model.score_cov, model.loglik_path)
+        assert_finite(curves.theta_hat, curves.beta_hat, curves.sigma_hat, curves.ci_lower,
+                      curves.ci_upper)
+    with tempfile.TemporaryDirectory() as tmp:
+        data = os.path.join(tmp, "data.csv")
+        sx.save_csv(ds, data)
+        out = os.path.join(tmp, "fit")
+        flags = [f"--{name.replace('_', '-')}={value!r}" for name, value in edges.items()]
+        code, err = run_cli("fit", "--input", data, "--output", out, "--K", 2,
+                            "--variant", variant, "--grid-points", 5, *flags)
         assert_exit_matches_error(code, err)
         if code == 0:
             table = read_curve_table(os.path.join(out, "curves.csv"))

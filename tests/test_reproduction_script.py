@@ -2,7 +2,11 @@
 
 import csv
 import importlib.util
+import json
+import platform
 from pathlib import Path
+
+import numpy as np
 
 import sttvcox as sx
 
@@ -29,6 +33,16 @@ def test_cv_selection_writes_the_replicate_choices(tmp_path):
     assert load_script().main(argv) == 0
 
     assert len(read_rows(out / "metrics_ind_60.csv")) == 2
+    timing = json.loads((out / "timing.json").read_text())
+    assert (timing["python"], timing["numpy"]) == (platform.python_version(), np.__version__)
+    (setting,) = timing["settings"]
+    assert setting["wall_s"] > 0
+    assert {k: setting[k] for k in ("covariance", "n", "reps", "fits", "failures")} == {
+        "covariance": "ind", "n": 60, "reps": 1, "fits": {"sttv": 1, "regtv": 1},
+        "failures": {}}
+    # the timing stays out of the deterministic tables
+    for name in ("summary.csv", "summary.md", "chosen_K.csv", "failures.csv"):
+        assert "wall" not in (out / name).read_text()
     chosen = read_rows(out / "chosen_K.csv")
     assert sorted(row[2] for row in chosen) == ["regtv", "sttv"]
     assert all(int(row[4]) in (2, 3) for row in chosen)
@@ -67,6 +81,11 @@ def test_every_replication_failed_exits_3(tmp_path, capsys):
     assert read_rows(out / "metrics_ind_30.csv") == []
     failures = read_rows(out / "failures.csv")
     assert sorted(row[2] for row in failures) == ["regtv", "sttv"]
+    (setting,) = json.loads((out / "timing.json").read_text())["settings"]
+    assert setting["fits"] == {"sttv": 0, "regtv": 0}
+    assert sum(setting["failures"].values()) == 2
+    assert set(setting["failures"]) <= {"ConvergenceError", "NumericError", "SeparationError",
+                                        "ValidationError"}
     assert not (out / "summary.csv").exists()
     err = capsys.readouterr().err.strip().splitlines()
     assert err == ["error [NumericError] every replication failed (2 failures)"]

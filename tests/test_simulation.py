@@ -551,6 +551,7 @@ class TestOneWarmStartPerDataset:
             res = sx.replicate(sc, self.CONFIGS, reps=1)
         warnings = [r.getMessage() for r in caplog.records if r.name == "sttvcox.optimizer"]
         assert res.failures == ((0, "sttv", message),)
+        assert res.failure_kinds == ("SeparationError",)
         assert warnings == [f"warm start failed ({message}); starting from zero coefficients"]
         model = sx.fit(ds, regtv)
         assert model.warm_start is None
