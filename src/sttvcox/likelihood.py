@@ -120,20 +120,29 @@ def _serve(cmd: int, done: int, G, mx, s0, views: list, tail: tuple, n: int) -> 
     the predictors in the shared G, written into the shared mx, s0 and, at
     order 2, the moment rows of ``views`` (the views of the tail's events);
     one reply byte says they are written.  "v" and "d" are fresh scans of
-    order 0 and 2, "V" and "D" scans of the blocks the last "v" kept; an
-    order-0 scan keeps its blocks and an order-2 scan drops them, as the
-    plan's entry does.  Returns at EOF of ``cmd``."""
+    order 0 and 2, "V" and "D" scans of the blocks the last "v" kept.
+    Returns at EOF of ``cmd``."""
     e0 = tail[0][0]
     mx, s0 = mx[e0:], s0[e0:]
     kept = None
     while c := os.read(cmd, 1):
-        order = 2 if c in b"dD" else 0
-        blocks = _risk_weights(G, tail) if c.islower() else kept
-        if not order:
-            blocks = list(blocks)
-        kept = None if order else blocks
-        _fill(blocks, views if order else None, mx, s0, n)
+        kept = _part(G, tail, None if c.islower() else kept, 2 if c in b"dD" else 0,
+                     views, mx, s0, n)
         os.write(done, b".")
+
+
+def _part(G, geometry: tuple, kept: list | None, order: int, views: list, mx, s0, n: int):
+    """One process's part of a split scan: the consecutive blocks
+    ``geometry``, whose events' views and mx and s0 rows these are, formed
+    from the kept blocks ``kept`` or afresh from G.  Returns the blocks an
+    order-0 scan keeps and None at order 2, as the plan's entry does."""
+    blocks = _risk_weights(G, geometry) if kept is None else kept
+    if order:
+        _fill(blocks, views, mx, s0, n)
+        return None
+    blocks = list(blocks)
+    _fill(blocks, None, mx, s0, n)
+    return blocks
 
 
 @dataclass(frozen=True)
@@ -363,7 +372,7 @@ class _RiskSets:
 
     def _split_totals(self, order: int, blocks: list | None = None):
         """(blocks to keep or None, totals) of a one-chunk scan split with the
-        helper, with the floats of ``_risk_set_totals``.
+        helper, with the floats of ``_risk_set_totals``; see ``_part``.
 
         The predictors are those in the shared buffer: written there by this
         scan, or by the split order-0 scan whose blocks before the split
@@ -376,9 +385,8 @@ class _RiskSets:
         it as well, so no reply is left unread for a later scan.
         """
         G, mx, s0, cut = self._split
-        geometry, n = self.geometry(), self.Z.shape[0]
+        geometry, views, n = self.geometry(), self.views(), self.Z.shape[0]
         e0 = geometry[cut][0]
-        views = self.views() if order else None
         command = (b"d" if order else b"v") if blocks is None else (b"D" if order else b"V")
         helper = self._live()
         try:
@@ -387,20 +395,16 @@ class _RiskSets:
                     os.write(helper[1], command)
             except BrokenPipeError:
                 helper = None
-            mine = _risk_weights(G, geometry[:cut]) if blocks is None else blocks
-            if not order:
-                mine = list(mine)
-            _fill(mine, views[:e0] if order else None, mx[:e0], s0[:e0], n)
+            mine = _part(G, geometry[:cut], blocks, order, views[:e0], mx[:e0], s0[:e0], n)
             if helper is None or not os.read(helper[2], 1):
-                theirs = list(_risk_weights(G, geometry[cut:]))
-                _fill(theirs, views[e0:] if order else None, mx[e0:], s0[e0:], n)
+                theirs = _part(G, geometry[cut:], None, order, views[e0:], mx[e0:], s0[e0:], n)
                 if not order:
                     mine += theirs
                 self.close()
         except BaseException:
             self.close()
             raise
-        return None if order else mine, _normalized(self, order, mx, s0)
+        return mine, _normalized(self, order, mx, s0)
 
     def geometry(self, rows: slice = slice(None)) -> tuple:
         """The ``_risk_weights`` blocks of the events ``rows``, built once per
